@@ -77,8 +77,13 @@ def standard_sample(space: GMetricSpace):
     return pts
 
 
-def _parse_param(name: str, prefix: str) -> str:
-    return name[len(prefix):]
+def _parse_param(name: str, prefix: str, kind=Fraction):
+    """The parameter encoded after ``prefix`` in ``name``, converted by ``kind``."""
+    raw = name[len(prefix):]
+    try:
+        return kind(raw)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"malformed parameter {raw!r} in {name!r}") from None
 
 
 def get_map(name: str, space: GMetricSpace) -> SelfMap:
@@ -88,13 +93,12 @@ def get_map(name: str, space: GMetricSpace) -> SelfMap:
     if name == "identity":
         return SelfMap(domain=carrier, apply=lambda p: p, name="identity")
     if name.startswith("constant-"):
-        raw = _parse_param(name, "constant-")
         if finite:
-            c = int(raw)
+            c = _parse_param(name, "constant-", int)
             if not 0 <= c < carrier.size:
                 raise ConfigError(f"constant {c} outside carrier")
         else:
-            c = float(raw)
+            c = _parse_param(name, "constant-", float)
         return SelfMap(domain=carrier, apply=lambda p: c, name=name)
     if finite:
         raise ConfigError(f"map {name!r} needs a real carrier")
@@ -105,7 +109,7 @@ def get_map(name: str, space: GMetricSpace) -> SelfMap:
     if name == "step":
         return SelfMap(domain=carrier, apply=lambda x: 0.0 if x <= 1.0 else 1.0, name="step")
     if name.startswith("scale-"):
-        c = float(_parse_param(name, "scale-"))
+        c = _parse_param(name, "scale-", float)
         if carrier.lo is not None and carrier.lo >= 0 and c < 0:
             raise ConfigError(f"scale factor {c} leaves the carrier")
         return SelfMap(domain=carrier, apply=lambda x: c * x, name=name)
@@ -132,7 +136,7 @@ def get_gauge(name: str) -> GaugeFunction:
     if name == "identity-diag":
         return GaugeFunction(evaluate=_first, name="identity-diag")
     if name.startswith("linear-"):
-        c = Fraction(_parse_param(name, "linear-"))
+        c = _parse_param(name, "linear-")
         if not 0 <= c:
             raise ConfigError("linear gauge factor must be nonnegative")
         return GaugeFunction(evaluate=lambda t1, t2, t3: c * t1, name=name)
@@ -143,15 +147,8 @@ def get_aux(name: str) -> AuxWeight:
     if name == "zero":
         return AuxWeight.zero()
     if name.startswith("constant-"):
-        return AuxWeight.constant(Fraction(_parse_param(name, "constant-")))
+        return AuxWeight.constant(_parse_param(name, "constant-"))
     if name.startswith("reciprocal-cap-"):
-        return AuxWeight.reciprocal_cap(Fraction(_parse_param(name, "reciprocal-cap-")))
+        return AuxWeight.reciprocal_cap(_parse_param(name, "reciprocal-cap-"))
     raise ConfigError(f"unknown weight function {name!r}")
 
-
-CATALOG = {
-    "spaces": ("absmax", "perimeter-r", "drop-z", "finite-uniform-<m>"),
-    "maps": ("moebius", "identity", "step", "scale-<c>", "constant-<c>"),
-    "gauges": ("ratio1", "half", "identity-diag", "linear-<c>"),
-    "weights": ("zero", "constant-<c>", "reciprocal-cap-<c>"),
-}

@@ -29,8 +29,10 @@ from .conditions import (
     check_gauge_admissible,
     eval_condition,
 )
-from .dynamics import orbit, solve_picard, write_trace_csv
-from .errors import CapExceededError, ConfigError, DomainError, GMetricError, ParameterError
+# orbit is no longer called here; it stays importable as gmetric.cli.orbit
+# because perfbench/tracer.py wraps that name.
+from .dynamics import DEFAULT_TRACE_MAX, orbit, solve_picard, write_trace_csv  # noqa: F401
+from .errors import ConfigError, DomainError, GMetricError, ParameterError
 from .oracle import DEFAULT_MAP_CAP, build_gmetric, exhaustive_theorem_check, load_metric_table
 from .spaces import DEFAULT_TOL, FiniteCarrier, GMetricSpace, check_axioms, normalize_point
 
@@ -97,12 +99,20 @@ def resolve_map(cfg: dict, space: GMetricSpace):
     return catalog.get_map(sel, space)
 
 
-def _param(value, exact: bool):
+def _number(kind, value, what: str):
+    """``kind(value)`` for a config value; a malformed value is a ConfigError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise ConfigError(f"malformed {what}: {value!r}") from None
+
+
+def _param(value, exact: bool, what: str):
     if value is None:
         return None
     if exact:
-        return Fraction(str(value))
-    return float(value)
+        return _number(lambda v: Fraction(str(v)), value, what)
+    return _number(float, value, what)
 
 
 def resolve_condition_spec(cfg: dict, space: GMetricSpace) -> ConditionSpec:
@@ -118,12 +128,12 @@ def resolve_condition_spec(cfg: dict, space: GMetricSpace) -> ConditionSpec:
     try:
         return ConditionSpec(
             id=cid,
-            q=_param(section.get("q"), exact),
+            q=_param(section.get("q"), exact, "condition.q"),
             a=aux if cid in ("C-Q", "C-UNIT", "C-GAUGE") else None,
             h=gauge,
-            alpha=_param(section.get("alpha"), exact),
-            beta=_param(section.get("beta"), exact),
-            delta=_param(section.get("delta"), exact),
+            alpha=_param(section.get("alpha"), exact, "condition.alpha"),
+            beta=_param(section.get("beta"), exact, "condition.beta"),
+            delta=_param(section.get("delta"), exact, "condition.delta"),
         )
     except ParameterError as e:
         raise ConfigError(str(e))
@@ -131,16 +141,18 @@ def resolve_condition_spec(cfg: dict, space: GMetricSpace) -> ConditionSpec:
 
 def sampling_settings(cfg: dict, seed_override=None):
     section = cfg.get("sampling") or {}
-    count = int(section.get("count", sampling.DEFAULT_COUNT))
+    count = _number(int, section.get("count", sampling.DEFAULT_COUNT), "sampling.count")
     rng_range = section.get("range", list(sampling.DEFAULT_RANGE))
     if (not isinstance(rng_range, (list, tuple))) or len(rng_range) != 2:
         raise ConfigError("sampling.range must be [lo, hi]")
-    seed = int(section.get("seed", sampling.DEFAULT_SEED))
+    seed = _number(int, section.get("seed", sampling.DEFAULT_SEED), "sampling.seed")
     if seed_override is not None:
         seed = int(seed_override)
     if count < 1:
         raise ConfigError("sampling.count must be positive")
-    return count, float(rng_range[0]), float(rng_range[1]), seed
+    lo = _number(float, rng_range[0], "sampling.range")
+    hi = _number(float, rng_range[1], "sampling.range")
+    return count, lo, hi, seed
 
 
 def _space_label(cfg: dict) -> str:
@@ -176,7 +188,7 @@ def cmd_condition(cfg: dict, out_dir: str, tol: float, seed_override=None) -> in
     smap = resolve_map(cfg, space)
     spec = resolve_condition_spec(cfg, space)
     count, lo, hi, seed = sampling_settings(cfg, seed_override)
-    stream = sampling.triple_stream(space, seed=seed, lo=lo, hi=hi)
+    stream = sampling.triple_stream(space, seed=seed, lo=lo, hi=hi, tol=tol)
     cert = certify_on_samples(space, smap, spec, stream, count, tol_base=tol)
     payload = {
         "space": _space_label(cfg),
@@ -185,7 +197,7 @@ def cmd_condition(cfg: dict, out_dir: str, tol: float, seed_override=None) -> in
         "certificate": reports.certificate_dict(cert),
     }
     if spec.a is not None and spec.a.kind != "zero":
-        bound_stream = sampling.triple_stream(space, seed=seed, lo=lo, hi=hi)
+        bound_stream = sampling.triple_stream(space, seed=seed, lo=lo, hi=hi, tol=tol)
         triples = [next(bound_stream) for _ in range(min(count, 1000))]
         payload["aux_bound"] = reports.verdict_dict(
             check_aux_bound(space, smap, spec.a, triples, tol_base=tol))
@@ -205,15 +217,15 @@ def cmd_solve(cfg: dict, out_dir: str, tol: float, seed_override=None) -> int:
     if not isinstance(section, dict) or "x0" not in section:
         raise ConfigError("solver section with x0 is required")
     x0 = section["x0"]
-    eps_stop = float(section.get("eps_stop", 1e-6))
-    max_iter = int(section.get("max_iter", 100_000))
+    eps_stop = _number(float, section.get("eps_stop", 1e-6), "solver.eps_stop")
+    max_iter = _number(int, section.get("max_iter", 100_000), "solver.max_iter")
     certified_q = section.get("certified_q")
-    certified_q = None if certified_q is None else float(certified_q)
-    trace_max = int(section.get("trace_max", 100_000))
+    certified_q = None if certified_q is None else _number(float, certified_q,
+                                                           "solver.certified_q")
+    trace_max = _number(int, section.get("trace_max", DEFAULT_TRACE_MAX), "solver.trace_max")
 
-    cert = solve_picard(space, smap, x0, eps_stop, max_iter, certified_q)
-    trace = orbit(space, smap, x0, max(1, min(cert.iterations or 1, trace_max)))
-    write_trace_csv(trace, os.path.join(out_dir, "trace.csv"), certified_q)
+    cert = solve_picard(space, smap, x0, eps_stop, max_iter, certified_q, trace_max=trace_max)
+    write_trace_csv(cert.trace, os.path.join(out_dir, "trace.csv"), certified_q)
     payload = {
         "space": _space_label(cfg),
         "map": smap.name,
@@ -234,9 +246,9 @@ def cmd_gauge(cfg: dict, out_dir: str, tol: float, seed_override=None) -> int:
         raise ConfigError("config is missing a gauge name")
     gauge = catalog.get_gauge(name)
     section = cfg.get("gauge_check") or {}
-    grid = [float(t) for t in section.get("grid", DEFAULT_GAUGE_GRID)]
-    n_max = int(section.get("n_max", 500))
-    thresh = float(section.get("thresh", 1e-8))
+    grid = [_number(float, t, "gauge_check.grid") for t in section.get("grid", DEFAULT_GAUGE_GRID)]
+    n_max = _number(int, section.get("n_max", 500), "gauge_check.n_max")
+    thresh = _number(float, section.get("thresh", 1e-8), "gauge_check.thresh")
     report = check_gauge_admissible(gauge, grid, n_max=n_max, thresh=thresh, tol_base=tol)
     payload = {"gauge": name, "report": reports.gauge_report_dict(report)}
     reports.write_report(os.path.join(out_dir, "gauge.json"), payload)
@@ -264,7 +276,7 @@ def cmd_oracle(cfg: dict, out_dir: str, tol: float, seed_override=None) -> int:
         params["a"] = catalog.get_aux(section["a"])
     if "gauge" in section:
         params["gauge"] = catalog.get_gauge(section["gauge"])
-    cap = int(section.get("cap", DEFAULT_MAP_CAP))
+    cap = _number(int, section.get("cap", DEFAULT_MAP_CAP), "theorem.cap")
     report = exhaustive_theorem_check(space, section["id"], params, cap=cap)
     payload = {"space": _space_label(cfg), "report": reports.theorem_report_dict(report)}
     reports.write_report(os.path.join(out_dir, "oracle.json"), payload)
@@ -294,6 +306,18 @@ def _violation_patterns(space: GMetricSpace, s: float):
     return out
 
 
+def _violation_at(space, smap, spec, s, tol):
+    """The first FAILS verdict among the candidate triples at scale s, or None."""
+    for triple in _violation_patterns(space, s):
+        try:
+            v = eval_condition(space, smap, spec, *triple, tol_base=tol)
+        except DomainError:
+            continue
+        if v.status == "FAILS":
+            return v
+    return None
+
+
 def _search_violation(space, smap, spec, scales, tol):
     """Multi-scale grid search for a FAILS triple, then a bisection pass on
     the scale to estimate where violation stops."""
@@ -301,15 +325,7 @@ def _search_violation(space, smap, spec, scales, tol):
     found_scale = None
     prev_scale = None
     for s in scales:
-        hit = None
-        for triple in _violation_patterns(space, s):
-            try:
-                v = eval_condition(space, smap, spec, *triple, tol_base=tol)
-            except DomainError:
-                continue
-            if v.status == "FAILS":
-                hit = v
-                break
+        hit = _violation_at(space, smap, spec, s, tol)
         if hit is not None:
             found, found_scale = hit, s
             break
@@ -321,16 +337,7 @@ def _search_violation(space, smap, spec, scales, tol):
         lo_s, hi_s = found_scale, prev_scale
         for _ in range(40):
             mid = (lo_s + hi_s) / 2.0
-            hit = None
-            for triple in _violation_patterns(space, mid):
-                try:
-                    v = eval_condition(space, smap, spec, *triple, tol_base=tol)
-                except DomainError:
-                    continue
-                if v.status == "FAILS":
-                    hit = v
-                    break
-            if hit is not None:
+            if _violation_at(space, smap, spec, mid, tol) is not None:
                 lo_s = mid
             else:
                 hi_s = mid
@@ -343,7 +350,7 @@ def cmd_violate(cfg: dict, out_dir: str, tol: float, seed_override=None) -> int:
     smap = resolve_map(cfg, space)
     base_spec = resolve_condition_spec(cfg, space)
     section = cfg.get("violate") or {}
-    scales = [float(s) for s in section.get("scales", _VIOLATE_SCALES)]
+    scales = [_number(float, s, "violate.scales") for s in section.get("scales", _VIOLATE_SCALES)]
     q_grid = section.get("q_grid")
     if q_grid is not None and base_spec.id != "C-Q":
         raise ConfigError("q_grid only applies to the C-Q condition")
@@ -351,7 +358,8 @@ def cmd_violate(cfg: dict, out_dir: str, tol: float, seed_override=None) -> int:
     specs = []
     if q_grid:
         for q in q_grid:
-            specs.append(ConditionSpec(id="C-Q", q=_param(q, space.exact), a=base_spec.a))
+            specs.append(ConditionSpec(id="C-Q", q=_param(q, space.exact, "violate.q_grid"),
+                                       a=base_spec.a))
     else:
         specs.append(base_spec)
 
@@ -427,13 +435,7 @@ def main(argv=None) -> int:
         os.makedirs(out_dir, exist_ok=True)
         handler = _COMMANDS[args.command]
         return handler(cfg, out_dir, args.tol, seed_override=args.seed)
-    except (ConfigError, CapExceededError, ParameterError, DomainError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except GMetricError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (GMetricError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

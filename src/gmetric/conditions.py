@@ -32,7 +32,7 @@ contraction factor for beta >= 3/4, where its middle factor reaches 1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterable, Optional
@@ -41,21 +41,22 @@ from .errors import DomainError, ParameterError
 from .spaces import (
     DEFAULT_TOL,
     FAIL,
+    FAILS,
     GMetricSpace,
+    HOLDS_STRICT,
+    HOLDS_WEAK,
     PASS,
     Point,
+    Regime,
+    VACUOUS,
     Verdict,
+    _first_failure,
     normalize_point,
     points_distinct,
     raw_g,
     scaled_tol,
 )
 from .dynamics import SelfMap
-
-HOLDS_STRICT = "HOLDS_STRICT"
-HOLDS_WEAK = "HOLDS_WEAK"
-FAILS = "FAILS"
-VACUOUS = "VACUOUS"
 
 CONDITION_IDS = ("C-Q", "C-UNIT", "C-GAUGE", "EXT-I", "EXT-II", "EXT-III")
 
@@ -103,7 +104,7 @@ class AuxWeight:
             denom = ctx.g(x, y, z) * ctx.g(ctx.t(x), ctx.t(y), ctx.t(z))
             if denom == 0:
                 return 0
-            inv = (Fraction(1) if ctx.space.exact else 1.0) / denom
+            inv = ctx.regime.one / denom
             return min(self.c, inv)
         v = self.fn(x, y, z)
         if v < 0:
@@ -200,13 +201,15 @@ class ConditionVerdict:
 
 
 class _EvalContext:
-    """Memoized evaluation of G values and map images on normalized points."""
+    """Memoized evaluation of G values and map images on normalized points,
+    with the arithmetic regime of one call."""
 
-    def __init__(self, space: GMetricSpace, smap: SelfMap):
+    def __init__(self, space: GMetricSpace, smap: SelfMap, tol_base: float = DEFAULT_TOL):
         if smap.domain != space.carrier:
             raise DomainError("map domain does not match the space carrier")
         self.space = space
         self.smap = smap
+        self.regime = Regime(space, tol_base)
         self._g = {}
         self._t = {}
 
@@ -226,38 +229,6 @@ class _EvalContext:
         return v
 
 
-def _zero(space: GMetricSpace):
-    return Fraction(0) if space.exact else 0.0
-
-
-def _is_vacuous(space: GMetricSpace, lhs, tol_base: float) -> bool:
-    if space.exact:
-        return lhs == 0
-    return lhs <= tol_base
-
-
-def _tau(tol_base: float, lhs, rhs) -> float:
-    """Strictness slack for float comparisons: tol_base * (1 + |lhs| + |rhs|)."""
-    return tol_base * (1.0 + abs(float(lhs)) + abs(float(rhs)))
-
-
-def _status(space: GMetricSpace, lhs, rhs, strict: bool, tol_base: float) -> str:
-    if _is_vacuous(space, lhs, tol_base):
-        return VACUOUS
-    if space.exact:
-        if lhs < rhs:
-            return HOLDS_STRICT
-        if lhs == rhs and not strict:
-            return HOLDS_WEAK
-        return FAILS
-    tau = _tau(tol_base, lhs, rhs)
-    if lhs < rhs - tau:
-        return HOLDS_STRICT
-    if abs(lhs - rhs) <= tau and not strict:
-        return HOLDS_WEAK
-    return FAILS
-
-
 def eval_condition(space: GMetricSpace, smap: SelfMap, spec: ConditionSpec,
                    x, y, z, tol_base: float = DEFAULT_TOL) -> ConditionVerdict:
     """Evaluate one of the majorant conditions (C-Q, C-UNIT, C-GAUGE) on a triple.
@@ -271,20 +242,19 @@ def eval_condition(space: GMetricSpace, smap: SelfMap, spec: ConditionSpec,
     xn, yn, zn = normalize_point(c, x), normalize_point(c, y), normalize_point(c, z)
     if not points_distinct(space, xn, yn, tol_base):
         raise DomainError("condition requires x != y")
-    ctx = _EvalContext(space, smap)
-    return _eval_majorant(ctx, spec, xn, yn, zn, tol_base)
+    ctx = _EvalContext(space, smap, tol_base)
+    return _eval_majorant(ctx, spec, xn, yn, zn)
 
 
-def _eval_majorant(ctx: _EvalContext, spec: ConditionSpec, x, y, z,
-                   tol_base: float) -> ConditionVerdict:
-    space = ctx.space
+def _eval_majorant(ctx: _EvalContext, spec: ConditionSpec, x, y, z) -> ConditionVerdict:
+    reg = ctx.regime
     tx, ty, tz = ctx.t(x), ctx.t(y), ctx.t(z)
     lhs = ctx.g(tx, ty, tz)
     m1 = ctx.g(x, y, z)
 
     a_val = spec.a.value(ctx, x, y, z)
     if a_val == 0:
-        m2 = _zero(space)
+        m2 = reg.zero
     else:
         m2 = a_val * ctx.g(tx, y, z) * ctx.g(x, ty, z) * ctx.g(x, y, tz)
 
@@ -292,13 +262,13 @@ def _eval_majorant(ctx: _EvalContext, spec: ConditionSpec, x, y, z,
     denom = m1 * lhs
     if denom == 0:
         m3 = None
-        if not _is_vacuous(space, lhs, tol_base):
+        if not reg.vacuous(lhs):
             excluded = ("M3",)
     else:
         m3 = ctx.g(x, tx, tx) * ctx.g(y, ty, ty) * ctx.g(z, tz, tz) / denom
 
     if spec.id == "C-GAUGE":
-        m3_arg = m3 if m3 is not None else _zero(space)
+        m3_arg = m3 if m3 is not None else reg.zero
         rhs = spec.h.evaluate(m1, m3_arg, m2)
         strict = False
     else:
@@ -307,8 +277,7 @@ def _eval_majorant(ctx: _EvalContext, spec: ConditionSpec, x, y, z,
         rhs = q * max(cands)
         strict = True
 
-    status = _status(space, lhs, rhs, strict, tol_base)
-    return ConditionVerdict(status=status, lhs=lhs, rhs=rhs,
+    return ConditionVerdict(status=reg.status(lhs, rhs, strict), lhs=lhs, rhs=rhs,
                             excluded_terms=excluded, triple=(x, y, z))
 
 
@@ -320,9 +289,7 @@ class ExtensionVerdicts:
     any_holds: bool
 
 
-def _eval_ext_single(ctx: _EvalContext, which: str, param, x, y, z,
-                     tol_base: float) -> ConditionVerdict:
-    space = ctx.space
+def _eval_ext_single(ctx: _EvalContext, which: str, param, x, y, z) -> ConditionVerdict:
     tx, ty, tz = ctx.t(x), ctx.t(y), ctx.t(z)
     gx = ctx.g(x, tx, tx)
     gy = ctx.g(y, ty, ty)
@@ -335,13 +302,20 @@ def _eval_ext_single(ctx: _EvalContext, which: str, param, x, y, z,
         rhs = param * (ctx.g(tx, y, z) + ctx.g(x, ty, z) + ctx.g(x, y, tz))
     elif which == "EXT-III":
         cross = ctx.g(tx, y, z) + ctx.g(x, ty, z) + ctx.g(x, y, tz)
-        quarter = cross / 4 if space.exact else cross / 4.0
         lhs = ctx.g(tx, ty, tz)
-        rhs = param * max(ctx.g(x, y, z), gx, gy, gz, quarter)
+        rhs = param * max(ctx.g(x, y, z), gx, gy, gz, cross / 4)
     else:
         raise ParameterError(f"unknown extension condition {which!r}")
-    status = _status(space, lhs, rhs, strict=False, tol_base=tol_base)
-    return ConditionVerdict(status=status, lhs=lhs, rhs=rhs, triple=(x, y, z))
+    return ConditionVerdict(status=ctx.regime.status(lhs, rhs, strict=False),
+                            lhs=lhs, rhs=rhs, triple=(x, y, z))
+
+
+def _check_extension_params(alpha, beta, delta) -> None:
+    """Range-check each given extension parameter through :class:`ConditionSpec`."""
+    for cid, name, v in (("EXT-I", "alpha", alpha), ("EXT-II", "beta", beta),
+                         ("EXT-III", "delta", delta)):
+        if v is not None:
+            ConditionSpec(id=cid, **{name: v})  # raises ParameterError out of range
 
 
 def eval_extension(space: GMetricSpace, smap: SelfMap, x, y, z,
@@ -350,20 +324,18 @@ def eval_extension(space: GMetricSpace, smap: SelfMap, x, y, z,
     """Evaluate the enabled extension conditions (i)/(ii)/(iii) on a triple.
 
     A condition is enabled by passing its parameter; at least one must be
-    given.  Any triple is admissible (no x != y restriction here).
+    given, and each is range-checked by :class:`ConditionSpec`.  Any triple
+    is admissible (no x != y restriction here).
     """
     if alpha is None and beta is None and delta is None:
         raise ParameterError("enable at least one of alpha, beta, delta")
-    for nm, v, lo in (("alpha", alpha, 1), ("beta", beta, Fraction(1, 2)), ("delta", delta, 0)):
-        hi = 3 if nm == "alpha" else 1
-        if v is not None and not lo <= v < hi:
-            raise ParameterError(f"{nm} must lie in [{lo}, {hi})")
+    _check_extension_params(alpha, beta, delta)
     c = space.carrier
     xn, yn, zn = normalize_point(c, x), normalize_point(c, y), normalize_point(c, z)
-    ctx = _EvalContext(space, smap)
-    vi = _eval_ext_single(ctx, "EXT-I", alpha, xn, yn, zn, tol_base) if alpha is not None else None
-    vii = _eval_ext_single(ctx, "EXT-II", beta, xn, yn, zn, tol_base) if beta is not None else None
-    viii = _eval_ext_single(ctx, "EXT-III", delta, xn, yn, zn, tol_base) if delta is not None else None
+    ctx = _EvalContext(space, smap, tol_base)
+    vi = _eval_ext_single(ctx, "EXT-I", alpha, xn, yn, zn) if alpha is not None else None
+    vii = _eval_ext_single(ctx, "EXT-II", beta, xn, yn, zn) if beta is not None else None
+    viii = _eval_ext_single(ctx, "EXT-III", delta, xn, yn, zn) if delta is not None else None
     any_holds = any(v is not None and v.holds for v in (vi, vii, viii))
     return ExtensionVerdicts(i=vi, ii=vii, iii=viii, any_holds=any_holds)
 
@@ -384,12 +356,7 @@ def contraction_factor(alpha, beta, delta, mode: str = "paper") -> FactorReport:
     inadmissible when any factor reaches 1 (the middle factor
     (2*beta-1)/(2-2*beta) does so for beta >= 3/4).
     """
-    if not 1 <= alpha < 3:
-        raise ParameterError("alpha must lie in [1, 3)")
-    if not Fraction(1, 2) <= beta < 1:
-        raise ParameterError("beta must lie in [1/2, 1)")
-    if not 0 <= delta < 1:
-        raise ParameterError("delta must lie in [0, 1)")
+    _check_extension_params(alpha, beta, delta)
     if mode not in ("paper", "sound"):
         raise ParameterError(f"unknown mode {mode!r}")
     f1 = (alpha - 1) / 2
@@ -443,34 +410,22 @@ def check_gauge_admissible(h: GaugeFunction, ts, n_max: int = 500,
     if thresh <= 0:
         raise ParameterError("thresh must be positive")
 
-    # monotone in each variable slot, all grid pairs, other slots on the grid
-    monotone = Verdict(PASS)
-    for slot in range(3):
-        if monotone.status == FAIL:
-            break
-        for lo_i in range(len(ts)):
-            if monotone.status == FAIL:
-                break
-            for hi_i in range(lo_i + 1, len(ts)):
-                lo_t, hi_t = ts[lo_i], ts[hi_i]
-                done = False
-                for u in ts:
-                    for v in ts:
-                        args_lo = [u, v]
-                        args_lo.insert(slot, lo_t)
-                        args_hi = [u, v]
-                        args_hi.insert(slot, hi_t)
-                        a = h.evaluate(*args_lo)
-                        b = h.evaluate(*args_hi)
-                        if a > b + scaled_tol(tol_base, a, b):
-                            monotone = Verdict(FAIL, witness=(slot, lo_t, hi_t, u, v),
-                                               values=(a, b))
-                            done = True
-                            break
-                    if done:
-                        break
-                if done:
-                    break
+    def monotone_failures():  # each variable slot, all grid pairs, other slots on the grid
+        for slot in range(3):
+            for lo_i, lo_t in enumerate(ts):
+                for hi_t in ts[lo_i + 1:]:
+                    for u in ts:
+                        for v in ts:
+                            args_lo = [u, v]
+                            args_lo.insert(slot, lo_t)
+                            args_hi = [u, v]
+                            args_hi.insert(slot, hi_t)
+                            a = h.evaluate(*args_lo)
+                            b = h.evaluate(*args_hi)
+                            if a > b + scaled_tol(tol_base, a, b):
+                                yield (slot, lo_t, hi_t, u, v), (a, b)
+
+    monotone = _first_failure(monotone_failures())
 
     diag = Verdict(PASS)
     for t in ts:
@@ -502,24 +457,20 @@ def check_gauge_admissible(h: GaugeFunction, ts, n_max: int = 500,
     # usc probe: on a refining ladder toward t from either side, the excess
     # of the approach values over g(t) must decay; a persistent excess is a
     # jump up at t, which upper semicontinuity forbids.
-    usc = Verdict(PASS, note="heuristic")
-    for t in ts:
-        gt = h.diagonal(t)
-        jump = False
-        for sign in (1.0, -1.0):
-            ladder = [t + sign * t * 1e-3 * (2.0 ** -j) for j in range(6)]
-            ladder = [p for p in ladder if p > 0]
-            if not ladder:
-                continue
-            excesses = [h.diagonal(p) - gt for p in ladder]
-            floor = 1e-9 * (1.0 + abs(gt))
-            if excesses[-1] > floor and excesses[-1] > 0.6 * excesses[0]:
-                usc = Verdict(FAIL, witness=(t,), values=(gt, gt + excesses[-1]),
-                              note="heuristic")
-                jump = True
-                break
-        if jump:
-            break
+    def usc_failures():
+        for t in ts:
+            gt = h.diagonal(t)
+            for sign in (1.0, -1.0):
+                ladder = [t + sign * t * 1e-3 * (2.0 ** -j) for j in range(6)]
+                ladder = [p for p in ladder if p > 0]
+                if not ladder:
+                    continue
+                excesses = [h.diagonal(p) - gt for p in ladder]
+                floor = 1e-9 * (1.0 + abs(gt))
+                if excesses[-1] > floor and excesses[-1] > 0.6 * excesses[0]:
+                    yield (t,), (gt, gt + excesses[-1])
+
+    usc = replace(_first_failure(usc_failures()), note="heuristic")
 
     return GaugeReport(
         monotone=monotone, usc_heuristic=usc, diagonal_strict=diag,
@@ -555,22 +506,18 @@ def check_uniqueness_conditions(space: GMetricSpace, smap: SelfMap, xi,
     """
     c = space.carrier
     xin = normalize_point(c, xi)
-    ctx = _EvalContext(space, smap)
+    ctx = _EvalContext(space, smap, tol_base)
     residual = ctx.g(xin, ctx.t(xin), ctx.t(xin))
     if residual > tol:
         raise DomainError(f"xi is not approximately fixed (residual {residual})")
-
-    def strictly_below(lhs, rhs):
-        if space.exact:
-            return lhs < rhs
-        return lhs < rhs - _tau(tol_base, lhs, rhs)
+    distinct, strictly_below = ctx.regime.distinct, ctx.regime.strictly_below
 
     v_verdict = Verdict(PASS)
     vi_verdict = Verdict(PASS)
     checked = 0
     for p in sample:
         pn = normalize_point(c, p)
-        if not points_distinct(space, pn, xin, tol_base):
+        if not distinct(pn, xin):
             continue
         checked += 1
         tp = ctx.t(pn)
@@ -592,20 +539,16 @@ def check_aux_bound(space: GMetricSpace, smap: SelfMap, a: AuxWeight,
                     triples, tol_base: float = DEFAULT_TOL) -> Verdict:
     """Pointwise check of the uniqueness hypothesis a <= 1/(G * G') on a
     collection of triples, skipping triples where the denominator vanishes."""
-    ctx = _EvalContext(space, smap)
+    ctx = _EvalContext(space, smap, tol_base)
     c = space.carrier
     for (x, y, z) in triples:
         xn, yn, zn = normalize_point(c, x), normalize_point(c, y), normalize_point(c, z)
         denom = ctx.g(xn, yn, zn) * ctx.g(ctx.t(xn), ctx.t(yn), ctx.t(zn))
         if denom == 0:
             continue
-        bound = (Fraction(1) if space.exact else 1.0) / denom
+        bound = ctx.regime.one / denom
         a_val = a.value(ctx, xn, yn, zn)
-        if space.exact:
-            violated = a_val > bound
-        else:
-            violated = a_val > bound + _tau(tol_base, a_val, bound)
-        if violated:
+        if ctx.regime.above(a_val, bound):
             return Verdict(FAIL, witness=(xn, yn, zn), values=(a_val, bound))
     return Verdict(PASS)
 
@@ -644,7 +587,8 @@ def certify_on_samples(space: GMetricSpace, smap: SelfMap, spec: ConditionSpec,
     canonically ordered by decreasing violation then triple, so the
     aggregate does not depend on how the stream was partitioned.
     """
-    ctx = _EvalContext(space, smap)
+    ctx = _EvalContext(space, smap, tol_base)
+    distinct = ctx.regime.distinct
     ext_param = {"EXT-I": spec.alpha, "EXT-II": spec.beta, "EXT-III": spec.delta}.get(spec.id)
 
     tallies = {HOLDS_STRICT: 0, HOLDS_WEAK: 0, VACUOUS: 0, FAILS: 0}
@@ -655,11 +599,11 @@ def certify_on_samples(space: GMetricSpace, smap: SelfMap, spec: ConditionSpec,
     for (x, y, z) in islice(sampler, count):
         xn, yn, zn = normalize_point(norm, x), normalize_point(norm, y), normalize_point(norm, z)
         if ext_param is not None:
-            verdict = _eval_ext_single(ctx, spec.id, ext_param, xn, yn, zn, tol_base)
+            verdict = _eval_ext_single(ctx, spec.id, ext_param, xn, yn, zn)
         else:
-            if not points_distinct(space, xn, yn, tol_base):
+            if not distinct(xn, yn):
                 raise DomainError("sampler produced a triple with x == y")
-            verdict = _eval_majorant(ctx, spec, xn, yn, zn, tol_base)
+            verdict = _eval_majorant(ctx, spec, xn, yn, zn)
         checked += 1
         tallies[verdict.status] += 1
         excluded += len(verdict.excluded_terms)

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .errors import DomainError, ParameterError
@@ -23,13 +24,20 @@ from .spaces import (
     GMetricSpace,
     PASS,
     Point,
+    RealCarrier,
+    Regime,
     Verdict,
+    _validate_value,
     coord_distance,
     format_point,
     normalize_point,
     raw_g,
     scaled_tol,
 )
+
+DEFAULT_TRACE_MAX = 100_000
+
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -82,12 +90,42 @@ class FixedPointCertificate:
     certified_q: Optional[float] = None
     space_id: str = ""
     map_id: str = ""
+    trace: Optional[OrbitTrace] = field(default=None, repr=False)
 
 
-def _points_fixed(space: GMetricSpace, a: Point, b: Point, fix_tol: float) -> bool:
-    if space.exact:
-        return a == b
-    return coord_distance(a, b) <= fix_tol
+def _validated_step(space: GMetricSpace, smap: SelfMap) -> Callable:
+    """The one Picard step ``x -> (Tx, G(x, Tx, Tx))`` of :func:`orbit`,
+    :func:`solve_picard` and its residual.
+
+    The image is normalized against the carrier and the gap validated, so a
+    run raises DomainError at the step where an image leaves the carrier or
+    G is not finite.  On a one-dimensional real carrier an in-bounds float
+    image and a finite float gap pass by two comparisons; any other value
+    takes the full normalization or validation, which converts it or raises.
+    """
+    if smap.domain != space.carrier:
+        raise DomainError("map domain does not match the space carrier")
+    carrier, apply, g = space.carrier, smap.apply, space.g
+
+    if not (isinstance(carrier, RealCarrier) and carrier.dim == 1):
+        def step(x):
+            x1 = normalize_point(carrier, apply(x))
+            return x1, _validate_value(space, g(x, x1, x1))
+        return step
+
+    # Finite bounds also reject inf and nan images in the same comparison.
+    lo = -_FLOAT_MAX if carrier.lo is None else max(carrier.lo, -_FLOAT_MAX)
+    hi = _FLOAT_MAX if carrier.hi is None else min(carrier.hi, _FLOAT_MAX)
+
+    def float_step(x):
+        x1 = apply(x)
+        if type(x1) is not float or not lo <= x1 <= hi:
+            x1 = normalize_point(carrier, x1)
+        gap = g(x, x1, x1)
+        if type(gap) is not float or not -_FLOAT_MAX <= gap <= _FLOAT_MAX:
+            gap = _validate_value(space, gap)
+        return x1, gap
+    return float_step
 
 
 def orbit(space: GMetricSpace, smap: SelfMap, x0, n: int, fix_tol: float = 0.0) -> OrbitTrace:
@@ -99,17 +137,17 @@ def orbit(space: GMetricSpace, smap: SelfMap, x0, n: int, fix_tol: float = 0.0) 
     """
     if n < 1:
         raise ParameterError("orbit length must be at least 1")
-    if smap.domain != space.carrier:
-        raise DomainError("map domain does not match the space carrier")
+    step = _validated_step(space, smap)
+    points_fixed = Regime(space, fix_tol).points_fixed
     x = normalize_point(space.carrier, x0)
     points = [x]
     gaps = []
     fixed = False
     for _ in range(n):
-        x1 = smap.step(x)
-        gaps.append(raw_g(space, x, x1, x1))
+        x1, gap = step(x)
+        gaps.append(gap)
         points.append(x1)
-        if _points_fixed(space, x, x1, fix_tol):
+        if points_fixed(x, x1):
             fixed = True
             break
         x = x1
@@ -145,13 +183,19 @@ def classify_gaps(gap_tail: Sequence[float], min_gap: float, eps_stop: float,
 
 def solve_picard(space: GMetricSpace, smap: SelfMap, x0, eps_stop: float,
                  max_iter: int, certified_q: Optional[float] = None,
-                 fix_tol: float = 0.0) -> FixedPointCertificate:
+                 fix_tol: float = 0.0,
+                 trace_max: int = DEFAULT_TRACE_MAX) -> FixedPointCertificate:
     """Run Picard iteration until the successive gap falls to eps_stop.
 
-    Exhausting ``max_iter`` is reported in ``stop_reason``, not raised.
-    When a certified contraction ratio q is supplied, the certificate
-    carries the geometric tail bound q^n/(1-q) * G(x0, Tx0, Tx0) at the
-    reported iteration count.
+    Exhausting ``max_iter`` is reported in ``stop_reason``, not raised; an
+    image outside the carrier or a non-finite gap raises DomainError at
+    the step where it appears.  When a certified contraction ratio q is
+    supplied, the certificate carries the geometric tail bound
+    q^n/(1-q) * G(x0, Tx0, Tx0) at the reported iteration count.
+
+    The certificate's ``trace`` holds the first min(max(1, iterations),
+    trace_max) steps, and at least one: with no iteration counted it is
+    the residual step from x0.
     """
     if eps_stop <= 0:
         raise ParameterError("eps_stop must be positive")
@@ -159,14 +203,12 @@ def solve_picard(space: GMetricSpace, smap: SelfMap, x0, eps_stop: float,
         raise ParameterError("max_iter must be nonnegative")
     if certified_q is not None and not (0 < certified_q < 1):
         raise ParameterError("certified_q must lie in (0, 1)")
-    if smap.domain != space.carrier:
-        raise DomainError("map domain does not match the space carrier")
 
+    step = _validated_step(space, smap)
+    points_fixed = Regime(space, fix_tol).points_fixed
     x = normalize_point(space.carrier, x0)
-    apply_raw = smap.apply
-    carrier = space.carrier
-    g = space.g
-    exact = space.exact
+    points, gaps = [x], []
+    trace_steps = max(1, trace_max)
 
     tail = deque(maxlen=11)
     g0 = None
@@ -175,31 +217,30 @@ def solve_picard(space: GMetricSpace, smap: SelfMap, x0, eps_stop: float,
     stop_reason = "max-iter"
 
     for k in range(max_iter):
-        x1 = apply_raw(x)
-        if not exact:
-            if isinstance(x1, tuple):
-                x1 = normalize_point(carrier, x1)
-            else:
-                x1 = float(x1)
-                if not math.isfinite(x1):
-                    raise DomainError(f"map produced non-finite value at iteration {k}")
-        gap = g(x, x1, x1)
+        x1, gap = step(x)
         if g0 is None:
             g0 = gap
         if gap < min_gap:
             min_gap = gap
         tail.append(gap)
-        if _points_fixed(space, x, x1, fix_tol):
+        if points_fixed(x, x1):
             stop_reason = "exact-fixed"
             break
+        if k < trace_steps:
+            points.append(x1)
+            gaps.append(gap)
         iterations = k + 1
         x = x1
         if gap <= eps_stop:
             stop_reason = "gap-threshold"
             break
 
-    x_img = smap.step(x)
-    residual = raw_g(space, x, x_img, x_img)
+    x_img, residual = step(x)
+    if not gaps:
+        points.append(x_img)
+        gaps.append(residual)
+    trace = OrbitTrace(points=points, gaps=gaps, space_id=space.name, map_id=smap.name,
+                       exact_fixed=iterations == 0 and points_fixed(x, x_img))
 
     klass = classify_gaps(list(tail), min_gap if min_gap < math.inf else 0.0,
                           eps_stop, residual)
@@ -213,7 +254,7 @@ def solve_picard(space: GMetricSpace, smap: SelfMap, x0, eps_stop: float,
         candidate=x, residual=residual, iterations=iterations,
         convergence_class=klass, apriori_bound=bound, stop_reason=stop_reason,
         initial_gap=g0, certified_q=certified_q,
-        space_id=space.name, map_id=smap.name)
+        space_id=space.name, map_id=smap.name, trace=trace)
 
 
 def apriori_bound(q, g0, n: int):

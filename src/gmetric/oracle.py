@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator, Optional, Sequence
 
-from .errors import CapExceededError, DomainError, ParameterError
+from .errors import CapExceededError, ConfigError, DomainError, ParameterError
 from .conditions import (
     AuxWeight,
     ConditionSpec,
@@ -121,11 +121,14 @@ def load_metric_table(path) -> FiniteMetric:
         tokens = fh.read().split()
     if not tokens:
         raise ParameterError(f"empty metric table file {path}")
-    m = int(tokens[0])
-    vals = tokens[1:]
+    try:
+        m = int(tokens[0])
+        vals = [Fraction(v) for v in tokens[1:]]
+    except (ValueError, ZeroDivisionError) as e:
+        raise ConfigError(f"malformed metric table {path}: {e}") from None
     if len(vals) != m * m:
         raise ParameterError(f"expected {m * m} entries, found {len(vals)}")
-    rows = [[Fraction(vals[i * m + j]) for j in range(m)] for i in range(m)]
+    rows = [vals[i * m:(i + 1) * m] for i in range(m)]
     return FiniteMetric.from_rows(rows)
 
 
@@ -248,7 +251,7 @@ def _majorant_hypothesis(space, smap, spec, triples) -> Optional[tuple]:
     """First violating triple of a majorant condition, or None."""
     ctx = _EvalContext(space, smap)
     for (x, y, z) in triples:
-        verdict = _eval_majorant(ctx, spec, x, y, z, tol_base=0.0)
+        verdict = _eval_majorant(ctx, spec, x, y, z)
         if verdict.status == FAILS:
             return (x, y, z)
     return None
@@ -278,7 +281,7 @@ def _extension_hypothesis(space, smap, table, m, alpha, beta, delta) -> Optional
                                          ("EXT-III", delta)):
                         if param is None:
                             continue
-                        v = _eval_ext_single(ctx, which, param, x, y, z, tol_base=0.0)
+                        v = _eval_ext_single(ctx, which, param, x, y, z)
                         if v.holds:
                             ok = True
                             break
@@ -288,14 +291,11 @@ def _extension_hypothesis(space, smap, table, m, alpha, beta, delta) -> Optional
 
 
 def _as_fraction(v, name: str) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
-        return Fraction(v)
-    if isinstance(v, float):
-        return Fraction(str(v))
+    if isinstance(v, (Fraction, int, str, float)):
+        try:
+            return Fraction(str(v) if isinstance(v, float) else v)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise ParameterError(f"{name} must be rational-valued, got {v!r}")
 
 

@@ -13,7 +13,7 @@ from .spaces import (
     FiniteCarrier,
     GMetricSpace,
     RealCarrier,
-    scaled_tol,
+    Regime,
 )
 
 DEFAULT_RANGE = (0.0, 100.0)
@@ -65,20 +65,13 @@ def triple_stream(space: GMetricSpace, seed: int = DEFAULT_SEED,
     lo, hi = _clip_range(space, lo, hi)
     rng = make_rng(seed)
     carrier = space.carrier
-    finite = isinstance(carrier, FiniteCarrier)
-    if finite and distinct_xy and carrier.size < 2:
+    if isinstance(carrier, FiniteCarrier) and distinct_xy and carrier.size < 2:
         raise ParameterError("cannot draw distinct pairs from a 1-point carrier")
+    distinct = Regime(space, tol).distinct
     while True:
         x = _draw_point(rng, carrier, lo, hi)
         y = _draw_point(rng, carrier, lo, hi)
         z = _draw_point(rng, carrier, lo, hi)
-        if distinct_xy:
-            if finite:
-                if x == y:
-                    continue
-            elif isinstance(x, tuple):
-                if max(abs(a - b) for a, b in zip(x, y)) <= scaled_tol(tol, *x, *y):
-                    continue
-            elif abs(x - y) <= scaled_tol(tol, x, y):
-                continue
+        if distinct_xy and not distinct(x, y):
+            continue
         yield (x, y, z)

@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
+from functools import partial
+from itertools import chain, combinations, combinations_with_replacement, permutations
 from typing import Callable, Optional, Union
 
 from .errors import DomainError, ParameterError
@@ -30,6 +31,11 @@ EXACT = "exact"
 PASS = "PASS"
 FAIL = "FAIL"
 SKIPPED = "SKIPPED"
+
+HOLDS_STRICT = "HOLDS_STRICT"
+HOLDS_WEAK = "HOLDS_WEAK"
+FAILS = "FAILS"
+VACUOUS = "VACUOUS"
 
 AXIOM_KEYS = ("G1", "G2", "G3", "G4", "G5", "symmetry")
 
@@ -179,17 +185,84 @@ def derived_metric(space: GMetricSpace, x, y):
     return raw_g(space, xn, yn, yn) + raw_g(space, xn, xn, yn)
 
 
-def points_distinct(space: GMetricSpace, p: Point, q: Point, tol: float = DEFAULT_TOL) -> bool:
-    """Distinctness guard matching the arithmetic regime.
+class Regime:
+    """The arithmetic-regime policy: every exact-or-float comparison lives here.
 
-    Exact spaces compare indices; float spaces require coordinate distance
-    above the scale-aware tolerance.
+    Built from ``space.arithmetic`` and the tolerance of one call.  Exact
+    spaces compare literally and never touch floats; float spaces add slack
+    built from ``tol`` by one of two formulas, kept apart because merging
+    them would change verdicts:
+
+      scaled_tol = tol * (1 + max |v|)   distinct, exceeds (axioms, distinctness)
+      tau = tol * (1 + |lhs| + |rhs|)    status, strictly_below, above
+                                         (conditions, uniqueness, weight bound)
     """
-    if space.exact:
-        return p != q
-    if isinstance(p, tuple):
-        return coord_distance(p, q) > scaled_tol(tol, *p, *q)
-    return abs(p - q) > scaled_tol(tol, p, q)
+
+    __slots__ = ("exact", "tol", "zero", "one")
+
+    def __init__(self, space: GMetricSpace, tol: float = DEFAULT_TOL):
+        self.exact = space.arithmetic == EXACT
+        self.tol = tol
+        self.zero = Fraction(0) if self.exact else 0.0
+        self.one = Fraction(1) if self.exact else 1.0
+
+    def distinct(self, p, q) -> bool:
+        """p != q: for points, or for values (tuples compare coordinate-wise)."""
+        if self.exact:
+            return p != q
+        if isinstance(p, tuple):
+            return coord_distance(p, q) > scaled_tol(self.tol, *p, *q)
+        return abs(p - q) > scaled_tol(self.tol, p, q)
+
+    def exceeds(self, lhs, rhs) -> bool:
+        """lhs > rhs, beyond the scaled_tol slack."""
+        if self.exact:
+            return lhs > rhs
+        return lhs > rhs + scaled_tol(self.tol, lhs, rhs)
+
+    def vacuous(self, lhs) -> bool:
+        """A condition's left side is (numerically) zero."""
+        if self.exact:
+            return lhs == 0
+        return lhs <= self.tol
+
+    def _tau(self, lhs, rhs) -> float:
+        return self.tol * (1.0 + abs(float(lhs)) + abs(float(rhs)))
+
+    def status(self, lhs, rhs, strict: bool) -> str:
+        """Verdict status of ``lhs < rhs`` (strict) or ``lhs <= rhs``."""
+        if self.vacuous(lhs):
+            return VACUOUS
+        if self.strictly_below(lhs, rhs):
+            return HOLDS_STRICT
+        if strict:
+            return FAILS
+        if self.exact:
+            return HOLDS_WEAK if lhs == rhs else FAILS
+        return HOLDS_WEAK if abs(lhs - rhs) <= self._tau(lhs, rhs) else FAILS
+
+    def strictly_below(self, lhs, rhs) -> bool:
+        """lhs < rhs, by more than the tau slack."""
+        if self.exact:
+            return lhs < rhs
+        return lhs < rhs - self._tau(lhs, rhs)
+
+    def above(self, lhs, rhs) -> bool:
+        """lhs > rhs, by more than the tau slack."""
+        if self.exact:
+            return lhs > rhs
+        return lhs > rhs + self._tau(lhs, rhs)
+
+    def points_fixed(self, a: Point, b: Point) -> bool:
+        """An iterate repeats: equal indices, or coordinates within ``tol``."""
+        if self.exact:
+            return a == b
+        return coord_distance(a, b) <= self.tol
+
+
+def points_distinct(space: GMetricSpace, p: Point, q: Point, tol: float = DEFAULT_TOL) -> bool:
+    """Distinctness guard of the space's arithmetic regime (:meth:`Regime.distinct`)."""
+    return Regime(space, tol).distinct(p, q)
 
 
 @dataclass(frozen=True)
@@ -253,8 +326,8 @@ def check_axioms(space: GMetricSpace, sample=None, tol: float = DEFAULT_TOL,
     space does not claim it).
     """
     pts = _axiom_points(space, sample, mode)
-    exact = space.exact
-    base = 0.0 if exact else tol
+    reg = Regime(space, tol)
+    distinct, exceeds = reg.distinct, reg.exceeds
     memo = {}
 
     def g(a, b, c):
@@ -265,131 +338,92 @@ def check_axioms(space: GMetricSpace, sample=None, tol: float = DEFAULT_TOL,
             memo[key] = v
         return v
 
-    def distinct(a, b):
-        return points_distinct(space, a, b, tol)
-
-    verdicts = {}
-
-    # G1: zero on the diagonal
-    v1 = Verdict(PASS)
-    for x in pts:
-        val = g(x, x, x)
-        if (val != 0) if exact else (abs(val) > scaled_tol(base, val)):
-            v1 = Verdict(FAIL, witness=(x, x, x), values=(val,))
-            break
-    verdicts["G1"] = v1
-
-    # G2: strictly positive off the diagonal
-    v2 = Verdict(PASS)
-    for x in pts:
-        if v2.status == FAIL:
-            break
-        for y in pts:
-            if not distinct(x, y):
-                continue
-            val = g(x, x, y)
-            ok = (val > 0) if exact else (val > scaled_tol(base, val))
-            if not ok:
-                v2 = Verdict(FAIL, witness=(x, x, y), values=(val,))
-                break
-    verdicts["G2"] = v2
-
-    def exceeds(lhs, rhs):
-        # "lhs > rhs" with float slack; exact values never touch floats
-        if exact:
-            return lhs > rhs
-        return lhs > rhs + scaled_tol(base, lhs, rhs)
-
-    # G3: the two-point value is a lower bound over third points
-    v3 = Verdict(PASS)
-    for x in pts:
-        if v3.status == FAIL:
-            break
-        for y in pts:
-            if v3.status == FAIL:
-                break
-            lhs = None
-            for z in pts:
-                if not distinct(z, y):
-                    continue
-                if lhs is None:
-                    lhs = g(x, x, y)
-                rhs = g(x, y, z)
-                if exceeds(lhs, rhs):
-                    v3 = Verdict(FAIL, witness=(x, y, z), values=(lhs, rhs))
-                    break
-    verdicts["G3"] = v3
-
-    # G4: full permutation symmetry
-    v4 = Verdict(PASS)
-    for x in pts:
-        if v4.status == FAIL:
-            break
-        for y in pts:
-            if v4.status == FAIL:
-                break
-            for z in pts:
-                vals = [g(*p) for p in permutations((x, y, z))]
-                spread = max(vals) - min(vals)
-                if (spread != 0) if exact else (spread > scaled_tol(base, *vals)):
-                    v4 = Verdict(FAIL, witness=(x, y, z), values=tuple(vals))
-                    break
-    verdicts["G4"] = v4
-
-    # G5: rectangle inequality through any fourth point
-    v5 = Verdict(PASS)
-    for x in pts:
-        if v5.status == FAIL:
-            break
-        for y in pts:
-            if v5.status == FAIL:
-                break
-            for z in pts:
-                if v5.status == FAIL:
-                    break
-                lhs = g(x, y, z)
-                for a in pts:
-                    rhs = g(x, a, a) + g(a, y, z)
-                    if exceeds(lhs, rhs):
-                        v5 = Verdict(FAIL, witness=(x, y, z, a), values=(lhs, rhs))
-                        break
-    verdicts["G5"] = v5
-
-    # symmetry property (a claim about the space, not one of G1-G5)
-    if not space.symmetric_claimed:
-        vs = Verdict(SKIPPED, note="space does not claim symmetry")
-    else:
-        vs = Verdict(PASS)
+    def g1():  # zero on the diagonal
         for x in pts:
-            if vs.status == FAIL:
-                break
+            val = g(x, x, x)
+            if distinct(val, reg.zero):
+                yield (x, x, x), (val,)
+
+    def g2():  # strictly positive off the diagonal
+        for x in pts:
             for y in pts:
-                a, b = g(x, y, y), g(x, x, y)
-                diff = abs(a - b)
-                if (diff != 0) if exact else (diff > scaled_tol(base, a, b)):
-                    vs = Verdict(FAIL, witness=(x, y), values=(a, b))
-                    break
-    verdicts["symmetry"] = vs
+                if distinct(x, y):
+                    val = g(x, x, y)
+                    if not exceeds(val, reg.zero):
+                        yield (x, x, y), (val,)
+
+    def g3():  # the two-point value is a lower bound over third points
+        for x in pts:
+            for y in pts:
+                lhs = None
+                for z in pts:
+                    if not distinct(z, y):
+                        continue
+                    if lhs is None:
+                        lhs = g(x, x, y)
+                    rhs = g(x, y, z)
+                    if exceeds(lhs, rhs):
+                        yield (x, y, z), (lhs, rhs)
+
+    def g4():  # permutation invariance; max |v| over vals is |max| or |min|
+        for x in pts:
+            for y in pts:
+                for z in pts:
+                    vals = [g(*p) for p in permutations((x, y, z))]
+                    if distinct(max(vals), min(vals)):
+                        yield (x, y, z), tuple(vals)
+
+    def g5():  # rectangle inequality through any fourth point
+        for x in pts:
+            for y in pts:
+                for z in pts:
+                    lhs = g(x, y, z)
+                    for a in pts:
+                        rhs = g(x, a, a) + g(a, y, z)
+                        if exceeds(lhs, rhs):
+                            yield (x, y, z, a), (lhs, rhs)
+
+    verdicts = {
+        "G1": _first_failure(g1()),
+        "G2": _first_failure(g2()),
+        "G3": _first_failure(g3()),
+        "G4": _first_failure(g4()),
+        "G5": _first_failure(g5()),
+    }
+    # symmetry property (a claim about the space, not one of G1-G5)
+    if space.symmetric_claimed:
+        verdicts["symmetry"] = _first_failure(_symmetry_failures(reg, g, pts))
+    else:
+        verdicts["symmetry"] = Verdict(SKIPPED, note="space does not claim symmetry")
 
     n = len(pts)
     return AxiomReport(verdicts=verdicts, sample_size=n ** 3,
                        quadruple_count=n ** 4, mode=mode)
 
 
+def _first_failure(failures) -> Verdict:
+    """FAIL with the first (witness, values) that ``failures`` yields, else PASS."""
+    for witness, values in failures:
+        return Verdict(FAIL, witness=witness, values=values)
+    return Verdict(PASS)
+
+
+def _symmetry_failures(reg: Regime, g: Callable, pts):
+    """Pairs of ``pts`` where G(x, y, y) != G(x, x, y)."""
+    for x in pts:
+        for y in pts:
+            a, b = g(x, y, y), g(x, x, y)
+            if reg.distinct(a, b):
+                yield (x, y), (a, b)
+
+
 def check_symmetry(space: GMetricSpace, sample, tol: float = DEFAULT_TOL) -> Verdict:
-    """Verify G(x, y, y) = G(x, x, y) on all sampled pairs."""
+    """Verify G(x, y, y) = G(x, x, y) on all sampled pairs, whether or not
+    the space claims symmetry."""
     if not sample:
         raise ParameterError("symmetry check requires a nonempty sample")
     pts = [normalize_point(space.carrier, p) for p in sample]
-    base = 0.0 if space.exact else tol
-    for x in pts:
-        for y in pts:
-            a = raw_g(space, x, y, y)
-            b = raw_g(space, x, x, y)
-            diff = abs(a - b)
-            if (diff != 0) if space.exact else (diff > scaled_tol(base, a, b)):
-                return Verdict(FAIL, witness=(x, y), values=(a, b))
-    return Verdict(PASS)
+    return _first_failure(_symmetry_failures(Regime(space, tol), partial(raw_g, space), pts))
 
 
 # Indicator keys follow the quantities of the convergence-equivalence
@@ -451,29 +485,16 @@ def diagnose_sequence(space: GMetricSpace, prefix, candidate=None, eps: float = 
     indicators = {k: None for k in INDICATOR_KEYS}
     traces = {"dG_xn_x": [], "G_x_xn_xn": [], "G_xn_x_x": []}
 
-    # Cauchy gap: sup G(x_i, x_j, x_j) over tail pairs i < j
-    cauchy = 0.0 if not space.exact else Fraction(0)
-    for a in range(len(idxs)):
-        pa = pts[idxs[a]]
-        for b in range(a + 1, len(idxs)):
-            pb = pts[idxs[b]]
-            v = raw_g(space, pa, pb, pb)
-            if v > cauchy:
-                cauchy = v
-    indicators["cauchy_gap"] = cauchy
+    tail = [pts[i] for i in idxs]
+    zero = Regime(space).zero
+    # Cauchy gap: sup G(x_i, x_j, x_j) over tail pairs i < j, and zero for none
+    cauchy = (raw_g(space, p, q, q) for p, q in combinations(tail, 2))
+    indicators["cauchy_gap"] = max(chain([zero], cauchy))
 
     if cand is not None:
-        pair_sup = 0.0 if not space.exact else Fraction(0)
-        for a in range(len(idxs)):
-            pa = pts[idxs[a]]
-            for b in range(a, len(idxs)):
-                pb = pts[idxs[b]]
-                v = raw_g(space, cand, pa, pb)
-                if v > pair_sup:
-                    pair_sup = v
-        indicators["G_x_xn_xm"] = pair_sup
-        for i in idxs:
-            p = pts[i]
+        pairs = (raw_g(space, cand, p, q) for p, q in combinations_with_replacement(tail, 2))
+        indicators["G_x_xn_xm"] = max(chain([zero], pairs))
+        for p in tail:
             traces["G_x_xn_xn"].append(raw_g(space, cand, p, p))
             traces["G_xn_x_x"].append(raw_g(space, p, cand, cand))
             traces["dG_xn_x"].append(raw_g(space, p, cand, cand) + raw_g(space, p, p, cand))

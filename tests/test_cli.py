@@ -91,6 +91,37 @@ class TestAxiomsCommand:
         assert read_json(out / "axioms.json")["report"]["mode"] == "exhaustive"
 
 
+
+_MOEBIUS_GAUGE = {"space": "absmax", "map": "moebius",
+                  "condition": {"id": "C-GAUGE", "gauge": "ratio1"}}
+
+
+class TestMalformedValues:
+    """A malformed config value is a configuration error (exit 2), never
+    a traceback or the violation exit code 1."""
+
+    @pytest.mark.parametrize("command, config", [
+        ("condition", {**_MOEBIUS_GAUGE, "sampling": {"count": "abc"}}),
+        ("solve", {"space": "absmax", "map": "moebius",
+                   "solver": {"x0": 1.0, "eps_stop": "tiny"}}),
+        ("solve", {"space": "absmax", "map": "scale-abc", "solver": {"x0": 1.0}}),
+        ("condition", {"space": "absmax", "map": "moebius",
+                       "condition": {"id": "C-Q", "q": 0.5, "a": "constant-1/0"}}),
+        ("axioms", {"space": {"metric_table": "TABLE", "construction": "max"}}),
+        ("condition", {"space": "absmax", "map": "moebius",
+                       "condition": {"id": "C-Q", "q": "abc"}}),
+        ("violate", {"space": "absmax", "map": "moebius",
+                     "condition": {"id": "C-Q", "q": 0.5}, "violate": {"scales": ["x"]}}),
+    ], ids=["count", "eps_stop", "map-param", "weight-param", "table-entry", "q", "scales"])
+    def test_exit_two(self, tmp_path, capsys, command, config):
+        table = tmp_path / "bad.txt"
+        table.write_text("2\n0 x\nx 0\n")
+        if "space" in config and isinstance(config["space"], dict):
+            config = {**config, "space": {**config["space"], "metric_table": str(table)}}
+        code, _ = run(tmp_path, command, config)
+        assert code == 2
+        assert "malformed" in capsys.readouterr().err
+
 class TestConditionCommand:
     def test_gauge_certificate_clean(self, tmp_path):
         code, out = run(tmp_path, "condition", {
@@ -128,6 +159,16 @@ class TestConditionCommand:
         })
         assert code == 0
         assert read_json(out / "condition.json")["certificate"]["fails"] == 0
+
+    def test_tol_flag_reaches_the_sampler(self, tmp_path):
+        # the sampler redraws x ~ y under the same --tol as the certificate's guard
+        code, out = run(tmp_path, "condition", {
+            "space": "absmax", "map": "moebius",
+            "condition": {"id": "C-GAUGE", "gauge": "ratio1"},
+            "sampling": {"count": 5000, "seed": 0},
+        }, extra=("--tol", "0.01"))
+        assert code == 0
+        assert read_json(out / "condition.json")["certificate"]["checked"] == 5000
 
     def test_seed_flag_overrides(self, tmp_path):
         cfg = {

@@ -117,6 +117,39 @@ class TestSolvePicard:
             gm.solve_picard(absmax, halving, 1.0, 1e-6, 10, certified_q=1.0)
 
 
+    def test_image_outside_carrier_raises_at_that_step(self, absmax):
+        calls = []
+
+        def minus_two(x):
+            calls.append(x)
+            return x - 2.0
+
+        smap = gm.SelfMap(domain=absmax.carrier, apply=minus_two, name="minus-two")
+        with pytest.raises(gm.DomainError, match=r"-1\.0 below"):
+            gm.solve_picard(absmax, smap, 1.0, 1e-9, 5)
+        assert calls == [1.0]
+
+    def test_non_finite_gap_raises_at_that_step(self, halving):
+        # G is nan above 1, so the first gaps from x0 = 4 are not finite
+        nan_above_one = gm.GMetricSpace(
+            carrier=halving.domain, name="nan-above-one",
+            g=lambda x, y, z: float("nan") if max(x, y, z) > 1 else abs(x - y))
+        with pytest.raises(gm.DomainError, match="non-finite"):
+            gm.solve_picard(nan_above_one, halving, 4.0, 1e-9, 50)
+
+    @pytest.mark.parametrize("map_name, x0, max_iter, trace_max", [
+        ("moebius", 1.0, 5000, 100_000),
+        ("moebius", 1.0, 5000, 7),
+        ("scale-0.5", 3.0, 0, 10),
+        ("identity", 2.0, 100, 10),
+        ("constant-3", 10.0, 100, 0),
+    ])
+    def test_trace_matches_orbit(self, absmax, map_name, x0, max_iter, trace_max):
+        smap = catalog.get_map(map_name, absmax)
+        cert = gm.solve_picard(absmax, smap, x0, 1e-6, max_iter, trace_max=trace_max)
+        steps = min(max(1, cert.iterations), max(1, trace_max))
+        assert cert.trace == gm.orbit(absmax, smap, x0, steps)
+
 class TestAprioriBound:
     def test_known_value(self):
         assert gm.apriori_bound(0.5, 1.0, 4) == pytest.approx(0.125, abs=1e-15)
@@ -238,6 +271,7 @@ class TestExactDynamics:
         assert cert.candidate == 3
         assert cert.residual == 0
         assert cert.stop_reason == "exact-fixed"
+        assert cert.trace == gm.orbit(sp, smap, 0, cert.iterations)
 
 
 class TestTraceCsv:
