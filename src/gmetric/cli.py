@@ -29,8 +29,7 @@ from .conditions import (
     check_gauge_admissible,
     eval_condition,
 )
-# orbit is no longer called here; it stays importable as gmetric.cli.orbit
-# because perfbench/tracer.py wraps that name.
+# orbit is re-exported, not called: perfbench/tracer.py wraps gmetric.cli.orbit.
 from .dynamics import DEFAULT_TRACE_MAX, orbit, solve_picard, write_trace_csv  # noqa: F401
 from .errors import ConfigError, DomainError, GMetricError, ParameterError
 from .oracle import DEFAULT_MAP_CAP, build_gmetric, exhaustive_theorem_check, load_metric_table
