@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from . import catalog, reports, sampling
 from .conditions import (
+    MAJORANT_IDS,
     ConditionSpec,
     certify_on_samples,
     check_aux_bound,
@@ -85,17 +86,25 @@ def resolve_space(cfg: dict) -> GMetricSpace:
     if isinstance(sel, dict):
         path = sel.get("metric_table")
         construction = sel.get("construction", "max")
-        if not path:
+        if not path or not isinstance(path, str):  # open() reads an int as a descriptor
             raise ConfigError("space object needs a metric_table path")
         return build_gmetric(load_metric_table(path), construction)
     raise ConfigError("space selector must be a name or an object")
+
+
+def _catalog_entry(get, name, what: str, *args):
+    """``get(name, *args)`` for a catalog name from the config; a name that
+    is not a string is a ConfigError."""
+    if not isinstance(name, str):
+        raise ConfigError(f"{what} must be a catalog name, got {name!r}")
+    return get(name, *args)
 
 
 def resolve_map(cfg: dict, space: GMetricSpace):
     sel = cfg.get("map")
     if sel is None:
         raise ConfigError("config is missing a map selector")
-    return catalog.get_map(sel, space)
+    return _catalog_entry(catalog.get_map, sel, "map", space)
 
 
 def _number(kind, value, what: str):
@@ -122,13 +131,14 @@ def resolve_condition_spec(cfg: dict, space: GMetricSpace) -> ConditionSpec:
     if cid is None:
         raise ConfigError("condition section is missing an id")
     exact = space.exact
-    aux = catalog.get_aux(section.get("a", "zero"))
-    gauge = catalog.get_gauge(section["gauge"]) if "gauge" in section else None
+    aux = _catalog_entry(catalog.get_aux, section.get("a", "zero"), "condition.a")
+    gauge = (_catalog_entry(catalog.get_gauge, section["gauge"], "condition.gauge")
+             if "gauge" in section else None)
     try:
         return ConditionSpec(
             id=cid,
             q=_param(section.get("q"), exact, "condition.q"),
-            a=aux if cid in ("C-Q", "C-UNIT", "C-GAUGE") else None,
+            a=aux if cid in MAJORANT_IDS else None,
             h=gauge,
             alpha=_param(section.get("alpha"), exact, "condition.alpha"),
             beta=_param(section.get("beta"), exact, "condition.beta"),
@@ -243,7 +253,7 @@ def cmd_gauge(cfg: dict, out_dir: str, tol: float, seed_override=None) -> int:
     name = cfg.get("gauge")
     if not name:
         raise ConfigError("config is missing a gauge name")
-    gauge = catalog.get_gauge(name)
+    gauge = _catalog_entry(catalog.get_gauge, name, "gauge")
     section = cfg.get("gauge_check") or {}
     grid = [_number(float, t, "gauge_check.grid") for t in section.get("grid", DEFAULT_GAUGE_GRID)]
     n_max = _number(int, section.get("n_max", 500), "gauge_check.n_max")
@@ -272,9 +282,9 @@ def cmd_oracle(cfg: dict, out_dir: str, tol: float, seed_override=None) -> int:
         if key in section:
             params[key] = section[key]
     if "a" in section:
-        params["a"] = catalog.get_aux(section["a"])
+        params["a"] = _catalog_entry(catalog.get_aux, section["a"], "theorem.a")
     if "gauge" in section:
-        params["gauge"] = catalog.get_gauge(section["gauge"])
+        params["gauge"] = _catalog_entry(catalog.get_gauge, section["gauge"], "theorem.gauge")
     cap = _number(int, section.get("cap", DEFAULT_MAP_CAP), "theorem.cap")
     report = exhaustive_theorem_check(space, section["id"], params, cap=cap)
     payload = {"space": _space_label(cfg), "report": reports.theorem_report_dict(report)}

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cache, partial
 from itertools import islice
 from typing import Callable, Iterable, Optional
 
@@ -42,6 +43,7 @@ from .spaces import (
     DEFAULT_TOL,
     FAIL,
     FAILS,
+    FiniteCarrier,
     GMetricSpace,
     HOLDS_STRICT,
     HOLDS_WEAK,
@@ -58,7 +60,8 @@ from .spaces import (
 )
 from .dynamics import SelfMap
 
-CONDITION_IDS = ("C-Q", "C-UNIT", "C-GAUGE", "EXT-I", "EXT-II", "EXT-III")
+MAJORANT_IDS = ("C-Q", "C-UNIT", "C-GAUGE")
+CONDITION_IDS = MAJORANT_IDS + ("EXT-I", "EXT-II", "EXT-III")
 
 
 @dataclass(frozen=True)
@@ -95,17 +98,17 @@ class AuxWeight:
     def custom(cls, fn: Callable) -> "AuxWeight":
         return cls("custom", fn=fn)
 
-    def value(self, ctx: "_EvalContext", x, y, z):
+    def value(self, x, y, z, g_xyz, g_image):
+        """a(x, y, z), given G(x, y, z) and G(Tx, Ty, Tz) by the caller."""
         if self.kind == "zero":
             return 0
         if self.kind == "constant":
             return self.c
         if self.kind == "reciprocal-cap":
-            denom = ctx.g(x, y, z) * ctx.g(ctx.t(x), ctx.t(y), ctx.t(z))
+            denom = g_xyz * g_image
             if denom == 0:
                 return 0
-            inv = ctx.regime.one / denom
-            return min(self.c, inv)
+            return min(self.c, 1 / denom)
         v = self.fn(x, y, z)
         if v < 0:
             raise DomainError("custom weight returned a negative value")
@@ -144,7 +147,7 @@ class ConditionSpec:
     def __post_init__(self):
         if self.id not in CONDITION_IDS:
             raise ParameterError(f"unknown condition id {self.id!r}")
-        need_a = self.id in ("C-Q", "C-UNIT", "C-GAUGE")
+        need_a = self.id in MAJORANT_IDS
         if need_a and self.a is None:
             object.__setattr__(self, "a", AuxWeight.zero())
         if not need_a and self.a is not None:
@@ -201,32 +204,23 @@ class ConditionVerdict:
 
 
 class _EvalContext:
-    """Memoized evaluation of G values and map images on normalized points,
-    with the arithmetic regime of one call."""
+    """G values ``g(a, b, c)`` and map images ``t(p)`` on normalized points,
+    with the arithmetic regime of one call.
 
-    def __init__(self, space: GMetricSpace, smap: SelfMap, tol_base: float = DEFAULT_TOL):
-        if smap.domain != space.carrier:
+    A finite carrier has at most m^3 G keys and m image keys, so both are
+    cached for the life of the context; on a real carrier keys do not
+    repeat and both are evaluated directly.  Without a map ``t`` is None,
+    for a caller that supplies its own image lookup.
+    """
+
+    def __init__(self, space: GMetricSpace, smap: Optional[SelfMap] = None,
+                 tol_base: float = DEFAULT_TOL):
+        if smap is not None and smap.domain != space.carrier:
             raise DomainError("map domain does not match the space carrier")
-        self.space = space
-        self.smap = smap
         self.regime = Regime(space, tol_base)
-        self._g = {}
-        self._t = {}
-
-    def t(self, p):
-        v = self._t.get(p)
-        if v is None:
-            v = self.smap.step(p)
-            self._t[p] = v
-        return v
-
-    def g(self, a, b, c):
-        key = (a, b, c)
-        v = self._g.get(key)
-        if v is None:
-            v = raw_g(self.space, a, b, c)
-            self._g[key] = v
-        return v
+        memo = cache if isinstance(space.carrier, FiniteCarrier) else (lambda f: f)
+        self.g = memo(partial(raw_g, space))
+        self.t = None if smap is None else memo(smap.step)
 
 
 def eval_condition(space: GMetricSpace, smap: SelfMap, spec: ConditionSpec,
@@ -236,7 +230,7 @@ def eval_condition(space: GMetricSpace, smap: SelfMap, spec: ConditionSpec,
     The quantifier behind these conditions requires x != y; passing equal
     points raises DomainError.  A zero left-hand side yields VACUOUS.
     """
-    if spec.id not in ("C-Q", "C-UNIT", "C-GAUGE"):
+    if spec.id not in MAJORANT_IDS:
         raise ParameterError(f"eval_condition does not handle {spec.id}; see eval_extension")
     c = space.carrier
     xn, yn, zn = normalize_point(c, x), normalize_point(c, y), normalize_point(c, z)
@@ -246,17 +240,24 @@ def eval_condition(space: GMetricSpace, smap: SelfMap, spec: ConditionSpec,
     return _eval_majorant(ctx, spec, xn, yn, zn)
 
 
-def _eval_majorant(ctx: _EvalContext, spec: ConditionSpec, x, y, z) -> ConditionVerdict:
-    reg = ctx.regime
-    tx, ty, tz = ctx.t(x), ctx.t(y), ctx.t(z)
-    lhs = ctx.g(tx, ty, tz)
-    m1 = ctx.g(x, y, z)
+def _eval_spec(ctx: _EvalContext, spec: ConditionSpec, x, y, z) -> ConditionVerdict:
+    """Verdict of any condition on a normalized triple (x != y for a majorant one)."""
+    if spec.id in MAJORANT_IDS:
+        return _eval_majorant(ctx, spec, x, y, z)
+    return _eval_extension(ctx, spec, x, y, z)
 
-    a_val = spec.a.value(ctx, x, y, z)
+
+def _eval_majorant(ctx: _EvalContext, spec: ConditionSpec, x, y, z) -> ConditionVerdict:
+    reg, g = ctx.regime, ctx.g
+    tx, ty, tz = ctx.t(x), ctx.t(y), ctx.t(z)
+    lhs = g(tx, ty, tz)
+    m1 = g(x, y, z)
+
+    a_val = spec.a.value(x, y, z, m1, lhs)
     if a_val == 0:
         m2 = reg.zero
     else:
-        m2 = a_val * ctx.g(tx, y, z) * ctx.g(x, ty, z) * ctx.g(x, y, tz)
+        m2 = a_val * g(tx, y, z) * g(x, ty, z) * g(x, y, tz)
 
     excluded = ()
     denom = m1 * lhs
@@ -265,7 +266,7 @@ def _eval_majorant(ctx: _EvalContext, spec: ConditionSpec, x, y, z) -> Condition
         if not reg.vacuous(lhs):
             excluded = ("M3",)
     else:
-        m3 = ctx.g(x, tx, tx) * ctx.g(y, ty, ty) * ctx.g(z, tz, tz) / denom
+        m3 = g(x, tx, tx) * g(y, ty, ty) * g(z, tz, tz) / denom
 
     if spec.id == "C-GAUGE":
         m3_arg = m3 if m3 is not None else reg.zero
@@ -289,33 +290,35 @@ class ExtensionVerdicts:
     any_holds: bool
 
 
-def _eval_ext_single(ctx: _EvalContext, which: str, param, x, y, z) -> ConditionVerdict:
+def _eval_extension(ctx: _EvalContext, spec: ConditionSpec, x, y, z) -> ConditionVerdict:
+    g = ctx.g
     tx, ty, tz = ctx.t(x), ctx.t(y), ctx.t(z)
-    gx = ctx.g(x, tx, tx)
-    gy = ctx.g(y, ty, ty)
-    gz = ctx.g(z, tz, tz)
-    if which == "EXT-I":
+    gx = g(x, tx, tx)
+    gy = g(y, ty, ty)
+    gz = g(z, tz, tz)
+    if spec.id == "EXT-I":
         lhs = gx + gy + gz
-        rhs = param * ctx.g(x, y, z)
-    elif which == "EXT-II":
+        rhs = spec.alpha * g(x, y, z)
+    elif spec.id == "EXT-II":
         lhs = gx + gy + gz
-        rhs = param * (ctx.g(tx, y, z) + ctx.g(x, ty, z) + ctx.g(x, y, tz))
-    elif which == "EXT-III":
-        cross = ctx.g(tx, y, z) + ctx.g(x, ty, z) + ctx.g(x, y, tz)
-        lhs = ctx.g(tx, ty, tz)
-        rhs = param * max(ctx.g(x, y, z), gx, gy, gz, cross / 4)
+        rhs = spec.beta * (g(tx, y, z) + g(x, ty, z) + g(x, y, tz))
     else:
-        raise ParameterError(f"unknown extension condition {which!r}")
+        cross = g(tx, y, z) + g(x, ty, z) + g(x, y, tz)
+        lhs = g(tx, ty, tz)
+        rhs = spec.delta * max(g(x, y, z), gx, gy, gz, cross / 4)
     return ConditionVerdict(status=ctx.regime.status(lhs, rhs, strict=False),
                             lhs=lhs, rhs=rhs, triple=(x, y, z))
 
 
-def _check_extension_params(alpha, beta, delta) -> None:
-    """Range-check each given extension parameter through :class:`ConditionSpec`."""
-    for cid, name, v in (("EXT-I", "alpha", alpha), ("EXT-II", "beta", beta),
-                         ("EXT-III", "delta", delta)):
-        if v is not None:
-            ConditionSpec(id=cid, **{name: v})  # raises ParameterError out of range
+def _extension_specs(alpha=None, beta=None, delta=None) -> list:
+    """One range-checked :class:`ConditionSpec` per given extension parameter."""
+    specs = [ConditionSpec(id=cid, **{name: v})
+             for cid, name, v in (("EXT-I", "alpha", alpha), ("EXT-II", "beta", beta),
+                                  ("EXT-III", "delta", delta))
+             if v is not None]
+    if not specs:
+        raise ParameterError("enable at least one of alpha, beta, delta")
+    return specs
 
 
 def eval_extension(space: GMetricSpace, smap: SelfMap, x, y, z,
@@ -327,17 +330,14 @@ def eval_extension(space: GMetricSpace, smap: SelfMap, x, y, z,
     given, and each is range-checked by :class:`ConditionSpec`.  Any triple
     is admissible (no x != y restriction here).
     """
-    if alpha is None and beta is None and delta is None:
-        raise ParameterError("enable at least one of alpha, beta, delta")
-    _check_extension_params(alpha, beta, delta)
+    specs = _extension_specs(alpha, beta, delta)
     c = space.carrier
     xn, yn, zn = normalize_point(c, x), normalize_point(c, y), normalize_point(c, z)
     ctx = _EvalContext(space, smap, tol_base)
-    vi = _eval_ext_single(ctx, "EXT-I", alpha, xn, yn, zn) if alpha is not None else None
-    vii = _eval_ext_single(ctx, "EXT-II", beta, xn, yn, zn) if beta is not None else None
-    viii = _eval_ext_single(ctx, "EXT-III", delta, xn, yn, zn) if delta is not None else None
-    any_holds = any(v is not None and v.holds for v in (vi, vii, viii))
-    return ExtensionVerdicts(i=vi, ii=vii, iii=viii, any_holds=any_holds)
+    verdicts = {s.id: _eval_extension(ctx, s, xn, yn, zn) for s in specs}
+    return ExtensionVerdicts(i=verdicts.get("EXT-I"), ii=verdicts.get("EXT-II"),
+                             iii=verdicts.get("EXT-III"),
+                             any_holds=any(v.holds for v in verdicts.values()))
 
 
 @dataclass
@@ -356,7 +356,7 @@ def contraction_factor(alpha, beta, delta, mode: str = "paper") -> FactorReport:
     inadmissible when any factor reaches 1 (the middle factor
     (2*beta-1)/(2-2*beta) does so for beta >= 3/4).
     """
-    _check_extension_params(alpha, beta, delta)
+    _extension_specs(alpha, beta, delta)  # range checks
     if mode not in ("paper", "sound"):
         raise ParameterError(f"unknown mode {mode!r}")
     f1 = (alpha - 1) / 2
@@ -507,7 +507,8 @@ def check_uniqueness_conditions(space: GMetricSpace, smap: SelfMap, xi,
     c = space.carrier
     xin = normalize_point(c, xi)
     ctx = _EvalContext(space, smap, tol_base)
-    residual = ctx.g(xin, ctx.t(xin), ctx.t(xin))
+    txi = ctx.t(xin)
+    residual = ctx.g(xin, txi, txi)
     if residual > tol:
         raise DomainError(f"xi is not approximately fixed (residual {residual})")
     distinct, strictly_below = ctx.regime.distinct, ctx.regime.strictly_below
@@ -539,17 +540,24 @@ def check_aux_bound(space: GMetricSpace, smap: SelfMap, a: AuxWeight,
                     triples, tol_base: float = DEFAULT_TOL) -> Verdict:
     """Pointwise check of the uniqueness hypothesis a <= 1/(G * G') on a
     collection of triples, skipping triples where the denominator vanishes."""
-    ctx = _EvalContext(space, smap, tol_base)
     c = space.carrier
+    return _aux_bound(_EvalContext(space, smap, tol_base), a,
+                      ((normalize_point(c, x), normalize_point(c, y), normalize_point(c, z))
+                       for x, y, z in triples))
+
+
+def _aux_bound(ctx: _EvalContext, a: AuxWeight, triples) -> Verdict:
+    """:func:`check_aux_bound` on normalized triples."""
+    g, t = ctx.g, ctx.t
     for (x, y, z) in triples:
-        xn, yn, zn = normalize_point(c, x), normalize_point(c, y), normalize_point(c, z)
-        denom = ctx.g(xn, yn, zn) * ctx.g(ctx.t(xn), ctx.t(yn), ctx.t(zn))
+        g_xyz, g_image = g(x, y, z), g(t(x), t(y), t(z))
+        denom = g_xyz * g_image
         if denom == 0:
             continue
         bound = ctx.regime.one / denom
-        a_val = a.value(ctx, xn, yn, zn)
+        a_val = a.value(x, y, z, g_xyz, g_image)
         if ctx.regime.above(a_val, bound):
-            return Verdict(FAIL, witness=(xn, yn, zn), values=(a_val, bound))
+            return Verdict(FAIL, witness=(x, y, z), values=(a_val, bound))
     return Verdict(PASS)
 
 
@@ -585,11 +593,14 @@ def certify_on_samples(space: GMetricSpace, smap: SelfMap, spec: ConditionSpec,
     The sampler must respect the x != y constraint for the majorant
     conditions.  The worst violations (up to ``worst_cap``) are kept,
     canonically ordered by decreasing violation then triple, so the
-    aggregate does not depend on how the stream was partitioned.
+    aggregate does not depend on how the stream was partitioned.  At most
+    2 * ``worst_cap`` failing verdicts are held at a time, whatever ``count`` is.
     """
+    if worst_cap < 0:
+        raise ParameterError("worst_cap must be nonnegative")
     ctx = _EvalContext(space, smap, tol_base)
     distinct = ctx.regime.distinct
-    ext_param = {"EXT-I": spec.alpha, "EXT-II": spec.beta, "EXT-III": spec.delta}.get(spec.id)
+    majorant = spec.id in MAJORANT_IDS
 
     tallies = {HOLDS_STRICT: 0, HOLDS_WEAK: 0, VACUOUS: 0, FAILS: 0}
     worst = []
@@ -598,17 +609,17 @@ def certify_on_samples(space: GMetricSpace, smap: SelfMap, spec: ConditionSpec,
     norm = space.carrier
     for (x, y, z) in islice(sampler, count):
         xn, yn, zn = normalize_point(norm, x), normalize_point(norm, y), normalize_point(norm, z)
-        if ext_param is not None:
-            verdict = _eval_ext_single(ctx, spec.id, ext_param, xn, yn, zn)
-        else:
-            if not distinct(xn, yn):
-                raise DomainError("sampler produced a triple with x == y")
-            verdict = _eval_majorant(ctx, spec, xn, yn, zn)
+        if majorant and not distinct(xn, yn):
+            raise DomainError("sampler produced a triple with x == y")
+        verdict = _eval_spec(ctx, spec, xn, yn, zn)
         checked += 1
         tallies[verdict.status] += 1
         excluded += len(verdict.excluded_terms)
         if verdict.status == FAILS:
             worst.append(verdict)
+            if len(worst) >= 2 * worst_cap:
+                worst.sort(key=_triple_sort_key)
+                del worst[worst_cap:]
 
     worst.sort(key=_triple_sort_key)
     return Certificate(

@@ -33,12 +33,11 @@ from .errors import CapExceededError, ConfigError, DomainError, ParameterError
 from .conditions import (
     AuxWeight,
     ConditionSpec,
-    FAILS,
     GaugeFunction,
     _EvalContext,
-    _eval_ext_single,
-    _eval_majorant,
-    check_aux_bound,
+    _aux_bound,
+    _eval_spec,
+    _extension_specs,
 )
 from .dynamics import SelfMap
 from .spaces import EXACT, AxiomReport, FiniteCarrier, GMetricSpace, check_axioms
@@ -223,71 +222,31 @@ class TheoremCheckReport:
                 == self.maps_satisfying_hypothesis)
 
 
-def _carrier_condition_triples(m: int):
-    for x in range(m):
-        for y in range(m):
-            if x == y:
-                continue
-            for z in range(m):
-                yield (x, y, z)
+def _condition_triples(m: int, table=None, distinct_xy: bool = True):
+    """The triples a condition is quantified over, each once.
 
-
-def _orbit_condition_triples(table, m: int):
-    seen = set()
-    for a in range(m):
-        pts = orbit_set(table, a)
-        for x in pts:
-            for y in pts:
-                if x == y:
-                    continue
-                for z in pts:
-                    t = (x, y, z)
-                    if t not in seen:
-                        seen.add(t)
-                        yield t
-
-
-def _majorant_hypothesis(space, smap, spec, triples) -> Optional[tuple]:
-    """First violating triple of a majorant condition, or None."""
-    ctx = _EvalContext(space, smap)
-    for (x, y, z) in triples:
-        verdict = _eval_majorant(ctx, spec, x, y, z)
-        if verdict.status == FAILS:
-            return (x, y, z)
-    return None
-
-
-def _extension_hypothesis(space, smap, table, m, alpha, beta, delta) -> Optional[tuple]:
-    """First (start, triple) whose orbit-set triple satisfies none of the
-    enabled extension conditions, or None.
-
-    The quantifier is read universally over starting points: the
-    hypothesis holds for the map only when every starting orbit set has
-    all its triples satisfied.
+    Without a table: every triple of the carrier.  With a map table: every
+    triple of each orbit set {a, Ta, T^2 a, ...}, start by start.  With
+    ``distinct_xy`` the triples with x == y, which the majorant conditions
+    exclude, are left out.
     """
-    ctx = _EvalContext(space, smap)
-    checked = set()
-    for a in range(m):
-        pts = orbit_set(table, a)
-        for x in pts:
-            for y in pts:
-                for z in pts:
-                    t = (x, y, z)
-                    if t in checked:
-                        continue
-                    checked.add(t)
-                    ok = False
-                    for which, param in (("EXT-I", alpha), ("EXT-II", beta),
-                                         ("EXT-III", delta)):
-                        if param is None:
-                            continue
-                        v = _eval_ext_single(ctx, which, param, x, y, z)
-                        if v.holds:
-                            ok = True
-                            break
-                    if not ok:
-                        return (a, t)
-    return None
+    point_sets = [range(m)] if table is None else (orbit_set(table, a) for a in range(m))
+    seen = set()
+    for pts in point_sets:
+        for t in product(pts, repeat=3):
+            if (t[0] != t[1] or not distinct_xy) and t not in seen:
+                seen.add(t)
+                yield t
+
+
+def _hypothesis_holds(ctx: _EvalContext, specs, triples) -> bool:
+    """Every triple is accepted by at least one of the conditions ``specs``.
+
+    For THM-2.12 the quantifier is read universally over starting points:
+    the hypothesis holds only when every orbit set has all its triples
+    accepted.
+    """
+    return all(any(_eval_spec(ctx, spec, *t).holds for spec in specs) for t in triples)
 
 
 def _as_fraction(v, name: str) -> Fraction:
@@ -330,36 +289,45 @@ def exhaustive_theorem_check(space: GMetricSpace, theorem_id: str,
     if scope not in ("carrier", "orbit"):
         raise ParameterError(f"unknown scope {scope!r}")
 
-    spec = None
-    alpha = beta = delta = None
+    report_params = {"scope": scope, "a": aux.label()}
     if theorem_id == "THM-2.2":
+        if params.get("q") is None:
+            raise ParameterError("THM-2.2 requires q")
         q = _as_fraction(params.pop("q"), "q")
-        spec = ConditionSpec(id="C-Q", q=q, a=aux)
+        specs = [ConditionSpec(id="C-Q", q=q, a=aux)]
+        report_params["q"] = str(q)
     elif theorem_id == "THM-2.5":
-        spec = ConditionSpec(id="C-UNIT", a=aux)
+        specs = [ConditionSpec(id="C-UNIT", a=aux)]
     elif theorem_id == "THM-2.10":
-        gauge = params.pop("gauge")
+        gauge = params.pop("gauge", None)
         if not isinstance(gauge, GaugeFunction):
             raise ParameterError("THM-2.10 requires a GaugeFunction")
-        spec = ConditionSpec(id="C-GAUGE", h=gauge, a=aux)
+        specs = [ConditionSpec(id="C-GAUGE", h=gauge, a=aux)]
+        report_params["gauge"] = gauge.name
     else:
-        alpha = params.pop("alpha", None)
-        beta = params.pop("beta", None)
-        delta = params.pop("delta", None)
-        alpha = None if alpha is None else _as_fraction(alpha, "alpha")
-        beta = None if beta is None else _as_fraction(beta, "beta")
-        delta = None if delta is None else _as_fraction(delta, "delta")
-        if alpha is None and beta is None and delta is None:
-            raise ParameterError("THM-2.12 requires at least one of alpha/beta/delta")
+        del report_params["scope"]
+        ext = {}
+        for name in ("alpha", "beta", "delta"):
+            v = params.pop(name, None)
+            if v is not None:
+                ext[name] = _as_fraction(v, name)
+                report_params[name] = str(ext[name])
+        specs = _extension_specs(**ext)
     if params:
         raise ParameterError(f"unknown theorem parameters {sorted(params)}")
 
-    needs_injectivity = theorem_id in ("THM-2.2", "THM-2.5", "THM-2.10")
+    extension = theorem_id == "THM-2.12"
+    # THM-2.12 quantifies over orbit-set triples, x == y included.
+    orbit_scope = extension or scope == "orbit"
     # The uniqueness clause evaluates the condition at pairs of distinct
     # fixed points, which never share an orbit, so it is only claimed when
     # the condition is quantified over the whole carrier.
     check_uniqueness = theorem_id in ("THM-2.2", "THM-2.10") and scope == "carrier"
 
+    # G does not depend on the map, so one context serves the run; only
+    # its image lookup changes from table to table.
+    ctx = _EvalContext(space)
+    carrier_triples = list(_condition_triples(m))
     maps_total = 0
     satisfying = 0
     conclusion_holds = 0
@@ -367,39 +335,29 @@ def exhaustive_theorem_check(space: GMetricSpace, theorem_id: str,
 
     for table in enumerate_self_maps(m, cap=cap):
         maps_total += 1
-        smap = table_self_map(space, table)
-
-        if needs_injectivity and len(set(table)) != m:
+        if not extension and len(set(table)) != m:  # injectivity
             continue
-        if spec is not None:
-            triples = (_carrier_condition_triples(m) if scope == "carrier"
-                       else _orbit_condition_triples(table, m))
-            if _majorant_hypothesis(space, smap, spec, triples) is not None:
-                continue
-        else:
-            if _extension_hypothesis(space, smap, table, m, alpha, beta, delta) is not None:
-                continue
+        ctx.t = table.__getitem__
+        triples = (_condition_triples(m, table, distinct_xy=not extension)
+                   if orbit_scope else carrier_triples)
+        if not _hypothesis_holds(ctx, specs, triples):
+            continue
 
         satisfying += 1
         violation = None
-
-        cycles = {a: orbit_cycle(table, a) for a in range(m)}
         for a in range(m):
-            _, cycle = cycles[a]
+            _, cycle = orbit_cycle(table, a)
             if len(cycle) != 1:
                 clause = ("cluster-not-fixed" if theorem_id == "THM-2.5"
                           else "orbit-not-convergent")
-                violation = (tuple(table), clause, {"start": a, "cycle": cycle})
+                violation = (table, clause, {"start": a, "cycle": cycle})
                 break
 
-        if violation is None and check_uniqueness:
-            bound_ok = check_aux_bound(
-                space, smap, aux, _carrier_condition_triples(m)).passed
-            if bound_ok:
-                fixed = [i for i in range(m) if table[i] == i]
-                if len(fixed) != 1:
-                    violation = (tuple(table), "fixed-point-not-unique",
-                                 {"fixed_points": tuple(fixed)})
+        if (violation is None and check_uniqueness
+                and _aux_bound(ctx, aux, carrier_triples).passed):
+            fixed = [i for i in range(m) if table[i] == i]
+            if len(fixed) != 1:
+                violation = (table, "fixed-point-not-unique", {"fixed_points": tuple(fixed)})
 
         if violation is None:
             conclusion_holds += 1
@@ -407,16 +365,6 @@ def exhaustive_theorem_check(space: GMetricSpace, theorem_id: str,
             counterexamples.append(violation)
 
     counterexamples.sort(key=lambda c: c[0])
-    report_params = {"scope": scope, "a": aux.label()}
-    if theorem_id == "THM-2.2":
-        report_params["q"] = str(spec.q)
-    if theorem_id == "THM-2.10":
-        report_params["gauge"] = spec.h.name
-    if theorem_id == "THM-2.12":
-        for nm, v in (("alpha", alpha), ("beta", beta), ("delta", delta)):
-            if v is not None:
-                report_params[nm] = str(v)
-        report_params.pop("scope")
 
     return TheoremCheckReport(
         theorem_id=theorem_id, maps_total=maps_total,

@@ -72,6 +72,11 @@ class TestAxiomsCommand:
         code, _ = run(tmp_path, "axioms", {})
         assert code == 2
 
+    def test_non_string_metric_table_exit_two(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "axioms", {"space": {"metric_table": 5}})
+        assert code == 2
+        assert "needs a metric_table path" in capsys.readouterr().err
+
     def test_unknown_key_exit_two(self, tmp_path):
         code, _ = run(tmp_path, "axioms", {"space": "absmax", "speling": 1})
         assert code == 2
@@ -121,6 +126,27 @@ class TestMalformedValues:
         code, _ = run(tmp_path, command, config)
         assert code == 2
         assert "malformed" in capsys.readouterr().err
+
+
+class TestNonStringSelectors:
+    """A catalog selector that is not a string is a configuration error
+    (exit 2), not an AttributeError traceback and exit 1."""
+
+    @pytest.mark.parametrize("command, config", [
+        ("solve", {"space": "absmax", "map": 5, "solver": {"x0": 1.0}}),
+        ("condition", {"space": "absmax", "map": "moebius",
+                       "condition": {"id": "C-Q", "q": 0.5, "a": 7}}),
+        ("condition", {"space": "absmax", "map": "moebius",
+                       "condition": {"id": "C-GAUGE", "gauge": 3}}),
+        ("gauge", {"gauge": 5}),
+        ("oracle", {"space": "finite-uniform-3", "theorem": {"id": "THM-2.10", "gauge": 1}}),
+        ("oracle", {"space": "finite-uniform-3", "theorem": {"id": "THM-2.5", "a": 1}}),
+    ], ids=["map", "condition.a", "condition.gauge", "gauge", "theorem.gauge", "theorem.a"])
+    def test_exit_two(self, tmp_path, capsys, command, config):
+        code, _ = run(tmp_path, command, config)
+        assert code == 2
+        assert "must be a catalog name" in capsys.readouterr().err
+
 
 class TestConditionCommand:
     def test_gauge_certificate_clean(self, tmp_path):
@@ -276,6 +302,20 @@ class TestOracleCommand:
             "theorem": {"id": "THM-2.2", "q": "1/2"},
         })
         assert code == 2
+
+    @pytest.mark.parametrize("theorem", [
+        {"id": "THM-2.12", "delta": "2"},
+        {"id": "THM-2.12", "alpha": "3"},
+        {"id": "THM-2.12", "beta": "1/4"},
+        {"id": "THM-2.2"},
+        {"id": "THM-2.2", "q": "1"},
+        {"id": "THM-2.10"},
+    ], ids=["delta", "alpha", "beta", "no-q", "q", "no-gauge"])
+    def test_bad_theorem_parameter_exit_two(self, tmp_path, capsys, theorem):
+        code, out = run(tmp_path, "oracle", {"space": "finite-uniform-3", "theorem": theorem})
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (out / "oracle.json").exists()
 
     def test_metric_table_space(self, tmp_path):
         table = tmp_path / "m.txt"

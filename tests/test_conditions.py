@@ -1,4 +1,5 @@
 """Contractive-condition evaluators, gauges, factors, and certificates."""
+import tracemalloc
 from itertools import islice
 
 import pytest
@@ -311,6 +312,41 @@ class TestCertify:
         b = gm.certify_on_samples(absmax, ident, spec, iter(reversed(triples)), 400)
         assert [w.triple for w in a.worst] == [w.triple for w in b.worst]
         assert (a.fails, a.holds, a.vacuous) == (b.fails, b.holds, b.vacuous)
+
+    def test_worst_list_is_the_canonical_head(self, absmax):
+        ident = catalog.get_map("identity", absmax)
+        spec = gm.ConditionSpec(id="C-Q", q=0.9)
+        triples = list(islice(
+            sampling.triple_stream(absmax, seed=6, lo=0.0, hi=10.0), 400))
+        fails = [v for v in (gm.eval_condition(absmax, ident, spec, *t) for t in triples)
+                 if v.status == FAILS]
+        fails.sort(key=lambda v: (v.rhs - v.lhs, v.triple))
+        for cap in (0, 1, 3, 10):
+            cert = gm.certify_on_samples(absmax, ident, spec, iter(triples), 400, worst_cap=cap)
+            assert [w.triple for w in cert.worst] == [v.triple for v in fails[:cap]]
+        with pytest.raises(gm.ParameterError):
+            gm.certify_on_samples(absmax, ident, spec, iter(triples), 400, worst_cap=-1)
+
+    def test_memory_bounded_whatever_the_count(self, absmax):
+        # identity under C-UNIT: every triple fails, so every verdict is a
+        # candidate for the worst list
+        ident = catalog.get_map("identity", absmax)
+        spec = gm.ConditionSpec(id="C-UNIT")
+
+        def peak(count):
+            triples = ((float(i), i + 0.5, i + 2.0) for i in range(count))
+            tracemalloc.start()
+            try:
+                cert = gm.certify_on_samples(absmax, ident, spec, triples, count)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert cert.fails == count and len(cert.worst) == 10
+            return peak
+
+        peak(100)  # first-call allocations
+        small = peak(4_000)
+        assert peak(40_000) < 2 * small
 
 
 class TestScaleCoherence:

@@ -1,4 +1,6 @@
 """Exact finite-space verification: metrics, enumeration, theorem checks."""
+import dataclasses
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -237,6 +239,49 @@ class TestTheoremChecks:
         sp = catalog.space_finite_uniform(2)
         with pytest.raises(gm.ParameterError):
             gm.exhaustive_theorem_check(sp, "THM-2.12", {})
+
+    @pytest.mark.parametrize("theorem, params", [
+        ("THM-2.12", {"delta": "2"}),
+        ("THM-2.12", {"delta": "-1/2"}),
+        ("THM-2.12", {"alpha": "1/2", "delta": "1/2"}),
+        ("THM-2.12", {"beta": "1"}),
+        ("THM-2.2", {}),
+        ("THM-2.2", {"q": None}),
+        ("THM-2.2", {"q": "3/2"}),
+        ("THM-2.10", {}),
+    ])
+    def test_missing_or_out_of_range_parameter_rejected(self, theorem, params):
+        sp = catalog.space_finite_uniform(3)
+        with pytest.raises(gm.ParameterError):
+            gm.exhaustive_theorem_check(sp, theorem, params)
+
+
+M4_ROWS = [["0", "1", "3/2", "2"], ["1", "0", "1", "3/2"],
+           ["3/2", "1", "0", "1"], ["2", "3/2", "1", "0"]]
+
+
+class TestOneGValuePerRun:
+    """One oracle run evaluates each G value at most once: at most m^3 calls."""
+
+    @pytest.mark.parametrize("theorem, params", [
+        ("THM-2.2", {"q": "1/2", "a": catalog.get_aux("constant-3")}),
+        ("THM-2.2", {"q": "9/10", "scope": "orbit"}),
+        ("THM-2.5", {"a": catalog.get_aux("constant-3")}),
+        ("THM-2.10", {"gauge": catalog.get_gauge("half"), "a": catalog.get_aux("constant-3")}),
+        ("THM-2.12", {"alpha": "2", "beta": "3/4", "delta": "9/10"}),
+    ])
+    def test_each_g_value_once(self, theorem, params):
+        base = gm.build_gmetric(gm.FiniteMetric.from_rows(M4_ROWS), "perimeter")
+        calls = Counter()
+
+        def g(*triple):
+            calls[triple] += 1
+            return base.g(*triple)
+
+        rep = gm.exhaustive_theorem_check(dataclasses.replace(base, g=g), theorem, params)
+        assert rep.maps_satisfying_hypothesis > 0
+        assert max(calls.values()) == 1
+        assert sum(calls.values()) <= 4 ** 3
 
 
 class TestExhaustiveAxioms:

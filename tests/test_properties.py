@@ -24,6 +24,47 @@ def rational_metrics(draw):
     return gm.FiniteMetric.from_rows(rows)
 
 
+def _relabeled(metric, sigma):
+    """The metric with point i renamed sigma[i]."""
+    m = metric.size
+    rows = [[None] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(m):
+            rows[sigma[i]][sigma[j]] = metric.d[i][j]
+    return gm.FiniteMetric.from_rows(rows)
+
+
+ORACLE_RUNS = [
+    ("THM-2.2", {"q": "1/2"}),
+    ("THM-2.2", {"q": "9/10", "a": "reciprocal-cap-2"}),
+    ("THM-2.5", {"scope": "orbit"}),
+    ("THM-2.10", {"gauge": "half"}),
+    ("THM-2.12", {"delta": "1/2"}),
+    ("THM-2.12", {"alpha": "2", "beta": "2/3"}),
+]
+
+
+class TestOracleRelabeling:
+    """Relabeling the carrier by a permutation sigma maps every self-map T
+    to sigma T sigma^-1, a bijection that preserves each hypothesis and
+    conclusion, so every oracle count is unchanged."""
+
+    @given(rational_metrics(), st.sampled_from(["max", "perimeter"]), st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_counts_invariant(self, metric, construction, data):
+        sigma = data.draw(st.permutations(range(metric.size)))
+        relabeled = gm.build_gmetric(_relabeled(metric, sigma), construction)
+        original = gm.build_gmetric(metric, construction)
+        for theorem, raw in ORACLE_RUNS:
+            params = {k: catalog.get_aux(v) if k == "a" else
+                      catalog.get_gauge(v) if k == "gauge" else v for k, v in raw.items()}
+            counts = [(r.maps_total, r.maps_satisfying_hypothesis, r.conclusion_holds,
+                       len(r.counterexamples), r.hypothesis_failing)
+                      for r in (gm.exhaustive_theorem_check(sp, theorem, params)
+                                for sp in (original, relabeled))]
+            assert counts[0] == counts[1], theorem
+
+
 class TestConstructionAxioms:
     @given(rational_metrics(), st.sampled_from(["max", "perimeter"]))
     @settings(max_examples=40, deadline=None)
