@@ -6,6 +6,7 @@ Parameterized entries encode their parameter in the name: ``scale-0.5``,
 """
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 from .errors import ConfigError
@@ -43,9 +44,7 @@ def space_drop_z() -> GMetricSpace:
 
 
 def space_finite_uniform(m: int) -> GMetricSpace:
-    space = build_gmetric(FiniteMetric.uniform(m), "max")
-    return GMetricSpace(carrier=space.carrier, g=space.g, arithmetic=space.arithmetic,
-                        symmetric_claimed=True, name=f"finite-uniform-{m}")
+    return replace(build_gmetric(FiniteMetric.uniform(m), "max"), name=f"finite-uniform-{m}")
 
 
 def get_space(name: str) -> GMetricSpace:

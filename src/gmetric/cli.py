@@ -115,6 +115,16 @@ def _number(kind, value, what: str):
         raise ConfigError(f"malformed {what}: {value!r}") from None
 
 
+def _shaped(value, kind, default, what: str):
+    """A config object or list: ``default`` when ``value`` is absent (None),
+    and a ConfigError when it is not of ``kind``."""
+    if value is None:
+        return default
+    if not isinstance(value, kind):
+        raise ConfigError(f"malformed {what}: {value!r}")
+    return value
+
+
 def _param(value, exact: bool, what: str):
     if value is None:
         return None
@@ -149,7 +159,7 @@ def resolve_condition_spec(cfg: dict, space: GMetricSpace) -> ConditionSpec:
 
 
 def sampling_settings(cfg: dict, seed_override=None):
-    section = cfg.get("sampling") or {}
+    section = _shaped(cfg.get("sampling"), dict, {}, "sampling")
     count = _number(int, section.get("count", sampling.DEFAULT_COUNT), "sampling.count")
     rng_range = section.get("range", list(sampling.DEFAULT_RANGE))
     if (not isinstance(rng_range, (list, tuple))) or len(rng_range) != 2:
@@ -157,6 +167,8 @@ def sampling_settings(cfg: dict, seed_override=None):
     seed = _number(int, section.get("seed", sampling.DEFAULT_SEED), "sampling.seed")
     if seed_override is not None:
         seed = int(seed_override)
+    if seed < 0:
+        raise ConfigError(f"malformed seed: {seed} is negative")
     if count < 1:
         raise ConfigError("sampling.count must be positive")
     lo = _number(float, rng_range[0], "sampling.range")
@@ -254,8 +266,9 @@ def cmd_gauge(cfg: dict, out_dir: str, tol: float, seed_override=None) -> int:
     if not name:
         raise ConfigError("config is missing a gauge name")
     gauge = _catalog_entry(catalog.get_gauge, name, "gauge")
-    section = cfg.get("gauge_check") or {}
-    grid = [_number(float, t, "gauge_check.grid") for t in section.get("grid", DEFAULT_GAUGE_GRID)]
+    section = _shaped(cfg.get("gauge_check"), dict, {}, "gauge_check")
+    grid = [_number(float, t, "gauge_check.grid")
+            for t in _shaped(section.get("grid"), list, DEFAULT_GAUGE_GRID, "gauge_check.grid")]
     n_max = _number(int, section.get("n_max", 500), "gauge_check.n_max")
     thresh = _number(float, section.get("thresh", 1e-8), "gauge_check.thresh")
     report = check_gauge_admissible(gauge, grid, n_max=n_max, thresh=thresh, tol_base=tol)
@@ -358,9 +371,10 @@ def cmd_violate(cfg: dict, out_dir: str, tol: float, seed_override=None) -> int:
     space = resolve_space(cfg)
     smap = resolve_map(cfg, space)
     base_spec = resolve_condition_spec(cfg, space)
-    section = cfg.get("violate") or {}
-    scales = [_number(float, s, "violate.scales") for s in section.get("scales", _VIOLATE_SCALES)]
-    q_grid = section.get("q_grid")
+    section = _shaped(cfg.get("violate"), dict, {}, "violate")
+    scales = [_number(float, s, "violate.scales")
+              for s in _shaped(section.get("scales"), list, _VIOLATE_SCALES, "violate.scales")]
+    q_grid = _shaped(section.get("q_grid"), list, None, "violate.q_grid")
     if q_grid is not None and base_spec.id != "C-Q":
         raise ConfigError("q_grid only applies to the C-Q condition")
 
@@ -404,12 +418,12 @@ def cmd_violate(cfg: dict, out_dir: str, tol: float, seed_override=None) -> int:
 
 
 _COMMANDS = {
-    "axioms": cmd_axioms,
-    "condition": cmd_condition,
-    "solve": cmd_solve,
-    "gauge": cmd_gauge,
-    "oracle": cmd_oracle,
-    "violate": cmd_violate,
+    "axioms": (cmd_axioms, "check the distance axioms of a space"),
+    "condition": (cmd_condition, "certify a contractive condition on sampled triples"),
+    "solve": (cmd_solve, "run the fixed-point iteration with a certificate"),
+    "gauge": (cmd_gauge, "check gauge-function admissibility on a grid"),
+    "oracle": (cmd_oracle, "exhaustively check a theorem on a finite exact space"),
+    "violate": (cmd_violate, "search for a condition-violating triple"),
 }
 
 
@@ -418,14 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gmetric",
         description="Fixed-point verification toolkit for ternary-distance spaces.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("axioms", "check the distance axioms of a space"),
-        ("condition", "certify a contractive condition on sampled triples"),
-        ("solve", "run the fixed-point iteration with a certificate"),
-        ("gauge", "check gauge-function admissibility on a grid"),
-        ("oracle", "exhaustively check a theorem on a finite exact space"),
-        ("violate", "search for a condition-violating triple"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", default=None, help="output directory for report files")
@@ -442,7 +449,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         out_dir = args.out or cfg.get("out") or "."
         os.makedirs(out_dir, exist_ok=True)
-        handler = _COMMANDS[args.command]
+        handler, _ = _COMMANDS[args.command]
         return handler(cfg, out_dir, args.tol, seed_override=args.seed)
     except (GMetricError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

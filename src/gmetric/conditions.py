@@ -32,6 +32,7 @@ contraction factor for beta >= 3/4, where its middle factor reaches 1.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, partial
@@ -48,7 +49,6 @@ from .spaces import (
     HOLDS_STRICT,
     HOLDS_WEAK,
     PASS,
-    Point,
     Regime,
     VACUOUS,
     Verdict,
@@ -198,9 +198,6 @@ class ConditionVerdict:
     @property
     def holds(self) -> bool:
         return self.status in (HOLDS_STRICT, HOLDS_WEAK, VACUOUS)
-
-    def violation(self):
-        return self.lhs - self.rhs
 
 
 class _EvalContext:
@@ -356,7 +353,8 @@ def contraction_factor(alpha, beta, delta, mode: str = "paper") -> FactorReport:
     inadmissible when any factor reaches 1 (the middle factor
     (2*beta-1)/(2-2*beta) does so for beta >= 3/4).
     """
-    _extension_specs(alpha, beta, delta)  # range checks
+    if len(_extension_specs(alpha, beta, delta)) != 3:  # range-checks those given
+        raise ParameterError("contraction_factor requires alpha, beta and delta")
     if mode not in ("paper", "sound"):
         raise ParameterError(f"unknown mode {mode!r}")
     f1 = (alpha - 1) / 2
@@ -403,6 +401,8 @@ def check_gauge_admissible(h: GaugeFunction, ts, n_max: int = 500,
     ts = sorted(set(float(t) for t in ts))
     if not ts:
         raise ParameterError("gauge check requires a nonempty grid")
+    if not all(math.isfinite(t) for t in ts):
+        raise ParameterError(f"malformed gauge grid: {ts} has a non-finite value")
     if any(t <= 0 for t in ts):
         raise ParameterError("grid values must be positive")
     if n_max < 1:
@@ -485,12 +485,6 @@ class UniquenessReport:
     v: Verdict
     vi: Verdict
     checked: int
-
-    def both_hold(self) -> bool:
-        return self.v.passed and self.vi.passed
-
-    def any_holds(self) -> bool:
-        return self.v.passed or self.vi.passed
 
 
 def check_uniqueness_conditions(space: GMetricSpace, smap: SelfMap, xi,

@@ -25,7 +25,6 @@ from .spaces import (
     PASS,
     Point,
     RealCarrier,
-    Regime,
     Verdict,
     _validate_value,
     coord_distance,
@@ -59,8 +58,6 @@ class OrbitTrace:
 
     points: list
     gaps: list
-    space_id: str = ""
-    map_id: str = ""
     exact_fixed: bool = False
 
     def __len__(self) -> int:
@@ -128,17 +125,15 @@ def _validated_step(space: GMetricSpace, smap: SelfMap) -> Callable:
     return float_step
 
 
-def orbit(space: GMetricSpace, smap: SelfMap, x0, n: int, fix_tol: float = 0.0) -> OrbitTrace:
+def orbit(space: GMetricSpace, smap: SelfMap, x0, n: int) -> OrbitTrace:
     """Iterate the map n times from x0, recording points and successive gaps.
 
-    Stops early, flagged ``exact_fixed``, when an iterate repeats (exact
-    comparison in the rational regime; coordinate-wise within ``fix_tol``,
-    default bitwise, for floats).
+    Stops early, flagged ``exact_fixed``, when an iterate repeats exactly:
+    ``Tx == x``, which is bitwise for floats.
     """
     if n < 1:
         raise ParameterError("orbit length must be at least 1")
     step = _validated_step(space, smap)
-    points_fixed = Regime(space, fix_tol).points_fixed
     x = normalize_point(space.carrier, x0)
     points = [x]
     gaps = []
@@ -147,12 +142,11 @@ def orbit(space: GMetricSpace, smap: SelfMap, x0, n: int, fix_tol: float = 0.0) 
         x1, gap = step(x)
         gaps.append(gap)
         points.append(x1)
-        if points_fixed(x, x1):
+        if x1 == x:
             fixed = True
             break
         x = x1
-    return OrbitTrace(points=points, gaps=gaps, space_id=space.name,
-                      map_id=smap.name, exact_fixed=fixed)
+    return OrbitTrace(points=points, gaps=gaps, exact_fixed=fixed)
 
 
 def classify_gaps(gap_tail: Sequence[float], min_gap: float, eps_stop: float,
@@ -183,9 +177,9 @@ def classify_gaps(gap_tail: Sequence[float], min_gap: float, eps_stop: float,
 
 def solve_picard(space: GMetricSpace, smap: SelfMap, x0, eps_stop: float,
                  max_iter: int, certified_q: Optional[float] = None,
-                 fix_tol: float = 0.0,
                  trace_max: int = DEFAULT_TRACE_MAX) -> FixedPointCertificate:
-    """Run Picard iteration until the successive gap falls to eps_stop.
+    """Run Picard iteration until the successive gap falls to eps_stop, or
+    until an iterate repeats exactly (``Tx == x``, bitwise for floats).
 
     Exhausting ``max_iter`` is reported in ``stop_reason``, not raised; an
     image outside the carrier or a non-finite gap raises DomainError at
@@ -205,7 +199,6 @@ def solve_picard(space: GMetricSpace, smap: SelfMap, x0, eps_stop: float,
         raise ParameterError("certified_q must lie in (0, 1)")
 
     step = _validated_step(space, smap)
-    points_fixed = Regime(space, fix_tol).points_fixed
     x = normalize_point(space.carrier, x0)
     points, gaps = [x], []
     trace_steps = max(1, trace_max)
@@ -223,7 +216,7 @@ def solve_picard(space: GMetricSpace, smap: SelfMap, x0, eps_stop: float,
         if gap < min_gap:
             min_gap = gap
         tail.append(gap)
-        if points_fixed(x, x1):
+        if x1 == x:
             stop_reason = "exact-fixed"
             break
         if k < trace_steps:
@@ -239,8 +232,7 @@ def solve_picard(space: GMetricSpace, smap: SelfMap, x0, eps_stop: float,
     if not gaps:
         points.append(x_img)
         gaps.append(residual)
-    trace = OrbitTrace(points=points, gaps=gaps, space_id=space.name, map_id=smap.name,
-                       exact_fixed=iterations == 0 and points_fixed(x, x_img))
+    trace = OrbitTrace(points=points, gaps=gaps, exact_fixed=iterations == 0 and x_img == x)
 
     klass = classify_gaps(list(tail), min_gap if min_gap < math.inf else 0.0,
                           eps_stop, residual)

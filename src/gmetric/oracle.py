@@ -161,10 +161,10 @@ def enumerate_self_maps(m: int, cap: int = DEFAULT_MAP_CAP) -> Iterator[tuple]:
     return product(range(m), repeat=m)
 
 
-def table_self_map(space: GMetricSpace, table: Sequence[int], name: str = "") -> SelfMap:
+def table_self_map(space: GMetricSpace, table: Sequence[int]) -> SelfMap:
     tbl = tuple(table)
     return SelfMap(domain=space.carrier, apply=lambda i: tbl[i],
-                   name=name or "table" + "".join(str(t) for t in tbl))
+                   name="table" + "".join(str(t) for t in tbl))
 
 
 def orbit_cycle(table: Sequence[int], start: int):
@@ -173,28 +173,17 @@ def orbit_cycle(table: Sequence[int], start: int):
     Returns (steps_to_cycle, cycle) where ``cycle`` is the tuple of states
     on the eventual cycle, beginning at the first repeated state.
     """
-    seen = {}
-    x = start
-    k = 0
-    while x not in seen:
-        seen[x] = k
-        x = table[x]
-        k += 1
-    mu = seen[x]
-    cycle = [x]
-    y = table[x]
-    while y != x:
-        cycle.append(y)
-        y = table[y]
-    return mu, tuple(cycle)
+    visits = orbit_set(table, start)
+    mu = visits.index(table[visits[-1]])
+    return mu, visits[mu:]
 
 
 def orbit_set(table: Sequence[int], start: int) -> tuple:
     """The orbit {start, T start, T^2 start, ...} as a tuple in first-visit order."""
-    seen = []
+    seen = {}
     x = start
     while x not in seen:
-        seen.append(x)
+        seen[x] = None
         x = table[x]
     return tuple(seen)
 

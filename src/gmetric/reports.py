@@ -12,7 +12,7 @@ import os
 import tempfile
 from fractions import Fraction
 
-from .conditions import Certificate, ConditionVerdict, GaugeReport, UniquenessReport
+from .conditions import Certificate, ConditionVerdict, GaugeReport
 from .dynamics import FixedPointCertificate
 from .oracle import TheoremCheckReport
 from .spaces import AxiomReport, ConvergenceDiagnosis, Verdict
@@ -122,10 +122,6 @@ def theorem_report_dict(t: TheoremCheckReport) -> dict:
         ],
         "notes": list(t.notes),
     }
-
-
-def uniqueness_report_dict(u: UniquenessReport) -> dict:
-    return {"v": verdict_dict(u.v), "vi": verdict_dict(u.vi), "checked": u.checked}
 
 
 def diagnosis_dict(d: ConvergenceDiagnosis) -> dict:

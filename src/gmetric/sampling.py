@@ -58,20 +58,19 @@ def _clip_range(space: GMetricSpace, lo: float, hi: float):
 
 def triple_stream(space: GMetricSpace, seed: int = DEFAULT_SEED,
                   lo: float = DEFAULT_RANGE[0], hi: float = DEFAULT_RANGE[1],
-                  distinct_xy: bool = True, tol: float = DEFAULT_TOL):
-    """Endless stream of point triples; redraws any triple whose first two
-    points coincide (per the arithmetic regime's guard) when
-    ``distinct_xy`` is set."""
+                  tol: float = DEFAULT_TOL):
+    """Endless stream of point triples (x, y, z) with x != y: a triple whose
+    first two points coincide, per the arithmetic regime's guard with
+    ``tol``, is redrawn."""
     lo, hi = _clip_range(space, lo, hi)
     rng = make_rng(seed)
     carrier = space.carrier
-    if isinstance(carrier, FiniteCarrier) and distinct_xy and carrier.size < 2:
+    if isinstance(carrier, FiniteCarrier) and carrier.size < 2:
         raise ParameterError("cannot draw distinct pairs from a 1-point carrier")
     distinct = Regime(space, tol).distinct
     while True:
         x = _draw_point(rng, carrier, lo, hi)
         y = _draw_point(rng, carrier, lo, hi)
         z = _draw_point(rng, carrier, lo, hi)
-        if distinct_xy and not distinct(x, y):
-            continue
-        yield (x, y, z)
+        if distinct(x, y):
+            yield (x, y, z)

@@ -253,12 +253,6 @@ class Regime:
             return lhs > rhs
         return lhs > rhs + self._tau(lhs, rhs)
 
-    def points_fixed(self, a: Point, b: Point) -> bool:
-        """An iterate repeats: equal indices, or coordinates within ``tol``."""
-        if self.exact:
-            return a == b
-        return coord_distance(a, b) <= self.tol
-
 
 def points_distinct(space: GMetricSpace, p: Point, q: Point, tol: float = DEFAULT_TOL) -> bool:
     """Distinctness guard of the space's arithmetic regime (:meth:`Regime.distinct`)."""
@@ -431,11 +425,13 @@ class ConvergenceDiagnosis:
     thresholds_met: dict
     eps: float
     tail_start: int
-    tail_indices: list = field(default_factory=list)
     tail_traces: dict = field(default_factory=dict)
 
     def all_met(self) -> bool:
         return all(self.thresholds_met.values())
+
+
+_TAIL_POINTS = 256
 
 
 def _strided(indices, cap):
@@ -448,31 +444,28 @@ def _strided(indices, cap):
     return picked
 
 
-def diagnose_sequence(space: GMetricSpace, prefix, candidate=None, eps: float = 1e-6,
-                      tail_fraction: float = 0.5, max_points: int = 256) -> ConvergenceDiagnosis:
+def diagnose_sequence(space: GMetricSpace, prefix, candidate=None,
+                      eps: float = 1e-6) -> ConvergenceDiagnosis:
     """Evaluate the convergence indicators of a sequence prefix.
 
-    Indicators are computed on the prefix tail (default: last half).  The
-    two-index quantities (pair sup toward the candidate, and the Cauchy
-    gap) are taken as sups over a strided subset of tail index pairs that
-    always includes the tail endpoints; the single-index quantities are
-    additionally recorded along the tail so implications can be asserted
-    index by index.  Without a candidate all thresholds are reported unmet.
+    Indicators are computed on the prefix tail: its last half, and at
+    least its last two points.  The two-index quantities (pair sup toward
+    the candidate, and the Cauchy gap) are taken as sups over at most 256
+    strided tail points that always include the tail endpoints; the
+    single-index quantities are additionally recorded along those points
+    so implications can be asserted index by index.  Without a candidate
+    all thresholds are reported unmet.
     """
     if eps <= 0:
         raise ParameterError("eps must be positive")
-    if not (0 < tail_fraction <= 1):
-        raise ParameterError("tail_fraction must lie in (0, 1]")
     pts = [normalize_point(space.carrier, p) for p in prefix]
     if len(pts) < 2:
         raise ParameterError("prefix must contain at least 2 points")
     cand = None if candidate is None else normalize_point(space.carrier, candidate)
 
     n = len(pts)
-    tail_start = min(n - 2, n - max(2, math.ceil(n * tail_fraction)))
-    tail_start = max(0, tail_start)
-    idxs = _strided(range(tail_start, n), max_points)
-    last = n - 1
+    tail_start = min(n - 2, n // 2)
+    idxs = _strided(range(tail_start, n), _TAIL_POINTS)
 
     indicators = {k: None for k in INDICATOR_KEYS}
     traces = {"dG_xn_x": [], "G_x_xn_xn": [], "G_xn_x_x": []}
@@ -502,4 +495,4 @@ def diagnose_sequence(space: GMetricSpace, prefix, candidate=None, eps: float = 
 
     return ConvergenceDiagnosis(candidate_limit=cand, indicators=indicators,
                                 thresholds_met=met, eps=eps, tail_start=tail_start,
-                                tail_indices=idxs, tail_traces=traces)
+                                tail_traces=traces)

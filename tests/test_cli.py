@@ -117,13 +117,33 @@ class TestMalformedValues:
                        "condition": {"id": "C-Q", "q": "abc"}}),
         ("violate", {"space": "absmax", "map": "moebius",
                      "condition": {"id": "C-Q", "q": 0.5}, "violate": {"scales": ["x"]}}),
-    ], ids=["count", "eps_stop", "map-param", "weight-param", "table-entry", "q", "scales"])
+        ("condition", {**_MOEBIUS_GAUGE, "sampling": 5}),
+        ("gauge", {"gauge": "ratio1", "gauge_check": 5}),
+        ("violate", {"space": "absmax", "map": "moebius",
+                     "condition": {"id": "C-Q", "q": 0.5}, "violate": 5}),
+        ("gauge", {"gauge": "ratio1", "gauge_check": {"grid": 5}}),
+        ("violate", {"space": "absmax", "map": "moebius",
+                     "condition": {"id": "C-Q", "q": 0.5}, "violate": {"scales": 5}}),
+        ("violate", {"space": "absmax", "map": "moebius",
+                     "condition": {"id": "C-Q", "q": 0.5}, "violate": {"q_grid": 5}}),
+        ("condition", {**_MOEBIUS_GAUGE, "sampling": {"count": 10, "seed": -1}}),
+        ("gauge", {"gauge": "ratio1", "gauge_check": {"grid": [1.0, "nan"]}}),
+        ("gauge", {"gauge": "ratio1", "gauge_check": {"grid": [1.0, float("inf")]}}),
+    ], ids=["count", "eps_stop", "map-param", "weight-param", "table-entry", "q", "scales",
+            "sampling-section", "gauge_check-section", "violate-section", "grid-scalar",
+            "scales-scalar", "q_grid-scalar", "negative-seed", "grid-nan", "grid-inf"])
     def test_exit_two(self, tmp_path, capsys, command, config):
         table = tmp_path / "bad.txt"
         table.write_text("2\n0 x\nx 0\n")
         if "space" in config and isinstance(config["space"], dict):
             config = {**config, "space": {**config["space"], "metric_table": str(table)}}
         code, _ = run(tmp_path, command, config)
+        assert code == 2
+        assert "malformed" in capsys.readouterr().err
+
+    def test_negative_seed_flag_exit_two(self, tmp_path, capsys):
+        config = {**_MOEBIUS_GAUGE, "sampling": {"count": 10}}
+        code, _ = run(tmp_path, "condition", config, extra=("--seed", "-1"))
         assert code == 2
         assert "malformed" in capsys.readouterr().err
 

@@ -182,6 +182,8 @@ class TestContractionFactor:
             gm.contraction_factor(2, 1.0, 0.5)
         with pytest.raises(gm.ParameterError):
             gm.contraction_factor(2, 0.6, -0.1)
+        with pytest.raises(gm.ParameterError):
+            gm.contraction_factor(None, 0.6, 0.5)
 
 
 GRID = [1e-3, 0.1, 1.0, 10.0, 1e3]
@@ -228,6 +230,11 @@ class TestGaugeAdmissibility:
     def test_empty_grid_rejected(self):
         with pytest.raises(gm.ParameterError):
             gm.check_gauge_admissible(catalog.get_gauge("half"), [])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "nan", 1e400])
+    def test_non_finite_grid_rejected(self, bad):
+        with pytest.raises(gm.ParameterError, match="malformed"):
+            gm.check_gauge_admissible(catalog.get_gauge("half"), [1.0, bad])
 
 
 class TestUniqueness:
@@ -386,3 +393,23 @@ class TestAuxWeights:
     def test_negative_constant_rejected(self):
         with pytest.raises(gm.ParameterError):
             gm.AuxWeight.constant(-1.0)
+
+    def test_constant_custom_weight_matches_constant(self, absmax, halving):
+        # The general weight a(x, y, z) of the M2 term, held constant, gives
+        # the verdicts of AuxWeight.constant; the third-slot gauge reads M2.
+        third = gm.GaugeFunction(evaluate=lambda t1, t2, t3: t3, name="third-slot")
+        triples = [(1.0, 2.0, 3.0), (0.5, 4.0, 0.0), (2.0, 1.0, 1.0), (3.0, 0.0, 7.5)]
+        for c in (0.25, 2.0):
+            custom = gm.AuxWeight.custom(lambda x, y, z: c)
+            for kw in ({"id": "C-Q", "q": 0.5}, {"id": "C-UNIT"},
+                       {"id": "C-GAUGE", "h": third}):
+                by_custom = gm.ConditionSpec(**kw, a=custom)
+                by_constant = gm.ConditionSpec(**kw, a=gm.AuxWeight.constant(c))
+                for t in triples:
+                    assert (gm.eval_condition(absmax, halving, by_custom, *t)
+                            == gm.eval_condition(absmax, halving, by_constant, *t))
+
+    def test_negative_custom_weight_raises(self, absmax, halving):
+        spec = gm.ConditionSpec(id="C-UNIT", a=gm.AuxWeight.custom(lambda x, y, z: -1.0))
+        with pytest.raises(gm.DomainError):
+            gm.eval_condition(absmax, halving, spec, 1.0, 2.0, 3.0)
