@@ -3,11 +3,17 @@
 Catalog names are plain strings so they can appear in run configs.
 Parameterized entries encode their parameter in the name: ``scale-0.5``,
 ``constant-3``, ``finite-uniform-4``, ``linear-0.9``, ``reciprocal-cap-2``.
+
+The real spaces, maps and gauges also carry numpy batch forms (``g_batch``,
+``apply_batch``, ``evaluate_batch``) that give, element by element, the
+same floats as their scalar forms; sampled certificates use them.
 """
 from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import ConfigError
 from .conditions import AuxWeight, GaugeFunction
@@ -24,23 +30,32 @@ def _absmax_g(x, y, z):
     return max(abs(x - y), abs(y - z), abs(z - x))
 
 
-def _perimeter_g(x, y, z):
+def _absmax_g_batch(x, y, z):
+    return np.maximum(np.maximum(np.abs(x - y), np.abs(y - z)), np.abs(z - x))
+
+
+def _perimeter_g(x, y, z):  # elementwise on arrays as written
     return abs(x - y) + abs(y - z) + abs(z - x)
 
 
+def _drop_z_g(x, y, z):  # elementwise on arrays as written
+    return abs(x - y)
+
+
 def space_absmax() -> GMetricSpace:
-    return GMetricSpace(carrier=_NONNEG, g=_absmax_g, name="absmax")
+    return GMetricSpace(carrier=_NONNEG, g=_absmax_g, name="absmax", g_batch=_absmax_g_batch)
 
 
 def space_perimeter() -> GMetricSpace:
-    return GMetricSpace(carrier=RealCarrier(dim=1), g=_perimeter_g, name="perimeter-r")
+    return GMetricSpace(carrier=RealCarrier(dim=1), g=_perimeter_g, name="perimeter-r",
+                        g_batch=_perimeter_g)
 
 
 def space_drop_z() -> GMetricSpace:
     """Deliberately broken: ignores its third argument, so two equal
     leading points always give 0 and the positivity axiom fails."""
-    return GMetricSpace(carrier=RealCarrier(dim=1), g=lambda x, y, z: abs(x - y),
-                        symmetric_claimed=False, name="drop-z")
+    return GMetricSpace(carrier=RealCarrier(dim=1), g=_drop_z_g,
+                        symmetric_claimed=False, name="drop-z", g_batch=_drop_z_g)
 
 
 def space_finite_uniform(m: int) -> GMetricSpace:
@@ -90,7 +105,7 @@ def get_map(name: str, space: GMetricSpace) -> SelfMap:
     carrier = space.carrier
     finite = isinstance(carrier, FiniteCarrier)
     if name == "identity":
-        return SelfMap(domain=carrier, apply=lambda p: p, name="identity")
+        return SelfMap(domain=carrier, apply=_identity, name="identity", apply_batch=_identity)
     if name.startswith("constant-"):
         if finite:
             c = _parse_param(name, "constant-", int)
@@ -98,21 +113,37 @@ def get_map(name: str, space: GMetricSpace) -> SelfMap:
                 raise ConfigError(f"constant {c} outside carrier")
         else:
             c = _parse_param(name, "constant-", float)
-        return SelfMap(domain=carrier, apply=lambda p: c, name=name)
+        return SelfMap(domain=carrier, apply=lambda p: c, name=name,
+                       apply_batch=lambda a: np.full_like(a, c))
     if finite:
         raise ConfigError(f"map {name!r} needs a real carrier")
     if carrier.dim != 1:
         raise ConfigError(f"map {name!r} needs a one-dimensional carrier")
     if name == "moebius":
-        return SelfMap(domain=carrier, apply=lambda x: x / (x + 1.0), name="moebius")
+        return SelfMap(domain=carrier, apply=lambda x: x / (x + 1.0), name="moebius",
+                       apply_batch=_moebius_batch)
     if name == "step":
-        return SelfMap(domain=carrier, apply=lambda x: 0.0 if x <= 1.0 else 1.0, name="step")
+        return SelfMap(domain=carrier, apply=lambda x: 0.0 if x <= 1.0 else 1.0, name="step",
+                       apply_batch=lambda a: np.where(a <= 1.0, 0.0, 1.0))
     if name.startswith("scale-"):
         c = _parse_param(name, "scale-", float)
         if carrier.lo is not None and carrier.lo >= 0 and c < 0:
             raise ConfigError(f"scale factor {c} leaves the carrier")
-        return SelfMap(domain=carrier, apply=lambda x: c * x, name=name)
+
+        def scale(x):  # elementwise on arrays as written
+            return c * x
+        return SelfMap(domain=carrier, apply=scale, name=name, apply_batch=scale)
     raise ConfigError(f"unknown map {name!r}")
+
+
+def _identity(p):  # elementwise on arrays as written
+    return p
+
+
+def _moebius_batch(x):
+    """x / (x + 1.0), and nan where the scalar form divides by zero."""
+    d = x + 1.0
+    return np.divide(x, d, out=np.full_like(x, np.nan), where=d != 0)
 
 
 def _ratio1(t1, t2, t3):
@@ -123,22 +154,34 @@ def _half_max(t1, t2, t3):
     return max(t1, t2, t3) / 2
 
 
-def _first(t1, t2, t3):
+def _first(t1, t2, t3):  # elementwise on arrays as written
     return t1
+
+
+def _ratio1_batch(t1, t2, t3):
+    """t1 / (t1 + 1), and nan where the scalar form divides by zero."""
+    d = t1 + 1.0
+    return np.divide(t1, d, out=np.full_like(t1, np.nan), where=d != 0)
+
+
+def _half_max_batch(t1, t2, t3):
+    return np.maximum(np.maximum(t1, t2), t3) / 2
 
 
 def get_gauge(name: str) -> GaugeFunction:
     if name == "ratio1":
-        return GaugeFunction(evaluate=_ratio1, name="ratio1")
+        return GaugeFunction(evaluate=_ratio1, name="ratio1", evaluate_batch=_ratio1_batch)
     if name == "half":
-        return GaugeFunction(evaluate=_half_max, name="half")
+        return GaugeFunction(evaluate=_half_max, name="half", evaluate_batch=_half_max_batch)
     if name == "identity-diag":
-        return GaugeFunction(evaluate=_first, name="identity-diag")
+        return GaugeFunction(evaluate=_first, name="identity-diag", evaluate_batch=_first)
     if name.startswith("linear-"):
         c = _parse_param(name, "linear-")
         if not 0 <= c:
             raise ConfigError("linear gauge factor must be nonnegative")
-        return GaugeFunction(evaluate=lambda t1, t2, t3: c * t1, name=name)
+        # Fraction * float is float(Fraction) * float
+        return GaugeFunction(evaluate=lambda t1, t2, t3: c * t1, name=name,
+                             evaluate_batch=lambda t1, t2, t3: float(c) * t1)
     raise ConfigError(f"unknown gauge {name!r}")
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -438,7 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory for report files")
         p.add_argument("--seed", type=int, default=None, help="override the sampling seed")
         p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                       help="base comparison tolerance for float arithmetic")
+                       help="base comparison tolerance for float arithmetic "
+                            "(finite, >= 0)")
     return parser
 
 
@@ -446,6 +448,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not (math.isfinite(args.tol) and args.tol >= 0):
+            raise ConfigError(f"malformed --tol: {args.tol!r} is not finite and nonnegative")
         cfg = load_config(args.config)
         out_dir = args.out or cfg.get("out") or "."
         os.makedirs(out_dir, exist_ok=True)

@@ -36,8 +36,10 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, partial
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Iterable, Optional
+
+import numpy as np
 
 from .errors import DomainError, ParameterError
 from .spaces import (
@@ -49,6 +51,8 @@ from .spaces import (
     HOLDS_STRICT,
     HOLDS_WEAK,
     PASS,
+    ROW_STATUSES,
+    RealCarrier,
     Regime,
     VACUOUS,
     Verdict,
@@ -59,6 +63,7 @@ from .spaces import (
     scaled_tol,
 )
 from .dynamics import SelfMap
+from .sampling import BLOCK
 
 MAJORANT_IDS = ("C-Q", "C-UNIT", "C-GAUGE")
 CONDITION_IDS = MAJORANT_IDS + ("EXT-I", "EXT-II", "EXT-III")
@@ -123,10 +128,13 @@ class AuxWeight:
 @dataclass(frozen=True)
 class GaugeFunction:
     """Three-variable gauge; admissibility (monotone, usc, shrinking
-    diagonal) is checked by :func:`check_gauge_admissible`, never assumed."""
+    diagonal) is checked by :func:`check_gauge_admissible`, never assumed.
+    ``evaluate_batch``, when given, is ``evaluate`` elementwise on float
+    arrays, bit for bit."""
 
     evaluate: Callable
     name: str = ""
+    evaluate_batch: Optional[Callable] = None
 
     def diagonal(self, t):
         return self.evaluate(t, t, t)
@@ -589,31 +597,65 @@ def certify_on_samples(space: GMetricSpace, smap: SelfMap, spec: ConditionSpec,
     canonically ordered by decreasing violation then triple, so the
     aggregate does not depend on how the stream was partitioned.  At most
     2 * ``worst_cap`` failing verdicts are held at a time, whatever ``count`` is.
+
+    Where :func:`_batch_evaluator` applies (float G on a one-dimensional
+    real carrier, with batch forms of G, the map and the gauge), the
+    stream is read ``BLOCK`` triples at a time and each chunk is evaluated
+    with numpy, operation for operation as the scalar path does, so the
+    certificate is identical.  A chunk the batch form refuses (a point or
+    image outside the carrier, x == y, a value that is not finite) goes
+    through the scalar path, which raises where it always did.  Memory is
+    O(``BLOCK`` + ``worst_cap``) on both paths.
     """
     if worst_cap < 0:
         raise ParameterError("worst_cap must be nonnegative")
     ctx = _EvalContext(space, smap, tol_base)
     distinct = ctx.regime.distinct
     majorant = spec.id in MAJORANT_IDS
+    batch = _batch_evaluator(space, smap, spec, ctx.regime, worst_cap)
 
-    tallies = {HOLDS_STRICT: 0, HOLDS_WEAK: 0, VACUOUS: 0, FAILS: 0}
+    tallies = dict.fromkeys(ROW_STATUSES, 0)
     worst = []
     excluded = 0
     checked = 0
-    norm = space.carrier
-    for (x, y, z) in islice(sampler, count):
-        xn, yn, zn = normalize_point(norm, x), normalize_point(norm, y), normalize_point(norm, z)
-        if majorant and not distinct(xn, yn):
-            raise DomainError("sampler produced a triple with x == y")
-        verdict = _eval_spec(ctx, spec, xn, yn, zn)
-        checked += 1
-        tallies[verdict.status] += 1
-        excluded += len(verdict.excluded_terms)
-        if verdict.status == FAILS:
-            worst.append(verdict)
-            if len(worst) >= 2 * worst_cap:
-                worst.sort(key=_triple_sort_key)
-                del worst[worst_cap:]
+
+    def keep(verdict):
+        worst.append(verdict)
+        if len(worst) >= 2 * worst_cap:
+            worst.sort(key=_triple_sort_key)
+            del worst[worst_cap:]
+
+    def scalar(triples):
+        nonlocal excluded, checked
+        norm = space.carrier
+        for (x, y, z) in triples:
+            xn, yn, zn = normalize_point(norm, x), normalize_point(norm, y), normalize_point(norm, z)
+            if majorant and not distinct(xn, yn):
+                raise DomainError("sampler produced a triple with x == y")
+            verdict = _eval_spec(ctx, spec, xn, yn, zn)
+            checked += 1
+            tallies[verdict.status] += 1
+            excluded += len(verdict.excluded_terms)
+            if verdict.status == FAILS:
+                keep(verdict)
+
+    triples = islice(sampler, count)
+    if batch is None:
+        scalar(triples)
+    else:
+        for chunk in iter(lambda: list(islice(triples, BLOCK)), []):
+            out = batch(chunk)
+            if out is None:
+                scalar(chunk)
+            else:
+                counts, chunk_excluded, fails = out
+                for status, n in zip(ROW_STATUSES, counts):
+                    tallies[status] += n
+                excluded += chunk_excluded
+                checked += len(chunk)
+                for verdict in fails:
+                    keep(verdict)
+            del chunk  # else it lives on while the next one is read
 
     worst.sort(key=_triple_sort_key)
     return Certificate(
@@ -621,3 +663,155 @@ def certify_on_samples(space: GMetricSpace, smap: SelfMap, spec: ConditionSpec,
         holds_strict=tallies[HOLDS_STRICT], holds_weak=tallies[HOLDS_WEAK],
         vacuous=tallies[VACUOUS], fails=tallies[FAILS],
         worst=worst[:worst_cap], excluded_term_count=excluded)
+
+
+def _float_factor(v) -> bool:
+    """``v * t`` on a float t is ``float(v) * t``, and v == 0 just when float(v) == 0."""
+    if not isinstance(v, (int, float, Fraction)):
+        return False
+    try:
+        return (float(v) == 0) == (v == 0)
+    except OverflowError:
+        return False
+
+
+def _masked_div(num, den):
+    """num / den where den != 0, and 0.0 where it vanishes."""
+    return np.divide(num, den, out=np.zeros_like(den), where=den != 0)
+
+
+def _float_rows(chunk):
+    """The chunk as a (3, n) float array when each triple is three floats, else None."""
+    try:
+        if set(map(len, chunk)) != {3}:
+            return None
+        flat = list(chain.from_iterable(chunk))
+    except TypeError:
+        return None
+    if set(map(type, flat)) != {float}:
+        return None
+    return np.array(flat).reshape(-1, 3).T.copy()
+
+
+def _batch_evaluator(space: GMetricSpace, smap: SelfMap, spec: ConditionSpec,
+                     reg: Regime, worst_cap: int) -> Optional[Callable]:
+    """The numpy form of :func:`_eval_spec` on chunks of triples, or None
+    where only the scalar path applies.
+
+    It needs a float space on a one-dimensional real carrier, ``g_batch``,
+    ``apply_batch`` and, for C-GAUGE, ``evaluate_batch``; a zero, constant
+    or reciprocal-cap weight; and parameters that are ints, floats or
+    Fractions, which multiply a float as their float value.  Called on a
+    chunk, it returns the status counts in ``ROW_STATUSES`` order, the
+    number of excluded M3 terms and the failing verdicts that can enter the
+    worst list (the chunk's ``worst_cap`` smallest by ``_triple_sort_key``),
+    or None when the chunk must take the scalar path.
+    """
+    carrier, weight = space.carrier, spec.a
+    factors = (spec.q, spec.alpha, spec.beta, spec.delta, weight.c if weight else None)
+    if (reg.exact or not isinstance(carrier, RealCarrier) or carrier.dim != 1
+            or space.g_batch is None or smap.apply_batch is None
+            or (spec.h is not None and spec.h.evaluate_batch is None)
+            or (weight is not None and weight.kind == "custom")
+            or not all(_float_factor(v) for v in factors if v is not None)):
+        return None
+    g, t = space.g_batch, smap.apply_batch
+    rows = _majorant_rows if spec.id in MAJORANT_IDS else _extension_rows
+    strict = spec.id in ("C-Q", "C-UNIT")
+
+    def in_carrier(a) -> bool:
+        return bool(np.isfinite(a).all()
+                    and (carrier.lo is None or (a >= carrier.lo).all())
+                    and (carrier.hi is None or (a <= carrier.hi).all()))
+
+    def evaluate(chunk):
+        p = _float_rows(chunk)
+        if p is None or not in_carrier(p):
+            return None
+        # Python floats overflow to inf and give nan silently; every division is masked.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if spec.id in MAJORANT_IDS and not reg.distinct_rows(p[0], p[1]).all():
+                return None
+            tp = t(p)
+            out = rows(g, spec, reg, p, tp) if in_carrier(tp) else None
+            if out is None:
+                return None
+            lhs, rhs, excluded = out
+            code = reg.status_rows(lhs, rhs, strict)
+        fails = np.flatnonzero(code == ROW_STATUSES.index(FAILS))
+        verdicts = []
+        if worst_cap and fails.size:
+            key = -(lhs[fails] - rhs[fails])
+            sel = fails[np.lexsort((p[2][fails], p[1][fails], p[0][fails], key))[:worst_cap]]
+            verdicts = [ConditionVerdict(FAILS, left, right, ("M3",) if ex else (), (x, y, z))
+                        for left, right, ex, x, y, z in zip(
+                            lhs[sel].tolist(), rhs[sel].tolist(), excluded[sel].tolist(),
+                            *p[:, sel].tolist())]
+        counts = np.bincount(code, minlength=len(ROW_STATUSES)).tolist()
+        return counts, int(excluded.sum()), verdicts
+
+    return evaluate
+
+
+def _all_finite(arrays) -> bool:
+    return all(np.isfinite(a).all() for a in arrays)
+
+
+def _majorant_rows(g, spec: ConditionSpec, reg: Regime, p, tp):
+    """lhs, rhs and the excluded-M3 mask of :func:`_eval_majorant` on
+    arrays, or None when a value is not finite."""
+    (x, y, z), (tx, ty, tz) = p, tp
+    lhs, m1 = g(tx, ty, tz), g(x, y, z)
+    gx, gy, gz = g(x, tx, tx), g(y, ty, ty), g(z, tz, tz)
+    denom = m1 * lhs
+    m3 = _masked_div(gx * gy * gz, denom)
+    values = [lhs, m1, gx, gy, gz, m3]
+    a = spec.a
+    if a.kind == "zero" or a.c == 0:
+        m2 = np.zeros_like(m1)
+    else:
+        cross = [g(tx, y, z), g(x, ty, z), g(x, y, tz)]
+        w = float(a.c)
+        if a.kind == "reciprocal-cap":
+            w = np.where(denom == 0, 0.0, np.minimum(w, _masked_div(1.0, denom)))
+        m2 = np.where(w == 0, 0.0, w * cross[0] * cross[1] * cross[2])
+        values += cross + [m2]
+    has_m3 = denom != 0
+    if spec.id == "C-GAUGE":
+        rhs = spec.h.evaluate_batch(m1, m3, m2)  # m3 is 0 where it is dropped
+    else:
+        top = np.maximum(m1, m2)
+        top = np.where(has_m3, np.maximum(top, m3), top)
+        rhs = (float(spec.q) if spec.id == "C-Q" else 1.0) * top
+    values.append(rhs)
+    if not _all_finite(values):
+        return None
+    return lhs, rhs, ~has_m3 & ~reg.vacuous(lhs)
+
+
+def _extension_rows(g, spec: ConditionSpec, reg: Regime, p, tp):
+    """lhs, rhs and an all-False excluded mask of :func:`_eval_extension`
+    on arrays, or None when a value is not finite."""
+    (x, y, z), (tx, ty, tz) = p, tp
+    gx, gy, gz = g(x, tx, tx), g(y, ty, ty), g(z, tz, tz)
+    values = [gx, gy, gz]
+    if spec.id == "EXT-I":
+        lhs = gx + gy + gz
+        m1 = g(x, y, z)
+        rhs = float(spec.alpha) * m1
+        values += [m1]
+    else:
+        cross = [g(tx, y, z), g(x, ty, z), g(x, y, tz)]
+        values += cross
+        if spec.id == "EXT-II":
+            lhs = gx + gy + gz
+            rhs = float(spec.beta) * (cross[0] + cross[1] + cross[2])
+        else:
+            m1, lhs = g(x, y, z), g(tx, ty, tz)
+            top = np.maximum.reduce([m1, gx, gy, gz, (cross[0] + cross[1] + cross[2]) / 4])
+            rhs = float(spec.delta) * top
+            values += [m1]
+    values += [lhs, rhs]
+    if not _all_finite(values):
+        return None
+    return lhs, rhs, np.zeros(lhs.shape, dtype=bool)

@@ -41,11 +41,17 @@ _FLOAT_MAX = sys.float_info.max
 
 @dataclass(frozen=True)
 class SelfMap:
-    """A self-map of a carrier.  ``apply`` must be total and deterministic."""
+    """A self-map of a carrier.  ``apply`` must be total and deterministic.
+
+    ``apply_batch``, when given, maps a float array of scalar points
+    elementwise to the floats ``apply`` gives one by one; where ``apply``
+    would raise, it yields a non-finite value instead.
+    """
 
     domain: Carrier
     apply: Callable[[Point], Point]
     name: str = ""
+    apply_batch: Optional[Callable] = None
 
     def step(self, p: Point) -> Point:
         """Apply the map to an already-normalized point, validating the image."""

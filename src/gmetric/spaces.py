@@ -19,6 +19,8 @@ from functools import cache, partial
 from itertools import chain, combinations, combinations_with_replacement, permutations
 from typing import Callable, Optional, Union
 
+import numpy as np
+
 from .errors import DomainError, ParameterError
 
 Point = Union[float, int, tuple]
@@ -36,6 +38,8 @@ HOLDS_STRICT = "HOLDS_STRICT"
 HOLDS_WEAK = "HOLDS_WEAK"
 FAILS = "FAILS"
 VACUOUS = "VACUOUS"
+
+ROW_STATUSES = (HOLDS_STRICT, HOLDS_WEAK, VACUOUS, FAILS)
 
 AXIOM_KEYS = ("G1", "G2", "G3", "G4", "G5", "symmetry")
 
@@ -135,6 +139,8 @@ class GMetricSpace:
     ``arithmetic`` is "float" or "exact"; exact spaces must have a finite
     carrier and a distance returning Fractions (or ints).  The symmetry
     flag is a claim, verified by :func:`check_symmetry`, not assumed.
+    ``g_batch``, when given, evaluates ``g`` elementwise on three float
+    arrays of points, giving bit for bit the floats ``g`` gives one by one.
     """
 
     carrier: Carrier
@@ -142,6 +148,7 @@ class GMetricSpace:
     arithmetic: str = FLOAT
     symmetric_claimed: bool = True
     name: str = ""
+    g_batch: Optional[Callable] = None
 
     def __post_init__(self):
         if self.arithmetic not in (FLOAT, EXACT):
@@ -196,11 +203,16 @@ class Regime:
       scaled_tol = tol * (1 + max |v|)   distinct, exceeds (axioms, distinctness)
       tau = tol * (1 + |lhs| + |rhs|)    status, strictly_below, above
                                          (conditions, uniqueness, weight bound)
+
+    ``tol`` must be finite and nonnegative; 0 compares floats literally.
+    The ``*_rows`` methods apply the same formulas elementwise to numpy arrays.
     """
 
     __slots__ = ("exact", "tol", "zero", "one")
 
     def __init__(self, space: GMetricSpace, tol: float = DEFAULT_TOL):
+        if not (math.isfinite(tol) and tol >= 0):
+            raise ParameterError(f"tol must be finite and nonnegative, got {tol!r}")
         self.exact = space.arithmetic == EXACT
         self.tol = tol
         self.zero = Fraction(0) if self.exact else 0.0
@@ -213,6 +225,15 @@ class Regime:
         if isinstance(p, tuple):
             return coord_distance(p, q) > scaled_tol(self.tol, *p, *q)
         return abs(p - q) > scaled_tol(self.tol, p, q)
+
+    def distinct_rows(self, p, q):
+        """:meth:`distinct` of the rows of two point arrays, shape (n,) or (n, dim)."""
+        if self.exact:
+            return p != q
+        gap, scale = np.abs(p - q), np.maximum(np.abs(p), np.abs(q))
+        if p.ndim == 2:  # tuple points: Chebyshev gap, largest coordinate
+            gap, scale = gap.max(axis=1), scale.max(axis=1)
+        return gap > self.tol * (1.0 + scale)
 
     def exceeds(self, lhs, rhs) -> bool:
         """lhs > rhs, beyond the scaled_tol slack."""
@@ -240,6 +261,16 @@ class Regime:
         if self.exact:
             return HOLDS_WEAK if lhs == rhs else FAILS
         return HOLDS_WEAK if abs(lhs - rhs) <= self._tau(lhs, rhs) else FAILS
+
+    def status_rows(self, lhs, rhs, strict: bool):
+        """:meth:`status` of float arrays (float regime only), as indices
+        into ``ROW_STATUSES``."""
+        tau = self.tol * (1.0 + np.abs(lhs) + np.abs(rhs))
+        code = np.where(lhs < rhs - tau, 0, 3)  # HOLDS_STRICT, else FAILS
+        if not strict:
+            code[(code == 3) & (np.abs(lhs - rhs) <= tau)] = 1  # HOLDS_WEAK
+        code[lhs <= self.tol] = 2  # VACUOUS
+        return code
 
     def strictly_below(self, lhs, rhs) -> bool:
         """lhs < rhs, by more than the tau slack."""

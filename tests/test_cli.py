@@ -129,9 +129,16 @@ class TestMalformedValues:
         ("condition", {**_MOEBIUS_GAUGE, "sampling": {"count": 10, "seed": -1}}),
         ("gauge", {"gauge": "ratio1", "gauge_check": {"grid": [1.0, "nan"]}}),
         ("gauge", {"gauge": "ratio1", "gauge_check": {"grid": [1.0, float("inf")]}}),
+        ("condition", {"space": "perimeter-r", "map": "moebius",
+                       "condition": {"id": "C-Q", "q": 0.5},
+                       "sampling": {"count": 10, "range": [0, 1e400]}}),
+        ("condition", {"space": "perimeter-r", "map": "moebius",
+                       "condition": {"id": "C-Q", "q": 0.5},
+                       "sampling": {"count": 10, "range": [-1e308, 1e308]}}),
     ], ids=["count", "eps_stop", "map-param", "weight-param", "table-entry", "q", "scales",
             "sampling-section", "gauge_check-section", "violate-section", "grid-scalar",
-            "scales-scalar", "q_grid-scalar", "negative-seed", "grid-nan", "grid-inf"])
+            "scales-scalar", "q_grid-scalar", "negative-seed", "grid-nan", "grid-inf",
+            "range-inf", "range-span"])
     def test_exit_two(self, tmp_path, capsys, command, config):
         table = tmp_path / "bad.txt"
         table.write_text("2\n0 x\nx 0\n")
@@ -146,6 +153,17 @@ class TestMalformedValues:
         code, _ = run(tmp_path, "condition", config, extra=("--seed", "-1"))
         assert code == 2
         assert "malformed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, config", [
+        ("condition", {**_MOEBIUS_GAUGE, "sampling": {"count": 10}}),
+        ("axioms", {"space": "drop-z"}),
+    ], ids=["condition", "axioms"])
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+    def test_tol_flag_exit_two(self, tmp_path, capsys, command, config, tol):
+        code, out = run(tmp_path, command, config, extra=("--tol", tol))
+        assert code == 2
+        assert "malformed --tol" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestNonStringSelectors:

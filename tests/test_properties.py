@@ -1,6 +1,6 @@
 """Property-based tests for the structural invariants."""
 from fractions import Fraction
-from itertools import islice, permutations
+from itertools import islice, permutations, product
 
 from hypothesis import given, settings, strategies as st
 
@@ -63,6 +63,75 @@ class TestOracleRelabeling:
                       for r in (gm.exhaustive_theorem_check(sp, theorem, params)
                                 for sp in (original, relabeled))]
             assert counts[0] == counts[1], theorem
+
+
+MAJORANT_SPECS = [
+    gm.ConditionSpec(id="C-Q", q=Fraction(1, 2)),
+    gm.ConditionSpec(id="C-Q", q=Fraction(9, 10), a=catalog.get_aux("reciprocal-cap-2")),
+    gm.ConditionSpec(id="C-UNIT", a=catalog.get_aux("constant-1/3")),
+    gm.ConditionSpec(id="C-GAUGE", h=catalog.get_gauge("ratio1")),
+    gm.ConditionSpec(id="C-GAUGE", h=catalog.get_gauge("half"),
+                     a=catalog.get_aux("constant-1/3")),
+    gm.ConditionSpec(id="C-GAUGE", h=catalog.get_gauge("linear-9/10")),
+]
+EXTENSION_PARAMS = [{"alpha": Fraction(2)}, {"beta": Fraction(2, 3)}, {"delta": Fraction(1, 2)}]
+
+
+def _ext_verdict(space, smap, triple, params):
+    v = gm.eval_extension(space, smap, *triple, **params)
+    return v.i or v.ii or v.iii
+
+
+def _verdict_values(v):
+    return v.status, v.lhs, v.rhs, v.excluded_terms
+
+
+@st.composite
+def exact_spaces_and_maps(draw):
+    """A max or perimeter space on a random rational table, and a random self-map."""
+    metric = draw(rational_metrics())
+    construction = draw(st.sampled_from(["max", "perimeter"]))
+    m = metric.size
+    table = draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))
+    space = gm.build_gmetric(metric, construction)
+    return metric, construction, space, gm.table_self_map(space, table)
+
+
+class TestExactVerdictSymmetries:
+    """Exact regime: G of both constructions is symmetric in its arguments,
+    so is every majorant and extension term, and the extension conditions
+    are homogeneous of degree 1 in G."""
+
+    @given(exact_spaces_and_maps())
+    @settings(max_examples=20, deadline=None)
+    def test_verdicts_invariant_under_argument_permutation(self, case):
+        _, _, space, smap = case
+        m = space.carrier.size
+        for triple in product(range(m), repeat=3):
+            perms = list(permutations(triple))
+            for params in EXTENSION_PARAMS:
+                got = {_verdict_values(_ext_verdict(space, smap, p, params)) for p in perms}
+                assert len(got) == 1, (triple, params)
+            if triple[0] == triple[1]:
+                continue
+            for spec in MAJORANT_SPECS:
+                got = {_verdict_values(gm.eval_condition(space, smap, spec, *p))
+                       for p in perms if p[0] != p[1]}
+                assert len(got) == 1, (triple, spec)
+
+    @given(exact_spaces_and_maps(), st.integers(1, 12), st.integers(1, 12))
+    @settings(max_examples=20, deadline=None)
+    def test_extension_verdicts_invariant_under_scaling(self, case, num, den):
+        metric, construction, space, smap = case
+        c = Fraction(num, den)
+        scaled = gm.build_gmetric(
+            gm.FiniteMetric.from_rows([[c * v for v in row] for row in metric.d]), construction)
+        m = space.carrier.size
+        for triple in product(range(m), repeat=3):
+            for params in EXTENSION_PARAMS:
+                v = _ext_verdict(space, smap, triple, params)
+                w = _ext_verdict(scaled, smap, triple, params)
+                assert (w.status, w.lhs, w.rhs) == (v.status, c * v.lhs, c * v.rhs)
 
 
 class TestConstructionAxioms:
