@@ -666,13 +666,14 @@ def certify_on_samples(space: GMetricSpace, smap: SelfMap, spec: ConditionSpec,
 
 
 def _float_factor(v) -> bool:
-    """``v * t`` on a float t is ``float(v) * t``, and v == 0 just when float(v) == 0."""
+    """``v * t`` on a float t is ``float(v) * t``."""
     if not isinstance(v, (int, float, Fraction)):
         return False
     try:
-        return (float(v) == 0) == (v == 0)
+        float(v)
     except OverflowError:
         return False
+    return True
 
 
 def _masked_div(num, den):

@@ -1,9 +1,9 @@
 """Seeded, reproducible point and triple sampling.
 
 All randomness flows through a numpy Generator seeded from the run
-config, so identical seeds give identical certificate inputs.  Points are
-drawn in blocks, one Generator call per block; a block draw gives, in C
-order, the same values as one scalar draw per point.
+config, so identical seeds give identical certificate inputs.  Points of
+a real carrier are drawn in blocks, one Generator call per block; a block
+draw gives, in C order, the same values as one scalar draw per point.
 """
 from __future__ import annotations
 
@@ -75,18 +75,28 @@ def triple_stream(space: GMetricSpace, seed: int = DEFAULT_SEED,
                   tol: float = DEFAULT_TOL):
     """Endless stream of point triples (x, y, z) with x != y.
 
-    Triples are drawn ``BLOCK`` at a time; a triple whose first two points
-    coincide, per the arithmetic regime's guard with ``tol``, is dropped,
-    which is what redrawing it one point at a time would give.  Points are
-    Python values: ``int`` indices, ``float`` scalars or tuples of floats.
+    On a real carrier triples are drawn ``BLOCK`` at a time; a triple whose
+    first two points coincide, per the arithmetic regime's guard with
+    ``tol``, is dropped, which is what redrawing it one point at a time
+    would give.  A finite carrier, whose certificates run the scalar loop,
+    draws one index per Generator call and redraws such a triple, so
+    Generator calls per triple (perfbench's ``sampling.draws_per_triple``)
+    still count its redraws.  Points are Python values: ``int`` indices,
+    ``float`` scalars or tuples of floats.
     """
     lo, hi = _clip_range(space, lo, hi)
     rng = make_rng(seed)
     carrier = space.carrier
     if isinstance(carrier, FiniteCarrier) and carrier.size < 2:
         raise ParameterError("cannot draw distinct pairs from a 1-point carrier")
-    distinct = Regime(space, tol).distinct_rows
-    tuple_points = isinstance(carrier, RealCarrier) and carrier.dim > 1
+    regime = Regime(space, tol)
+    if isinstance(carrier, FiniteCarrier):
+        while True:
+            x, y, z = (int(rng.integers(0, carrier.size)) for _ in range(3))
+            if regime.distinct(x, y):
+                yield (x, y, z)
+    distinct = regime.distinct_rows
+    tuple_points = carrier.dim > 1
     while True:
         block = _draw_block(rng, carrier, lo, hi, (BLOCK, 3))
         kept = block[distinct(block[:, 0], block[:, 1])]

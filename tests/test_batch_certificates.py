@@ -88,6 +88,17 @@ class TestBatchEqualsScalar:
             assert reports.certificate_dict(batch) == reports.certificate_dict(scalar)
             assert batch == scalar
 
+    @pytest.mark.parametrize("spec", [gm.ConditionSpec(id="C-Q", q=Fraction(1, 10**400)),
+                                      gm.ConditionSpec(id="EXT-III", delta=Fraction(1, 10**400))],
+                             ids=["c-q", "ext-iii"])
+    def test_factor_that_rounds_to_zero(self, spec):
+        # float(q) == 0.0 though q != 0: both paths multiply by 0.0
+        space = catalog.space_absmax()
+        batch, scalar = _both_paths(space, catalog.get_map("scale-2", space), spec,
+                                    seed=1, count=500)
+        assert batch.fails == 500
+        assert batch == scalar
+
     def test_ties_at_the_tolerance(self):
         # identity map, h = c * t1: lhs - rhs = (1 - c) * G(x, y, z), which
         # sits on both sides of tau = tol * (1 + |lhs| + |rhs|) for G in [0, 3]
@@ -266,6 +277,42 @@ class TestBlockSampler:
             rng = np.random.default_rng(m)
             expected = [_draw_point(rng, space.carrier, 0.0, 1.0) for _ in range(12)]
             assert sampling.sample_points(space, 12, seed=m) == expected, m
+
+    @pytest.mark.parametrize("space, calls", [
+        (catalog.space_absmax(), 2),
+        (catalog.space_finite_uniform(5), None),
+    ], ids=["real-blocks", "finite-per-point"])
+    def test_generator_calls(self, monkeypatch, space, calls):
+        """Real carriers draw a block per Generator call; finite carriers
+        draw one index per call, so redraws show in calls per triple."""
+        counted = []
+
+        class Counting:
+            def __init__(self, rng):
+                self._rng = rng
+
+            def uniform(self, *args, **kwargs):
+                counted.append(1)
+                return self._rng.uniform(*args, **kwargs)
+
+            def integers(self, *args, **kwargs):
+                counted.append(1)
+                return self._rng.integers(*args, **kwargs)
+
+        make_rng = sampling.make_rng
+        monkeypatch.setattr(sampling, "make_rng", lambda seed: Counting(make_rng(seed)))
+        n = sampling.BLOCK + 1
+        triples = list(islice(sampling.triple_stream(space, seed=4), n))
+        scalar = list(islice(_scalar_stream(space, 4, 0.0, 100.0, 1e-12), n))
+        assert triples == scalar
+        if calls is None:  # three calls per triple tried, x == y ones included
+            rng, tried, kept = np.random.default_rng(4), 0, 0
+            while kept < n:
+                x, y, _ = rng.integers(0, 5, size=3)
+                tried, kept = tried + 1, kept + (x != y)
+            calls = 3 * tried
+            assert tried > n
+        assert len(counted) == calls
 
     @pytest.mark.parametrize("lo, hi", [(0.0, float("inf")), (float("nan"), 1.0),
                                         (-1e308, 1e308)])
