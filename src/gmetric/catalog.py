@@ -84,11 +84,8 @@ def standard_sample(space: GMetricSpace):
     """Default point sample used for sampled axiom checks."""
     if isinstance(space.carrier, FiniteCarrier):
         return list(range(space.carrier.size))
-    pts = [0.0, 0.5, 1.0, 2.0, 3.7, 10.0, 100.0]
-    lo = space.carrier.lo
-    if lo is not None:
-        pts = [p for p in pts if p >= lo]
-    return pts
+    lo, hi = space.carrier.span
+    return [p for p in (0.0, 0.5, 1.0, 2.0, 3.7, 10.0, 100.0) if lo <= p <= hi]
 
 
 def _parse_param(name: str, prefix: str, kind=Fraction):
@@ -127,7 +124,7 @@ def get_map(name: str, space: GMetricSpace) -> SelfMap:
                        apply_batch=lambda a: np.where(a <= 1.0, 0.0, 1.0))
     if name.startswith("scale-"):
         c = _parse_param(name, "scale-", float)
-        if carrier.lo is not None and carrier.lo >= 0 and c < 0:
+        if carrier.span[0] >= 0 and c < 0:
             raise ConfigError(f"scale factor {c} leaves the carrier")
 
         def scale(x):  # elementwise on arrays as written

@@ -32,6 +32,7 @@ contraction factor for beta >= 3/4, where its middle factor reaches 1.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -595,17 +596,18 @@ def certify_on_samples(space: GMetricSpace, smap: SelfMap, spec: ConditionSpec,
     The sampler must respect the x != y constraint for the majorant
     conditions.  The worst violations (up to ``worst_cap``) are kept,
     canonically ordered by decreasing violation then triple, so the
-    aggregate does not depend on how the stream was partitioned.  At most
-    2 * ``worst_cap`` failing verdicts are held at a time, whatever ``count`` is.
+    aggregate does not depend on how the stream was partitioned.
 
-    Where :func:`_batch_evaluator` applies (float G on a one-dimensional
-    real carrier, with batch forms of G, the map and the gauge), the
-    stream is read ``BLOCK`` triples at a time and each chunk is evaluated
-    with numpy, operation for operation as the scalar path does, so the
-    certificate is identical.  A chunk the batch form refuses (a point or
-    image outside the carrier, x == y, a value that is not finite) goes
-    through the scalar path, which raises where it always did.  Memory is
-    O(``BLOCK`` + ``worst_cap``) on both paths.
+    One loop reads the stream ``BLOCK`` triples at a time.  Where
+    :func:`_batch_evaluator` applies (float G on a one-dimensional real
+    carrier, with batch forms of G, the map and the gauge), a chunk is
+    evaluated with numpy, operation for operation as the scalar path does.
+    Any other chunk, or one the batch form refuses (a point or image
+    outside the carrier, x == y, a value that is not finite), takes the
+    scalar path, which raises where it always did.  Both give the chunk's
+    status counts, excluded-M3 count and failing verdicts, and the worst
+    list is cut per chunk, so at most ``BLOCK`` + ``worst_cap`` verdicts
+    are held at a time, whatever ``count`` is.
     """
     if worst_cap < 0:
         raise ParameterError("worst_cap must be nonnegative")
@@ -614,55 +616,38 @@ def certify_on_samples(space: GMetricSpace, smap: SelfMap, spec: ConditionSpec,
     majorant = spec.id in MAJORANT_IDS
     batch = _batch_evaluator(space, smap, spec, ctx.regime, worst_cap)
 
-    tallies = dict.fromkeys(ROW_STATUSES, 0)
-    worst = []
-    excluded = 0
-    checked = 0
-
-    def keep(verdict):
-        worst.append(verdict)
-        if len(worst) >= 2 * worst_cap:
-            worst.sort(key=_triple_sort_key)
-            del worst[worst_cap:]
-
-    def scalar(triples):
-        nonlocal excluded, checked
-        norm = space.carrier
-        for (x, y, z) in triples:
-            xn, yn, zn = normalize_point(norm, x), normalize_point(norm, y), normalize_point(norm, z)
+    def scalar(chunk):
+        counts, excluded, fails = dict.fromkeys(ROW_STATUSES, 0), 0, []
+        c = space.carrier
+        for (x, y, z) in chunk:
+            xn, yn, zn = normalize_point(c, x), normalize_point(c, y), normalize_point(c, z)
             if majorant and not distinct(xn, yn):
                 raise DomainError("sampler produced a triple with x == y")
             verdict = _eval_spec(ctx, spec, xn, yn, zn)
-            checked += 1
-            tallies[verdict.status] += 1
+            counts[verdict.status] += 1
             excluded += len(verdict.excluded_terms)
             if verdict.status == FAILS:
-                keep(verdict)
+                fails.append(verdict)
+        return list(counts.values()), excluded, fails
 
+    tallies = dict.fromkeys(ROW_STATUSES, 0)
+    worst = []
+    excluded = 0
     triples = islice(sampler, count)
-    if batch is None:
-        scalar(triples)
-    else:
-        for chunk in iter(lambda: list(islice(triples, BLOCK)), []):
-            out = batch(chunk)
-            if out is None:
-                scalar(chunk)
-            else:
-                counts, chunk_excluded, fails = out
-                for status, n in zip(ROW_STATUSES, counts):
-                    tallies[status] += n
-                excluded += chunk_excluded
-                checked += len(chunk)
-                for verdict in fails:
-                    keep(verdict)
-            del chunk  # else it lives on while the next one is read
+    for chunk in iter(lambda: list(islice(triples, BLOCK)), []):
+        counts, chunk_excluded, fails = (batch and batch(chunk)) or scalar(chunk)
+        for status, n in zip(ROW_STATUSES, counts):
+            tallies[status] += n
+        excluded += chunk_excluded
+        # equal to sorted(worst + fails, key=...)[:worst_cap], ties included
+        worst = heapq.nsmallest(worst_cap, worst + fails, key=_triple_sort_key)
+        del chunk, fails  # else they live on while the next chunk is read
 
-    worst.sort(key=_triple_sort_key)
     return Certificate(
-        condition_id=spec.id, params=spec.params_label(), checked=checked,
+        condition_id=spec.id, params=spec.params_label(), checked=sum(tallies.values()),
         holds_strict=tallies[HOLDS_STRICT], holds_weak=tallies[HOLDS_WEAK],
         vacuous=tallies[VACUOUS], fails=tallies[FAILS],
-        worst=worst[:worst_cap], excluded_term_count=excluded)
+        worst=worst, excluded_term_count=excluded)
 
 
 def _float_factor(v) -> bool:
@@ -719,19 +704,19 @@ def _batch_evaluator(space: GMetricSpace, smap: SelfMap, spec: ConditionSpec,
     g, t = space.g_batch, smap.apply_batch
     rows = _majorant_rows if spec.id in MAJORANT_IDS else _extension_rows
     strict = spec.id in ("C-Q", "C-UNIT")
+    lo, hi = carrier.span
 
     def in_carrier(a) -> bool:
-        return bool(np.isfinite(a).all()
-                    and (carrier.lo is None or (a >= carrier.lo).all())
-                    and (carrier.hi is None or (a <= carrier.hi).all()))
+        return bool(((a >= lo) & (a <= hi)).all())
 
     def evaluate(chunk):
         p = _float_rows(chunk)
-        if p is None or not in_carrier(p):
+        if p is None:
             return None
         # Python floats overflow to inf and give nan silently; every division is masked.
         with np.errstate(over="ignore", invalid="ignore"):
-            if spec.id in MAJORANT_IDS and not reg.distinct_rows(p[0], p[1]).all():
+            if not in_carrier(p) or (spec.id in MAJORANT_IDS
+                                     and not reg.distinct_rows(p[0], p[1]).all()):
                 return None
             tp = t(p)
             out = rows(g, spec, reg, p, tp) if in_carrier(tp) else None

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import math
-import sys
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -26,6 +25,7 @@ from .spaces import (
     Point,
     RealCarrier,
     Verdict,
+    _FLOAT_MAX,
     _validate_value,
     coord_distance,
     format_point,
@@ -35,8 +35,6 @@ from .spaces import (
 )
 
 DEFAULT_TRACE_MAX = 100_000
-
-_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -102,33 +100,28 @@ def _validated_step(space: GMetricSpace, smap: SelfMap) -> Callable:
 
     The image is normalized against the carrier and the gap validated, so a
     run raises DomainError at the step where an image leaves the carrier or
-    G is not finite.  On a one-dimensional real carrier an in-bounds float
-    image and a finite float gap pass by two comparisons; any other value
-    takes the full normalization or validation, which converts it or raises.
+    G is not finite.  A float image inside the float range of the carrier
+    (:attr:`RealCarrier.span` on a one-dimensional real carrier, empty on
+    any other) and a finite float gap of a float space pass by two
+    comparisons each; any other value takes the full normalization or
+    validation, which converts it or raises.
     """
     if smap.domain != space.carrier:
         raise DomainError("map domain does not match the space carrier")
     carrier, apply, g = space.carrier, smap.apply, space.g
+    empty = (_FLOAT_MAX, -_FLOAT_MAX)  # no float lies in it
+    lo, hi = carrier.span if isinstance(carrier, RealCarrier) and carrier.dim == 1 else empty
+    g_lo, g_hi = empty if space.exact else (-_FLOAT_MAX, _FLOAT_MAX)
 
-    if not (isinstance(carrier, RealCarrier) and carrier.dim == 1):
-        def step(x):
-            x1 = normalize_point(carrier, apply(x))
-            return x1, _validate_value(space, g(x, x1, x1))
-        return step
-
-    # Finite bounds also reject inf and nan images in the same comparison.
-    lo = -_FLOAT_MAX if carrier.lo is None else max(carrier.lo, -_FLOAT_MAX)
-    hi = _FLOAT_MAX if carrier.hi is None else min(carrier.hi, _FLOAT_MAX)
-
-    def float_step(x):
+    def step(x):
         x1 = apply(x)
         if type(x1) is not float or not lo <= x1 <= hi:
             x1 = normalize_point(carrier, x1)
         gap = g(x, x1, x1)
-        if type(gap) is not float or not -_FLOAT_MAX <= gap <= _FLOAT_MAX:
+        if type(gap) is not float or not g_lo <= gap <= g_hi:
             gap = _validate_value(space, gap)
         return x1, gap
-    return float_step
+    return step
 
 
 def orbit(space: GMetricSpace, smap: SelfMap, x0, n: int) -> OrbitTrace:

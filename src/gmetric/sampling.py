@@ -59,10 +59,8 @@ def _clip_range(space: GMetricSpace, lo: float, hi: float):
     if isinstance(c, RealCarrier):
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ParameterError(f"malformed sampling.range [{lo}, {hi}]: bounds must be finite")
-        if c.lo is not None:
-            lo = max(lo, c.lo)
-        if c.hi is not None:
-            hi = min(hi, c.hi)
+        c_lo, c_hi = c.span
+        lo, hi = max(lo, c_lo), min(hi, c_hi)
         if not lo < hi:
             raise ParameterError(f"empty sampling range [{lo}, {hi}]")
         if not math.isfinite(hi - lo):

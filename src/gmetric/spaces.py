@@ -13,6 +13,7 @@ no tolerance).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
@@ -26,6 +27,7 @@ from .errors import DomainError, ParameterError
 Point = Union[float, int, tuple]
 
 DEFAULT_TOL = 1e-12
+_FLOAT_MAX = sys.float_info.max
 
 FLOAT = "float"
 EXACT = "exact"
@@ -55,6 +57,14 @@ class RealCarrier:
     dim: int = 1
     lo: Optional[float] = None
     hi: Optional[float] = None
+
+    @property
+    def span(self) -> tuple:
+        """(lo, hi) clipped to the finite floats, the float extremes where a
+        bound is absent, so ``lo <= v <= hi`` also rejects nan and inf."""
+        lo = -_FLOAT_MAX if self.lo is None else max(self.lo, -_FLOAT_MAX)
+        hi = _FLOAT_MAX if self.hi is None else min(self.hi, _FLOAT_MAX)
+        return lo, hi
 
 
 @dataclass(frozen=True)
