@@ -93,7 +93,7 @@ def _parse_param(name: str, prefix: str, kind=Fraction):
     raw = name[len(prefix):]
     try:
         return kind(raw)
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise ConfigError(f"malformed parameter {raw!r} in {name!r}") from None
 
 
@@ -117,7 +117,7 @@ def get_map(name: str, space: GMetricSpace) -> SelfMap:
     if carrier.dim != 1:
         raise ConfigError(f"map {name!r} needs a one-dimensional carrier")
     if name == "moebius":
-        return SelfMap(domain=carrier, apply=lambda x: x / (x + 1.0), name="moebius",
+        return SelfMap(domain=carrier, apply=_moebius, name="moebius",
                        apply_batch=_moebius_batch)
     if name == "step":
         return SelfMap(domain=carrier, apply=lambda x: 0.0 if x <= 1.0 else 1.0, name="step",
@@ -135,6 +135,12 @@ def get_map(name: str, space: GMetricSpace) -> SelfMap:
 
 def _identity(p):  # elementwise on arrays as written
     return p
+
+
+def _moebius(x):
+    """x / (x + 1.0), and nan where x + 1.0 is zero, as :func:`_moebius_batch` gives."""
+    d = x + 1.0
+    return x / d if d != 0 else np.nan
 
 
 def _moebius_batch(x):
@@ -176,9 +182,10 @@ def get_gauge(name: str) -> GaugeFunction:
         c = _parse_param(name, "linear-")
         if not 0 <= c:
             raise ConfigError("linear gauge factor must be nonnegative")
-        # Fraction * float is float(Fraction) * float
+        # Fraction * float is float(Fraction) * float, which must not overflow
+        c_float = _parse_param(name, "linear-", lambda raw: float(Fraction(raw)))
         return GaugeFunction(evaluate=lambda t1, t2, t3: c * t1, name=name,
-                             evaluate_batch=lambda t1, t2, t3: float(c) * t1)
+                             evaluate_batch=lambda t1, t2, t3: c_float * t1)
     raise ConfigError(f"unknown gauge {name!r}")
 
 

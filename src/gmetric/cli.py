@@ -109,11 +109,13 @@ def resolve_map(cfg: dict, space: GMetricSpace):
 
 
 def _number(kind, value, what: str):
-    """``kind(value)`` for a config value; a malformed value is a ConfigError."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        raise ConfigError(f"malformed {what}: {value!r}") from None
+    """``kind(value)`` for a config value; a boolean or malformed value is a ConfigError."""
+    if not isinstance(value, bool):
+        try:
+            return kind(value)
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            pass
+    raise ConfigError(f"malformed {what}: {value!r}")
 
 
 def _shaped(value, kind, default, what: str):

@@ -239,12 +239,12 @@ def _hypothesis_holds(ctx: _EvalContext, specs, triples) -> bool:
 
 
 def _as_fraction(v, name: str) -> Fraction:
-    if isinstance(v, (Fraction, int, str, float)):
+    if isinstance(v, (Fraction, int, str, float)) and not isinstance(v, bool):
         try:
             return Fraction(str(v) if isinstance(v, float) else v)
         except (ValueError, ZeroDivisionError):
             pass
-    raise ParameterError(f"{name} must be rational-valued, got {v!r}")
+    raise ParameterError(f"malformed {name}: {v!r} is not rational-valued")
 
 
 def exhaustive_theorem_check(space: GMetricSpace, theorem_id: str,

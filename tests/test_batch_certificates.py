@@ -186,6 +186,16 @@ class TestBatchErrors:
             with pytest.raises(gm.DomainError, match="x == y"):
                 gm.certify_on_samples(space, smap, spec, iter(triples), 11)
 
+    @pytest.mark.parametrize("triple", [(1.0, 2.0, float("nan")), (float("inf"), 2.0, 3.0),
+                                        (-1.0, 2.0, 3.0)], ids=["nan", "inf", "nan-image"])
+    def test_non_finite_point_or_image(self, triple):
+        # on the whole line moebius maps -1 to nan; nan compares silently
+        space = catalog.space_perimeter()
+        spec = gm.ConditionSpec(id="C-UNIT")
+        with pytest.raises(gm.DomainError, match="non-finite coordinate"):
+            gm.certify_on_samples(space, catalog.get_map("moebius", space), spec,
+                                  iter([(0.5, 1.5, 2.5)] * 10 + [triple]), 11)
+
     def test_non_float_points_take_the_scalar_path(self):
         space = catalog.space_absmax()
         smap = catalog.get_map("moebius", space)

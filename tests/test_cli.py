@@ -135,10 +135,16 @@ class TestMalformedValues:
         ("condition", {"space": "perimeter-r", "map": "moebius",
                        "condition": {"id": "C-Q", "q": 0.5},
                        "sampling": {"count": 10, "range": [-1e308, 1e308]}}),
+        ("gauge", {"gauge": "linear-1e400"}),
+        ("oracle", {"space": "finite-uniform-3", "theorem": {"id": "THM-2.12", "alpha": True}}),
+        ("condition", {"space": "absmax", "map": "moebius",
+                       "condition": {"id": "EXT-I", "alpha": True}}),
+        ("condition", {**_MOEBIUS_GAUGE, "sampling": {"count": True}}),
     ], ids=["count", "eps_stop", "map-param", "weight-param", "table-entry", "q", "scales",
             "sampling-section", "gauge_check-section", "violate-section", "grid-scalar",
             "scales-scalar", "q_grid-scalar", "negative-seed", "grid-nan", "grid-inf",
-            "range-inf", "range-span"])
+            "range-inf", "range-span", "gauge-factor-overflow", "theorem-bool",
+            "condition-bool", "count-bool"])
     def test_exit_two(self, tmp_path, capsys, command, config):
         table = tmp_path / "bad.txt"
         table.write_text("2\n0 x\nx 0\n")
@@ -278,6 +284,14 @@ class TestSolveCommand:
         assert code == 0
         cert = read_json(out / "solve.json")["certificate"]
         assert cert["candidate"] == 3.0 and cert["iterations"] <= 1
+
+    def test_image_at_a_pole_exit_two(self, tmp_path, capsys):
+        # moebius divides by x + 1, which is 0 at x0 = -1 on the whole line
+        code, _ = run(tmp_path, "solve", {
+            "space": "perimeter-r", "map": "moebius", "solver": {"x0": -1.0},
+        })
+        assert code == 2
+        assert "non-finite coordinate nan" in capsys.readouterr().err
 
     def test_non_convergence_exit_one(self, tmp_path):
         code, out = run(tmp_path, "solve", {

@@ -1,12 +1,14 @@
 """Contractive-condition evaluators, gauges, factors, and certificates."""
 import tracemalloc
+from fractions import Fraction
 from itertools import islice
 
+import numpy as np
 import pytest
 
 import gmetric as gm
 from gmetric import catalog, sampling
-from gmetric.conditions import FAILS, HOLDS_STRICT, VACUOUS
+from gmetric.conditions import FAILS, HOLDS_STRICT, VACUOUS, _triple_sort_key
 from gmetric.spaces import FAIL, PASS
 
 
@@ -354,6 +356,53 @@ class TestCertify:
         peak(100)  # first-call allocations
         small = peak(4_000)
         assert peak(40_000) < 2 * small
+
+
+class TestScalarChunks:
+    """The scalar path reads the stream in BLOCK chunks like the batch path."""
+
+    @pytest.fixture(params=["uniform", "random"])
+    def space(self, request):
+        if request.param == "uniform":  # every violation ties: order by triple alone
+            return catalog.space_finite_uniform(8)
+        metric = gm.random_metric(np.random.default_rng(3), min_size=8, max_size=8)
+        return gm.build_gmetric(metric, "perimeter")
+
+    def test_worst_is_the_head_of_every_failure(self, space):
+        # identity under EXT-III: every triple with x != y fails
+        ident = gm.table_self_map(space, tuple(range(space.carrier.size)))
+        spec = gm.ConditionSpec(id="EXT-III", delta=Fraction(9, 10))
+        count = 2 * sampling.BLOCK + 123
+        triples = list(islice(sampling.triple_stream(space, seed=1), count))
+        fails = sorted((gm.eval_extension(space, ident, *t, delta=spec.delta).iii
+                        for t in triples), key=_triple_sort_key)
+        tallies = set()
+        for cap in (0, 1, 3, 10):
+            cert = gm.certify_on_samples(space, ident, spec, iter(triples), count,
+                                         worst_cap=cap)
+            assert cert.worst == fails[:cap]
+            tallies.add((cert.checked, cert.holds_strict, cert.holds_weak, cert.vacuous,
+                         cert.fails, cert.excluded_term_count))
+        assert tallies == {(count, 0, 0, 0, count, 0)}
+
+    def test_memory_bounded_whatever_the_count(self):
+        space = catalog.space_finite_uniform(8)
+        ident = gm.table_self_map(space, tuple(range(8)))
+        spec = gm.ConditionSpec(id="EXT-III", delta=Fraction(9, 10))
+
+        def peak(count):
+            triples = ((i % 8, (i + 1) % 8, 3 * i % 8) for i in range(count))
+            tracemalloc.start()
+            try:
+                cert = gm.certify_on_samples(space, ident, spec, triples, count)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert cert.fails == count and len(cert.worst) == 10
+            return peak
+
+        peak(100)  # first-call allocations
+        assert peak(40_000) < 2 * peak(4_000)
 
 
 class TestScaleCoherence:
