@@ -604,7 +604,7 @@ def certify_on_samples(space: GMetricSpace, smap: SelfMap, spec: ConditionSpec,
     evaluated with numpy, operation for operation as the scalar path does.
     Any other chunk, or one the batch form refuses (a point or image
     outside the carrier, x == y, a value that is not finite), takes the
-    scalar path, which raises where it always did.  Both give the chunk's
+    scalar path, which raises at the offending triple.  Both give the chunk's
     status counts, excluded-M3 count and failing verdicts, and the worst
     list is cut per chunk, so at most ``BLOCK`` + ``worst_cap`` verdicts
     are held at a time, whatever ``count`` is.

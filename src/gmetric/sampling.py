@@ -76,7 +76,7 @@ def triple_stream(space: GMetricSpace, seed: int = DEFAULT_SEED,
     On a real carrier triples are drawn ``BLOCK`` at a time; a triple whose
     first two points coincide, per the arithmetic regime's guard with
     ``tol``, is dropped, which is what redrawing it one point at a time
-    would give.  A finite carrier, whose certificates run the scalar loop,
+    would give.  A finite carrier, whose certificates take the scalar path,
     draws one index per Generator call and redraws such a triple, so
     Generator calls per triple (perfbench's ``sampling.draws_per_triple``)
     still count its redraws.  Points are Python values: ``int`` indices,
