@@ -33,7 +33,7 @@ from .conditions import (
 )
 # orbit is re-exported, not called: perfbench/tracer.py wraps gmetric.cli.orbit.
 from .dynamics import DEFAULT_TRACE_MAX, orbit, solve_picard, write_trace_csv  # noqa: F401
-from .errors import ConfigError, DomainError, GMetricError, ParameterError
+from .errors import ConfigError, DomainError, GMetricError
 from .oracle import DEFAULT_MAP_CAP, build_gmetric, exhaustive_theorem_check, load_metric_table
 from .spaces import DEFAULT_TOL, FiniteCarrier, GMetricSpace, check_axioms, normalize_point
 
@@ -109,12 +109,16 @@ def resolve_map(cfg: dict, space: GMetricSpace):
 
 
 def _number(kind, value, what: str):
-    """``kind(value)`` for a config value; a boolean or malformed value is a ConfigError."""
+    """``kind(value)`` for a config value; a boolean, a malformed value or a
+    float result that is not finite is a ConfigError."""
     if not isinstance(value, bool):
         try:
-            return kind(value)
+            v = kind(value)
         except (TypeError, ValueError, ZeroDivisionError, OverflowError):
             pass
+        else:
+            if not isinstance(v, float) or math.isfinite(v):
+                return v
     raise ConfigError(f"malformed {what}: {value!r}")
 
 
@@ -144,21 +148,22 @@ def resolve_condition_spec(cfg: dict, space: GMetricSpace) -> ConditionSpec:
     if cid is None:
         raise ConfigError("condition section is missing an id")
     exact = space.exact
-    aux = _catalog_entry(catalog.get_aux, section.get("a", "zero"), "condition.a")
+    a_name = section.get("a", "zero")
+    aux = _catalog_entry(catalog.get_aux, a_name, "condition.a")
+    # the float regime multiplies G values by float(c), so c must fit a float
+    if cid in MAJORANT_IDS and not exact and aux.kind == "constant":
+        _number(lambda _: float(aux.c), a_name, "condition.a")
     gauge = (_catalog_entry(catalog.get_gauge, section["gauge"], "condition.gauge")
              if "gauge" in section else None)
-    try:
-        return ConditionSpec(
-            id=cid,
-            q=_param(section.get("q"), exact, "condition.q"),
-            a=aux if cid in MAJORANT_IDS else None,
-            h=gauge,
-            alpha=_param(section.get("alpha"), exact, "condition.alpha"),
-            beta=_param(section.get("beta"), exact, "condition.beta"),
-            delta=_param(section.get("delta"), exact, "condition.delta"),
-        )
-    except ParameterError as e:
-        raise ConfigError(str(e))
+    return ConditionSpec(
+        id=cid,
+        q=_param(section.get("q"), exact, "condition.q"),
+        a=aux if cid in MAJORANT_IDS else None,
+        h=gauge,
+        alpha=_param(section.get("alpha"), exact, "condition.alpha"),
+        beta=_param(section.get("beta"), exact, "condition.beta"),
+        delta=_param(section.get("delta"), exact, "condition.delta"),
+    )
 
 
 def sampling_settings(cfg: dict, seed_override=None):
@@ -374,6 +379,9 @@ def cmd_violate(cfg: dict, out_dir: str, tol: float, seed_override=None) -> int:
     space = resolve_space(cfg)
     smap = resolve_map(cfg, space)
     base_spec = resolve_condition_spec(cfg, space)
+    if base_spec.id not in MAJORANT_IDS:
+        raise ConfigError(f"violate searches the majorant conditions "
+                          f"({', '.join(MAJORANT_IDS)}), not {base_spec.id}")
     section = _shaped(cfg.get("violate"), dict, {}, "violate")
     scales = [_number(float, s, "violate.scales")
               for s in _shaped(section.get("scales"), list, _VIOLATE_SCALES, "violate.scales")]

@@ -223,7 +223,7 @@ class _EvalContext:
                  tol_base: float = DEFAULT_TOL):
         if smap is not None and smap.domain != space.carrier:
             raise DomainError("map domain does not match the space carrier")
-        self.regime = Regime(space, tol_base)
+        self.regime = Regime(space.exact, tol_base)
         memo = cache if isinstance(space.carrier, FiniteCarrier) else (lambda f: f)
         self.g = memo(partial(raw_g, space))
         self.t = None if smap is None else memo(smap.step)
@@ -418,6 +418,7 @@ def check_gauge_admissible(h: GaugeFunction, ts, n_max: int = 500,
         raise ParameterError("n_max must be at least 1")
     if thresh <= 0:
         raise ParameterError("thresh must be positive")
+    exceeds = Regime(False, tol_base).exceeds
 
     def monotone_failures():  # each variable slot, all grid pairs, other slots on the grid
         for slot in range(3):
@@ -431,7 +432,7 @@ def check_gauge_admissible(h: GaugeFunction, ts, n_max: int = 500,
                             args_hi.insert(slot, hi_t)
                             a = h.evaluate(*args_lo)
                             b = h.evaluate(*args_hi)
-                            if a > b + scaled_tol(tol_base, a, b):
+                            if exceeds(a, b):
                                 yield (slot, lo_t, hi_t, u, v), (a, b)
 
     monotone = _first_failure(monotone_failures())

@@ -24,14 +24,13 @@ from .spaces import (
     PASS,
     Point,
     RealCarrier,
+    Regime,
     Verdict,
     _FLOAT_MAX,
     _validate_value,
-    coord_distance,
     format_point,
     normalize_point,
     raw_g,
-    scaled_tol,
 )
 
 DEFAULT_TRACE_MAX = 100_000
@@ -327,23 +326,12 @@ def probe_injectivity(smap: SelfMap, sample, tol: float = DEFAULT_TOL) -> Verdic
     Finite evidence only, not a proof."""
     if not sample:
         raise ParameterError("injectivity probe requires a nonempty sample")
+    distinct = Regime(isinstance(smap.domain, FiniteCarrier), tol).distinct
     pts = [normalize_point(smap.domain, p) for p in sample]
     images = [smap.step(p) for p in pts]
-    finite = isinstance(smap.domain, FiniteCarrier)
-
-    def flat(p):
-        return p if isinstance(p, tuple) else (p,)
-
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            if finite:
-                distinct, collide = pts[i] != pts[j], images[i] == images[j]
-            else:
-                distinct = coord_distance(pts[i], pts[j]) > scaled_tol(
-                    tol, *flat(pts[i]), *flat(pts[j]))
-                collide = coord_distance(images[i], images[j]) <= scaled_tol(
-                    tol, *flat(images[i]), *flat(images[j]))
-            if distinct and collide:
+            if distinct(pts[i], pts[j]) and not distinct(images[i], images[j]):
                 return Verdict(FAIL, witness=(pts[i], pts[j]),
                                values=(images[i], images[j]),
                                note="finite evidence only")

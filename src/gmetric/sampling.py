@@ -87,7 +87,7 @@ def triple_stream(space: GMetricSpace, seed: int = DEFAULT_SEED,
     carrier = space.carrier
     if isinstance(carrier, FiniteCarrier) and carrier.size < 2:
         raise ParameterError("cannot draw distinct pairs from a 1-point carrier")
-    regime = Regime(space, tol)
+    regime = Regime(space.exact, tol)
     if isinstance(carrier, FiniteCarrier):
         while True:
             x, y, z = (int(rng.integers(0, carrier.size)) for _ in range(3))

@@ -205,8 +205,9 @@ def derived_metric(space: GMetricSpace, x, y):
 class Regime:
     """The arithmetic-regime policy: every exact-or-float comparison lives here.
 
-    Built from ``space.arithmetic`` and the tolerance of one call.  Exact
-    spaces compare literally and never touch floats; float spaces add slack
+    Built from the arithmetic flag (``space.exact``, or whether a map's
+    domain is finite) and the tolerance of one call.  The exact regime
+    compares literally and never touches floats; the float regime adds slack
     built from ``tol`` by one of two formulas, kept apart because merging
     them would change verdicts:
 
@@ -215,15 +216,17 @@ class Regime:
                                          (conditions, uniqueness, weight bound)
 
     ``tol`` must be finite and nonnegative; 0 compares floats literally.
-    The ``*_rows`` methods apply the same formulas elementwise to numpy arrays.
+    The ``*_rows`` methods apply the same formulas elementwise to numpy
+    arrays; they serve the float regime only, as row arrays exist only for
+    real carriers and exact spaces are finite.
     """
 
     __slots__ = ("exact", "tol", "zero", "one")
 
-    def __init__(self, space: GMetricSpace, tol: float = DEFAULT_TOL):
+    def __init__(self, exact: bool, tol: float = DEFAULT_TOL):
         if not (math.isfinite(tol) and tol >= 0):
             raise ParameterError(f"tol must be finite and nonnegative, got {tol!r}")
-        self.exact = space.arithmetic == EXACT
+        self.exact = exact
         self.tol = tol
         self.zero = Fraction(0) if self.exact else 0.0
         self.one = Fraction(1) if self.exact else 1.0
@@ -238,8 +241,6 @@ class Regime:
 
     def distinct_rows(self, p, q):
         """:meth:`distinct` of the rows of two point arrays, shape (n,) or (n, dim)."""
-        if self.exact:
-            return p != q
         gap, scale = np.abs(p - q), np.maximum(np.abs(p), np.abs(q))
         if p.ndim == 2:  # tuple points: Chebyshev gap, largest coordinate
             gap, scale = gap.max(axis=1), scale.max(axis=1)
@@ -297,7 +298,7 @@ class Regime:
 
 def points_distinct(space: GMetricSpace, p: Point, q: Point, tol: float = DEFAULT_TOL) -> bool:
     """Distinctness guard of the space's arithmetic regime (:meth:`Regime.distinct`)."""
-    return Regime(space, tol).distinct(p, q)
+    return Regime(space.exact, tol).distinct(p, q)
 
 
 @dataclass(frozen=True)
@@ -361,7 +362,7 @@ def check_axioms(space: GMetricSpace, sample=None, tol: float = DEFAULT_TOL,
     space does not claim it).
     """
     pts = _axiom_points(space, sample, mode)
-    reg = Regime(space, tol)
+    reg = Regime(space.exact, tol)
     distinct, exceeds = reg.distinct, reg.exceeds
     g = cache(partial(raw_g, space))  # the n^4 loops reuse n^3 keys
 
@@ -450,7 +451,8 @@ def check_symmetry(space: GMetricSpace, sample, tol: float = DEFAULT_TOL) -> Ver
     if not sample:
         raise ParameterError("symmetry check requires a nonempty sample")
     pts = [normalize_point(space.carrier, p) for p in sample]
-    return _first_failure(_symmetry_failures(Regime(space, tol), partial(raw_g, space), pts))
+    reg = Regime(space.exact, tol)
+    return _first_failure(_symmetry_failures(reg, partial(raw_g, space), pts))
 
 
 # Indicator keys follow the quantities of the convergence-equivalence
@@ -512,7 +514,7 @@ def diagnose_sequence(space: GMetricSpace, prefix, candidate=None,
     traces = {"dG_xn_x": [], "G_x_xn_xn": [], "G_xn_x_x": []}
 
     tail = [pts[i] for i in idxs]
-    zero = Regime(space).zero
+    zero = Regime(space.exact).zero
     # Cauchy gap: sup G(x_i, x_j, x_j) over tail pairs i < j, and zero for none
     cauchy = (raw_g(space, p, q, q) for p, q in combinations(tail, 2))
     indicators["cauchy_gap"] = max(chain([zero], cauchy))

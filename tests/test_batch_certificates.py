@@ -240,7 +240,7 @@ def _scalar_stream(space, seed, lo, hi, tol):
     """The sampler as one draw per point, redrawing a triple with x ~ y."""
     lo, hi = sampling._clip_range(space, lo, hi)
     rng = np.random.default_rng(seed)
-    distinct = Regime(space, tol).distinct
+    distinct = Regime(space.exact, tol).distinct
     while True:
         x, y, z = (_draw_point(rng, space.carrier, lo, hi) for _ in range(3))
         if distinct(x, y):
@@ -338,8 +338,8 @@ class TestTolerance:
     @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0])
     def test_regime_rejects(self, tol):
         with pytest.raises(gm.ParameterError, match="tol must be finite and nonnegative"):
-            Regime(catalog.space_absmax(), tol)
+            Regime(catalog.space_absmax().exact, tol)
 
     def test_zero_is_legal(self):
-        assert Regime(catalog.space_finite_uniform(3), 0.0).tol == 0.0
-        assert Regime(catalog.space_absmax(), 0).distinct(1.0, 1.0 + 1e-15)
+        assert Regime(catalog.space_finite_uniform(3).exact, 0.0).tol == 0.0
+        assert Regime(catalog.space_absmax().exact, 0).distinct(1.0, 1.0 + 1e-15)

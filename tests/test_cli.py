@@ -140,11 +140,22 @@ class TestMalformedValues:
         ("condition", {"space": "absmax", "map": "moebius",
                        "condition": {"id": "EXT-I", "alpha": True}}),
         ("condition", {**_MOEBIUS_GAUGE, "sampling": {"count": True}}),
+        ("solve", {"space": "absmax", "map": "scale-2",
+                   "solver": {"x0": 1.0, "eps_stop": float("inf"), "max_iter": 50}}),
+        ("solve", {"space": "absmax", "map": "moebius",
+                   "solver": {"x0": 1.0, "eps_stop": "nan"}}),
+        ("gauge", {"gauge": "identity-diag", "gauge_check": {"thresh": "inf"}}),
+        ("violate", {"space": "absmax", "map": "moebius",
+                     "condition": {"id": "C-Q", "q": 0.5}, "violate": {"scales": ["nan"]}}),
+        ("condition", {"space": "absmax", "map": "moebius",
+                       "condition": {"id": "C-Q", "q": 0.5, "a": "constant-1e400"},
+                       "sampling": {"count": 10}}),
     ], ids=["count", "eps_stop", "map-param", "weight-param", "table-entry", "q", "scales",
             "sampling-section", "gauge_check-section", "violate-section", "grid-scalar",
             "scales-scalar", "q_grid-scalar", "negative-seed", "grid-nan", "grid-inf",
             "range-inf", "range-span", "gauge-factor-overflow", "theorem-bool",
-            "condition-bool", "count-bool"])
+            "condition-bool", "count-bool", "eps_stop-inf", "eps_stop-nan", "thresh-inf",
+            "scales-nan", "weight-overflow"])
     def test_exit_two(self, tmp_path, capsys, command, config):
         table = tmp_path / "bad.txt"
         table.write_text("2\n0 x\nx 0\n")
@@ -341,6 +352,25 @@ class TestOracleCommand:
         assert code == 0
         assert read_json(out / "oracle.json")["report"]["maps_total"] == 27
 
+    def test_inadmissible_gauge_counterexamples(self, tmp_path, capsys):
+        # identity-diag has g(t) = t, so its hypothesis admits maps without a
+        # unique fixed point or with a cycle
+        code, out = run(tmp_path, "oracle", {
+            "space": "finite-uniform-3",
+            "theorem": {"id": "THM-2.10", "gauge": "identity-diag"},
+        })
+        assert code == 1
+        rep = read_json(out / "oracle.json")["report"]
+        assert (rep["maps_total"], rep["maps_satisfying_hypothesis"],
+                rep["conclusion_holds"]) == (27, 6, 0)
+        clauses = [(tuple(c["map"]), c["violated_clause"]) for c in rep["counterexamples"]]
+        assert clauses[0] == ((0, 1, 2), "fixed-point-not-unique")
+        assert rep["counterexamples"][0]["witness"] == {"fixed_points": [0, 1, 2]}
+        assert [c for _, c in clauses[1:]] == ["orbit-not-convergent"] * 5
+        printed = capsys.readouterr().out
+        assert "counterexamples=6" in printed
+        assert printed.count("  counterexample map=") == 3
+
     def test_cap_exceeded_exit_two(self, tmp_path):
         code, _ = run(tmp_path, "oracle", {
             "space": "finite-uniform-6",
@@ -383,6 +413,15 @@ class TestOracleCommand:
 
 
 class TestViolateCommand:
+    def test_extension_condition_exit_two(self, tmp_path, capsys):
+        code, out = run(tmp_path, "violate", {
+            "space": "absmax", "map": "moebius",
+            "condition": {"id": "EXT-III", "delta": 0.5},
+        })
+        assert code == 2
+        assert "(C-Q, C-UNIT, C-GAUGE), not EXT-III" in capsys.readouterr().err
+        assert not (out / "violate.json").exists()
+
     def test_moebius_q_grid(self, tmp_path):
         code, out = run(tmp_path, "violate", {
             "space": "absmax", "map": "moebius",

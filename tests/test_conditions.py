@@ -238,6 +238,11 @@ class TestGaugeAdmissibility:
         with pytest.raises(gm.ParameterError, match="malformed"):
             gm.check_gauge_admissible(catalog.get_gauge("half"), [1.0, bad])
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0])
+    def test_bad_tol_rejected(self, tol):
+        with pytest.raises(gm.ParameterError, match="tol must be finite and nonnegative"):
+            gm.check_gauge_admissible(catalog.get_gauge("half"), GRID, tol_base=tol)
+
 
 class TestUniqueness:
     def test_halving_first_separation_holds(self, absmax, halving):

@@ -250,6 +250,35 @@ class TestInjectivityProbe:
         v = gm.probe_injectivity(square, [-1.0, 1.0])
         assert v.status == FAIL
 
+    def test_finite_permutation_passes(self):
+        perm = gm.table_self_map(catalog.space_finite_uniform(4), (2, 0, 3, 1))
+        v = gm.probe_injectivity(perm, [0, 1, 2, 3])
+        assert v.status == PASS
+        assert v.values == (4,)
+
+    def test_finite_collapse_fails_with_witness(self):
+        collapse = gm.table_self_map(catalog.space_finite_uniform(4), (0, 2, 1, 2))
+        v = gm.probe_injectivity(collapse, [0, 1, 2, 3])
+        assert v.status == FAIL
+        assert v.witness == (1, 3)
+        assert v.values == (2, 2)
+
+    def test_plane_images_equal_within_tol(self):
+        # (x, y) -> (x, 1e-3 * y): the images of (0, 0) and (0, 1) differ by
+        # 1e-3, within tol * (1 + 1e-3) at tol 1e-3 but not at the default
+        squash = gm.SelfMap(domain=gm.RealCarrier(dim=2),
+                            apply=lambda p: (p[0], 1e-3 * p[1]), name="squash")
+        sample = [(0.0, 0.0), (0.0, 1.0), (5.0, 0.0)]
+        v = gm.probe_injectivity(squash, sample, tol=1e-3)
+        assert v.status == FAIL
+        assert v.witness == ((0.0, 0.0), (0.0, 1.0))
+        assert gm.probe_injectivity(squash, sample).status == PASS
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0])
+    def test_bad_tol_rejected(self, moebius, tol):
+        with pytest.raises(gm.ParameterError, match="tol must be finite and nonnegative"):
+            gm.probe_injectivity(moebius, [0.0, 1.0], tol=tol)
+
 
 class TestExactDynamics:
     def test_orbit_on_exact_space(self):
