@@ -161,19 +161,14 @@ def _first(t1, t2, t3):  # elementwise on arrays as written
     return t1
 
 
-def _ratio1_batch(t1, t2, t3):
-    """t1 / (t1 + 1), and nan where the scalar form divides by zero."""
-    d = t1 + 1.0
-    return np.divide(t1, d, out=np.full_like(t1, np.nan), where=d != 0)
-
-
 def _half_max_batch(t1, t2, t3):
     return np.maximum(np.maximum(t1, t2), t3) / 2
 
 
 def get_gauge(name: str) -> GaugeFunction:
     if name == "ratio1":
-        return GaugeFunction(evaluate=_ratio1, name="ratio1", evaluate_batch=_ratio1_batch)
+        return GaugeFunction(evaluate=_ratio1, name="ratio1",
+                             evaluate_batch=lambda t1, t2, t3: _moebius_batch(t1))
     if name == "half":
         return GaugeFunction(evaluate=_half_max, name="half", evaluate_batch=_half_max_batch)
     if name == "identity-diag":

@@ -21,6 +21,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from itertools import chain, islice
 
 from . import catalog, reports, sampling
 from .conditions import (
@@ -31,11 +32,13 @@ from .conditions import (
     check_gauge_admissible,
     eval_condition,
 )
-# orbit is re-exported, not called: perfbench/tracer.py wraps gmetric.cli.orbit.
+# orbit and normalize_point are re-exported, not called: perfbench/tracer.py
+# wraps both names in gmetric.cli.
 from .dynamics import DEFAULT_TRACE_MAX, orbit, solve_picard, write_trace_csv  # noqa: F401
 from .errors import ConfigError, DomainError, GMetricError
 from .oracle import DEFAULT_MAP_CAP, build_gmetric, exhaustive_theorem_check, load_metric_table
-from .spaces import DEFAULT_TOL, FiniteCarrier, GMetricSpace, check_axioms, normalize_point
+from .spaces import DEFAULT_TOL, FiniteCarrier, GMetricSpace, check_axioms
+from .spaces import normalize_point  # noqa: F401
 
 _TOP_KEYS = {"space", "map", "condition", "solver", "sampling", "gauge",
              "gauge_check", "theorem", "violate", "out"}
@@ -218,7 +221,8 @@ def cmd_condition(cfg: dict, out_dir: str, tol: float, seed_override=None) -> in
     spec = resolve_condition_spec(cfg, space)
     count, lo, hi, seed = sampling_settings(cfg, seed_override)
     stream = sampling.triple_stream(space, seed=seed, lo=lo, hi=hi, tol=tol)
-    cert = certify_on_samples(space, smap, spec, stream, count, tol_base=tol)
+    head = list(islice(stream, min(count, 1000)))  # also the weight bound's triples
+    cert = certify_on_samples(space, smap, spec, chain(head, stream), count, tol_base=tol)
     payload = {
         "space": _space_label(cfg),
         "map": smap.name,
@@ -226,10 +230,8 @@ def cmd_condition(cfg: dict, out_dir: str, tol: float, seed_override=None) -> in
         "certificate": reports.certificate_dict(cert),
     }
     if spec.a is not None and spec.a.kind != "zero":
-        bound_stream = sampling.triple_stream(space, seed=seed, lo=lo, hi=hi, tol=tol)
-        triples = [next(bound_stream) for _ in range(min(count, 1000))]
         payload["aux_bound"] = reports.verdict_dict(
-            check_aux_bound(space, smap, spec.a, triples, tol_base=tol))
+            check_aux_bound(space, smap, spec.a, head, tol_base=tol))
     reports.write_report(os.path.join(out_dir, "condition.json"), payload)
     print(f"{spec.id}[{spec.params_label()}] on {smap.name}: "
           f"checked={cert.checked} holds={cert.holds} fails={cert.fails} "
@@ -323,22 +325,11 @@ _VIOLATE_SCALES = (100.0, 10.0, 1.0, 0.5, 0.1, 0.05, 0.01, 0.005,
                    1e-3, 1e-4, 1e-5, 1e-6)
 
 
-def _violation_patterns(space: GMetricSpace, s: float):
-    """Candidate triples at scale s, kept only when inside the carrier."""
-    raw = [(0.0, s, s), (s, 2 * s, 2 * s), (s, s / 2, s / 2), (0.0, s, 2 * s),
-           (s, 0.0, 0.0)]
-    out = []
-    for t in raw:
-        try:
-            out.append(tuple(normalize_point(space.carrier, v) for v in t))
-        except DomainError:
-            continue
-    return out
-
-
 def _violation_at(space, smap, spec, s, tol):
-    """The first FAILS verdict among the candidate triples at scale s, or None."""
-    for triple in _violation_patterns(space, s):
+    """The first FAILS verdict among the candidate triples at scale s, or
+    None; a triple outside the carrier is skipped."""
+    for triple in ((0.0, s, s), (s, 2 * s, 2 * s), (s, s / 2, s / 2), (0.0, s, 2 * s),
+                   (s, 0.0, 0.0)):
         try:
             v = eval_condition(space, smap, spec, *triple, tol_base=tol)
         except DomainError:
@@ -383,8 +374,11 @@ def cmd_violate(cfg: dict, out_dir: str, tol: float, seed_override=None) -> int:
         raise ConfigError(f"violate searches the majorant conditions "
                           f"({', '.join(MAJORANT_IDS)}), not {base_spec.id}")
     section = _shaped(cfg.get("violate"), dict, {}, "violate")
-    scales = [_number(float, s, "violate.scales")
-              for s in _shaped(section.get("scales"), list, _VIOLATE_SCALES, "violate.scales")]
+    raw_scales = _shaped(section.get("scales"), list, _VIOLATE_SCALES, "violate.scales")
+    scales = [_number(float, s, "violate.scales") for s in raw_scales]
+    if not scales or min(scales) <= 0:
+        raise ConfigError(f"malformed violate.scales: {raw_scales!r} is not a nonempty "
+                          f"list of positive scales")
     q_grid = _shaped(section.get("q_grid"), list, None, "violate.q_grid")
     if q_grid is not None and base_spec.id != "C-Q":
         raise ConfigError("q_grid only applies to the C-Q condition")

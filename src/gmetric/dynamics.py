@@ -193,6 +193,8 @@ def solve_picard(space: GMetricSpace, smap: SelfMap, x0, eps_stop: float,
         raise ParameterError("eps_stop must be positive")
     if max_iter < 0:
         raise ParameterError("max_iter must be nonnegative")
+    if trace_max < 0:
+        raise ParameterError("trace_max must be nonnegative")
     if certified_q is not None and not (0 < certified_q < 1):
         raise ParameterError("certified_q must lie in (0, 1)")
 

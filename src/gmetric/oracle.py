@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from typing import Iterator, Optional, Sequence
 
 from .errors import CapExceededError, ConfigError, DomainError, ParameterError
@@ -253,9 +253,11 @@ def exhaustive_theorem_check(space: GMetricSpace, theorem_id: str,
     """Brute-force a theorem over every self-map of an exact finite space.
 
     For each map the hypothesis is decided exactly (condition on all
-    admissible triples, injectivity where required), then the conclusion
-    is verified by exact orbit iteration.  Counterexamples carry the map
-    table, the violated clause, and a witness, and always re-verify.
+    admissible triples), then the conclusion is verified by exact orbit
+    iteration.  Where the hypothesis requires injectivity only the m!
+    permutations are read; the other m^m - m! maps count as failing it.
+    Counterexamples carry the map table, the violated clause, and a
+    witness, and always re-verify.
 
     ``params`` per theorem: THM-2.2 needs ``q`` (rational in (0,1));
     THM-2.10 needs ``gauge`` (a GaugeFunction); THM-2.12 needs at least
@@ -317,15 +319,14 @@ def exhaustive_theorem_check(space: GMetricSpace, theorem_id: str,
     # its image lookup changes from table to table.
     ctx = _EvalContext(space)
     carrier_triples = list(_condition_triples(m))
-    maps_total = 0
+    tables = enumerate_self_maps(m, cap=cap)  # raises past the cap
+    if not extension:  # injective tables only, in lexicographic order as product gives
+        tables = permutations(range(m))
     satisfying = 0
     conclusion_holds = 0
     counterexamples = []
 
-    for table in enumerate_self_maps(m, cap=cap):
-        maps_total += 1
-        if not extension and len(set(table)) != m:  # injectivity
-            continue
+    for table in tables:
         ctx.t = table.__getitem__
         triples = (_condition_triples(m, table, distinct_xy=not extension)
                    if orbit_scope else carrier_triples)
@@ -353,14 +354,12 @@ def exhaustive_theorem_check(space: GMetricSpace, theorem_id: str,
         else:
             counterexamples.append(violation)
 
-    counterexamples.sort(key=lambda c: c[0])
-
     return TheoremCheckReport(
-        theorem_id=theorem_id, maps_total=maps_total,
+        theorem_id=theorem_id, maps_total=m ** m,
         maps_satisfying_hypothesis=satisfying,
         conclusion_holds=conclusion_holds,
         counterexamples=counterexamples, params=report_params,
-        hypothesis_failing=maps_total - satisfying)
+        hypothesis_failing=m ** m - satisfying)
 
 
 def exhaustive_axiom_check(space: GMetricSpace) -> AxiomReport:

@@ -150,12 +150,16 @@ class TestMalformedValues:
         ("condition", {"space": "absmax", "map": "moebius",
                        "condition": {"id": "C-Q", "q": 0.5, "a": "constant-1e400"},
                        "sampling": {"count": 10}}),
+        ("violate", {"space": "absmax", "map": "moebius",
+                     "condition": {"id": "C-Q", "q": 0.5}, "violate": {"scales": [-1.0, 0.0]}}),
+        ("violate", {"space": "absmax", "map": "moebius",
+                     "condition": {"id": "C-Q", "q": 0.5}, "violate": {"scales": []}}),
     ], ids=["count", "eps_stop", "map-param", "weight-param", "table-entry", "q", "scales",
             "sampling-section", "gauge_check-section", "violate-section", "grid-scalar",
             "scales-scalar", "q_grid-scalar", "negative-seed", "grid-nan", "grid-inf",
             "range-inf", "range-span", "gauge-factor-overflow", "theorem-bool",
             "condition-bool", "count-bool", "eps_stop-inf", "eps_stop-nan", "thresh-inf",
-            "scales-nan", "weight-overflow"])
+            "scales-nan", "weight-overflow", "scales-nonpositive", "scales-empty"])
     def test_exit_two(self, tmp_path, capsys, command, config):
         table = tmp_path / "bad.txt"
         table.write_text("2\n0 x\nx 0\n")
@@ -303,6 +307,14 @@ class TestSolveCommand:
         })
         assert code == 2
         assert "non-finite coordinate nan" in capsys.readouterr().err
+
+    def test_negative_trace_max_exit_two(self, tmp_path, capsys):
+        code, out = run(tmp_path, "solve", {
+            "space": "absmax", "map": "moebius", "solver": {"x0": 1.0, "trace_max": -1},
+        })
+        assert code == 2
+        assert "trace_max must be nonnegative" in capsys.readouterr().err
+        assert not (out / "trace.csv").exists()
 
     def test_non_convergence_exit_one(self, tmp_path):
         code, out = run(tmp_path, "solve", {

@@ -115,6 +115,8 @@ class TestSolvePicard:
             gm.solve_picard(absmax, halving, 1.0, 0.0, 10)
         with pytest.raises(gm.ParameterError):
             gm.solve_picard(absmax, halving, 1.0, 1e-6, 10, certified_q=1.0)
+        with pytest.raises(gm.ParameterError, match="trace_max"):
+            gm.solve_picard(absmax, halving, 1.0, 1e-6, 10, trace_max=-1)
 
 
     def test_image_outside_carrier_raises_at_that_step(self, absmax):

@@ -2,10 +2,12 @@
 from fractions import Fraction
 from itertools import islice, permutations, product
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import gmetric as gm
 from gmetric import catalog, sampling
+from gmetric.spaces import DEFAULT_TOL, Regime, raw_g
 
 finite_floats = st.floats(min_value=0.0, max_value=1e6, allow_nan=False,
                           allow_infinity=False)
@@ -280,3 +282,111 @@ class TestGaugeDiagonalMonotone:
             assert rep.monotone.passed
             diag = [g.diagonal(t) for t in sorted(grid)]
             assert all(a <= b for a, b in zip(diag, diag[1:]))
+
+
+def _g4_c_order_scan(space, pts):
+    """Reference G4 verdict: all ordered triples of ``pts`` in C order."""
+    reg = Regime(space.exact, DEFAULT_TOL)
+    for t in product(pts, repeat=3):
+        vals = tuple(raw_g(space, *p) for p in permutations(t))
+        if reg.distinct(max(vals), min(vals)):
+            return gm.Verdict("FAIL", witness=t, values=vals)
+    return gm.Verdict("PASS")
+
+
+@st.composite
+def asymmetric_exact_spaces(draw):
+    """An exact space on a random n^3 table: symmetric in its arguments
+    except for a few overridden entries."""
+    n = draw(st.integers(1, 4))
+    values = st.integers(0, 3).map(Fraction)
+    base = {t: draw(values) for t in product(range(n), repeat=3) if list(t) == sorted(t)}
+    table = {t: base[tuple(sorted(t))] for t in product(range(n), repeat=3)}
+    table.update(draw(st.dictionaries(st.tuples(*[st.integers(0, n - 1)] * 3), values,
+                                      max_size=3)))
+    return gm.GMetricSpace(carrier=gm.FiniteCarrier(n), g=lambda *t: table[t],
+                           arithmetic="exact", symmetric_claimed=False)
+
+
+class TestG4OneTriplePerClass:
+    """check_axioms reads one triple per permutation class for G4; its
+    verdict, witness and values equal a scan of every ordered triple."""
+
+    @given(asymmetric_exact_spaces())
+    @settings(max_examples=80, deadline=None)
+    def test_exact_tables(self, space):
+        got = gm.check_axioms(space, mode="exhaustive", tol=0.0).verdicts["G4"]
+        assert got == _g4_c_order_scan(space, list(range(space.carrier.size)))
+
+    @given(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]) | st.floats(-10, 10),
+                    min_size=1, max_size=6))
+    @settings(max_examples=80, deadline=None)
+    def test_float_drop_z_samples(self, sample):
+        space = catalog.space_drop_z()
+        got = gm.check_axioms(space, sample).verdicts["G4"]
+        assert got == _g4_c_order_scan(space, list(dict.fromkeys(sample)))
+
+
+def _reference_oracle(space, theorem, spec, scope):
+    """(maps_total, satisfying, conclusion_holds, counterexamples,
+    hypothesis_failing) from all m^m tables filtered for injectivity, with
+    the condition decided by eval_condition, triple by triple."""
+    m = space.carrier.size
+    carrier_triples = [t for t in product(range(m), repeat=3) if t[0] != t[1]]
+    satisfying = holds = 0
+    counterexamples = []
+    for table in product(range(m), repeat=m):
+        if len(set(table)) != m:
+            continue
+        smap = gm.table_self_map(space, table)
+        cycles = []
+        for a in range(m):
+            visits = [a]
+            while table[visits[-1]] not in visits:
+                visits.append(table[visits[-1]])
+            cycles.append(tuple(visits[visits.index(table[visits[-1]]):]))
+        if scope == "orbit":
+            triples = {t for c in cycles for t in product(c, repeat=3) if t[0] != t[1]}
+        else:
+            triples = carrier_triples
+        if not all(gm.eval_condition(space, smap, spec, *t).holds for t in triples):
+            continue
+        satisfying += 1
+        violation = next(((table, "cluster-not-fixed" if theorem == "THM-2.5"
+                           else "orbit-not-convergent", {"start": a, "cycle": c})
+                          for a, c in enumerate(cycles) if len(c) != 1), None)
+        if (violation is None and theorem != "THM-2.5" and scope == "carrier"
+                and gm.check_aux_bound(space, smap, spec.a, carrier_triples).passed):
+            fixed = tuple(i for i in range(m) if table[i] == i)
+            if len(fixed) != 1:
+                violation = (table, "fixed-point-not-unique", {"fixed_points": fixed})
+        if violation is None:
+            holds += 1
+        else:
+            counterexamples.append(violation)
+    return m ** m, satisfying, holds, counterexamples, m ** m - satisfying
+
+
+class TestInjectiveOracleReference:
+    """THM-2.2, 2.5 and 2.10 read only the m! permutations; every report
+    equals one built from all m^m tables filtered for injectivity."""
+
+    def test_reports_match(self):
+        rng = np.random.default_rng(20261018)
+        metrics = [gm.random_metric(rng, min_size=2, max_size=4) for _ in range(10)]
+        for metric, construction, scope, weight in product(
+                metrics, ("max", "perimeter"), ("carrier", "orbit"), ("zero", "constant-1/3")):
+            space = gm.build_gmetric(metric, construction)
+            aux = catalog.get_aux(weight)
+            runs = [("THM-2.2", gm.ConditionSpec(id="C-Q", q=Fraction(9, 10), a=aux),
+                     {"q": "9/10"}),
+                    ("THM-2.5", gm.ConditionSpec(id="C-UNIT", a=aux), {})]
+            # identity-diag is not admissible, so its maps give counterexamples
+            runs += [("THM-2.10", gm.ConditionSpec(id="C-GAUGE", h=h, a=aux), {"gauge": h})
+                     for h in map(catalog.get_gauge, ("half", "identity-diag"))]
+            for theorem, spec, params in runs:
+                r = gm.exhaustive_theorem_check(space, theorem,
+                                                {**params, "a": aux, "scope": scope})
+                assert (r.maps_total, r.maps_satisfying_hypothesis, r.conclusion_holds,
+                        r.counterexamples, r.hypothesis_failing) \
+                    == _reference_oracle(space, theorem, spec, scope), (theorem, scope, weight)
