@@ -3,8 +3,10 @@
 Builds ternary distances from finite rational metrics (max-of-pairs and
 perimeter constructions), enumerates all self-maps of a small carrier,
 and brute-force checks each fixed-point theorem's hypothesis-implies-
-conclusion statement with rational arithmetic end to end.  No floating
-point enters this module; every comparison is exact.
+conclusion statement with exact arithmetic end to end: Fractions, or
+for the THM-2.12 hypothesis G scaled to int64 integers where a bound
+shows that no compared value overflows.  No floating point enters this
+module; every comparison is exact.
 
 Theorem identifiers accepted by :func:`exhaustive_theorem_check`:
 
@@ -24,10 +26,13 @@ satisfied and convergence reduces to "the reached cycle has length 1".
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
 from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 from .errors import CapExceededError, ConfigError, DomainError, ParameterError
 from .conditions import (
@@ -43,6 +48,10 @@ from .dynamics import SelfMap
 from .spaces import EXACT, AxiomReport, FiniteCarrier, GMetricSpace, check_axioms
 
 DEFAULT_MAP_CAP = 5
+
+# Map tables x condition triples that the integer THM-2.12 pass holds at
+# once; it bounds that pass's arrays to a few hundred kB whatever m is.
+_CELL_BUDGET = 1 << 14
 
 THEOREM_IDS = ("THM-2.2", "THM-2.5", "THM-2.10", "THM-2.12")
 
@@ -71,12 +80,13 @@ class FiniteMetric:
                     raise ParameterError(f"off-diagonal entry d[{i}][{j}] must be positive")
                 if v != self.d[j][i]:
                     raise ParameterError(f"metric table not symmetric at ({i},{j})")
-        for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    if self.d[i][j] > self.d[i][k] + self.d[k][j]:
-                        raise ParameterError(
-                            f"triangle inequality fails at ({i},{j}) via {k}")
+        ints = _integer_scaled([v for row in self.d for v in row])
+        d = np.array(ints, dtype=np.int64 if 2 * max(ints) < 2 ** 63 else object).reshape(m, m)
+        for i in range(m):  # one row of (j, k) at a time; the first failure in C order
+            bad = np.flatnonzero(d[i, :, None] > d[i, None, :] + d.T)
+            if bad.size:
+                j, k = divmod(int(bad[0]), m)
+                raise ParameterError(f"triangle inequality fails at ({i},{j}) via {k}")
 
     @property
     def size(self) -> int:
@@ -228,14 +238,79 @@ def _condition_triples(m: int, table=None, distinct_xy: bool = True):
                 yield t
 
 
-def _hypothesis_holds(ctx: _EvalContext, specs, triples) -> bool:
-    """Every triple is accepted by at least one of the conditions ``specs``.
+def _hypothesis_tables(ctx: _EvalContext, specs, tables, triples_of) -> Iterator[tuple]:
+    """The tables whose triples ``triples_of(table)`` are each accepted by at
+    least one of the conditions ``specs``, decided on Fractions one triple at
+    a time; ``ctx.t`` is left on the table just yielded.
 
     For THM-2.12 the quantifier is read universally over starting points:
     the hypothesis holds only when every orbit set has all its triples
     accepted.
     """
-    return all(any(_eval_spec(ctx, spec, *t).holds for spec in specs) for t in triples)
+    for table in tables:
+        ctx.t = table.__getitem__
+        if all(any(_eval_spec(ctx, spec, *t).holds for spec in specs)
+               for t in triples_of(table)):
+            yield table
+
+
+def _integer_scaled(values) -> list:
+    """Fractions times the lcm of their denominators, as Python ints."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
+def _extension_tables(ctx: _EvalContext, specs, m: int) -> Optional[Iterator[tuple]]:
+    """:func:`_hypothesis_tables` for THM-2.12 over all m^m tables, decided on
+    G tabulated once and scaled to int64, with each parameter p/q
+    cross-multiplied; None when the bound on every compared value (largest
+    parameter numerator or denominator x 12 x largest scaled G) leaves int64.
+    """
+    g = _integer_scaled([ctx.g(*t) for t in product(range(m), repeat=3)])
+    ratios = [next(Fraction(v) for v in (s.alpha, s.beta, s.delta) if v is not None)
+              for s in specs]
+    if max(max(r.numerator, r.denominator) for r in ratios) * 12 * max([1, *map(abs, g)]) \
+            >= 2 ** 63:
+        return None
+    return _extension_chunks(np.array(g, dtype=np.int64).reshape(m, m, m), specs, ratios, m)
+
+
+def _extension_chunks(g, specs, ratios, m: int) -> Iterator[tuple]:
+    """The passing tables, read as chunks of tables x carrier triples in
+    ``product`` order; a triple counts only inside some orbit set."""
+    pts = np.arange(m)
+    x, y, z = np.ix_(pts, pts, pts)
+    place = m ** pts[::-1]  # product order varies the last entry fastest
+    size = max(1, _CELL_BUDGET // m ** 3)
+    for start in range(0, m ** m, size):
+        t = np.arange(start, min(start + size, m ** m))[:, None] // place % m
+        rows = np.arange(len(t))[:, None]
+        seen = np.zeros((len(t), m, m), dtype=bool)  # p in the orbit set of a
+        pos = np.broadcast_to(pts, t.shape)
+        for _ in range(m):
+            seen[rows, pts, pos] = True
+            pos = t[rows, pos]
+        inside = np.zeros((len(t), m, m, m), dtype=bool)
+        for s in seen.transpose(1, 0, 2):  # one start at a time
+            inside |= s[:, :, None, None] & s[:, None, :, None] & s[:, None, None, :]
+        tx, ty, tz = t[:, :, None, None], t[:, None, :, None], t[:, None, None, :]
+        own = g[pts, t, t]  # G(p, Tp, Tp)
+        ox, oy, oz = own[:, :, None, None], own[:, None, :, None], own[:, None, None, :]
+        cross = g[tx, y, z] + g[x, ty, z] + g[x, y, tz]
+        holds = np.zeros_like(inside)
+        for spec, r in zip(specs, ratios):
+            p, q = r.numerator, r.denominator
+            if spec.id == "EXT-I":
+                lhs, rhs = q * (ox + oy + oz), p * g
+            elif spec.id == "EXT-II":
+                lhs, rhs = q * (ox + oy + oz), p * cross
+            else:  # 4 q G(Tx,Ty,Tz) <= p max{4 G, 4 G(x,Tx,Tx), ..., cross}
+                lhs = 4 * q * g[tx, ty, tz]
+                rhs = p * np.maximum(4 * np.maximum(np.maximum(g, ox), np.maximum(oy, oz)),
+                                     cross)
+            holds |= (lhs == 0) | (lhs <= rhs)  # Regime.status, exact: VACUOUS or HOLDS
+        for table in t[~(inside & ~holds).any(axis=(1, 2, 3))].tolist():
+            yield tuple(table)
 
 
 def _as_fraction(v, name: str) -> Fraction:
@@ -261,10 +336,9 @@ def exhaustive_theorem_check(space: GMetricSpace, theorem_id: str,
 
     ``params`` per theorem: THM-2.2 needs ``q`` (rational in (0,1));
     THM-2.10 needs ``gauge`` (a GaugeFunction); THM-2.12 needs at least
-    one of ``alpha``/``beta``/``delta``.  All accept ``a`` (an AuxWeight,
-    default zero) where the condition uses a weight, and THM-2.2/2.5/2.10
-    accept ``scope`` = "carrier" (default) or "orbit" for the condition's
-    quantifier range.
+    one of ``alpha``/``beta``/``delta``.  THM-2.2/2.5/2.10 accept ``a``
+    (an AuxWeight, default zero) and ``scope`` = "carrier" (default) or
+    "orbit" for the condition's quantifier range; THM-2.12 takes neither.
     """
     if theorem_id not in THEOREM_IDS:
         raise ParameterError(f"unknown theorem id {theorem_id!r}")
@@ -275,8 +349,11 @@ def exhaustive_theorem_check(space: GMetricSpace, theorem_id: str,
     params = dict(params or {})
     m = space.carrier.size
 
-    aux = params.pop("a", None) or AuxWeight.zero()
-    scope = params.pop("scope", "carrier")
+    aux, scope = params.pop("a", None), params.pop("scope", None)
+    if theorem_id == "THM-2.12" and (aux is not None or scope is not None):
+        raise ParameterError("THM-2.12 takes no weight a and no scope")
+    aux = aux or AuxWeight.zero()
+    scope = "carrier" if scope is None else scope
     if scope not in ("carrier", "orbit"):
         raise ParameterError(f"unknown scope {scope!r}")
 
@@ -320,19 +397,21 @@ def exhaustive_theorem_check(space: GMetricSpace, theorem_id: str,
     ctx = _EvalContext(space)
     carrier_triples = list(_condition_triples(m))
     tables = enumerate_self_maps(m, cap=cap)  # raises past the cap
-    if not extension:  # injective tables only, in lexicographic order as product gives
+    passing = None
+    if extension:
+        passing = _extension_tables(ctx, specs, m)
+    else:  # injective tables only, in lexicographic order as product gives
         tables = permutations(range(m))
+    if passing is None:
+        passing = _hypothesis_tables(
+            ctx, specs, tables,
+            (lambda t: _condition_triples(m, t, distinct_xy=not extension)) if orbit_scope
+            else (lambda t: carrier_triples))
     satisfying = 0
     conclusion_holds = 0
     counterexamples = []
 
-    for table in tables:
-        ctx.t = table.__getitem__
-        triples = (_condition_triples(m, table, distinct_xy=not extension)
-                   if orbit_scope else carrier_triples)
-        if not _hypothesis_holds(ctx, specs, triples):
-            continue
-
+    for table in passing:
         satisfying += 1
         violation = None
         for a in range(m):

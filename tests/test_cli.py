@@ -404,7 +404,9 @@ class TestOracleCommand:
         {"id": "THM-2.2"},
         {"id": "THM-2.2", "q": "1"},
         {"id": "THM-2.10"},
-    ], ids=["delta", "alpha", "beta", "no-q", "q", "no-gauge"])
+        {"id": "THM-2.12", "delta": "9/10", "a": "constant-1"},
+        {"id": "THM-2.12", "delta": "9/10", "scope": "orbit"},
+    ], ids=["delta", "alpha", "beta", "no-q", "q", "no-gauge", "ext-weight", "ext-scope"])
     def test_bad_theorem_parameter_exit_two(self, tmp_path, capsys, theorem):
         code, out = run(tmp_path, "oracle", {"space": "finite-uniform-3", "theorem": theorem})
         assert code == 2

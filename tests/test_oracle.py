@@ -4,11 +4,14 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 import gmetric as gm
 from gmetric import catalog
-from gmetric.oracle import orbit_cycle, orbit_set, steps_to_fixed
+from gmetric.conditions import _EvalContext, _extension_specs
+from gmetric.oracle import (_condition_triples, _extension_tables, _hypothesis_tables,
+                            orbit_cycle, orbit_set, steps_to_fixed)
 
 
 def F(v):
@@ -40,6 +43,16 @@ class TestFiniteMetric:
                 [F(1), F(0), F(1)],
                 [F(5), F(1), F(0)]]
         with pytest.raises(gm.ParameterError):
+            gm.FiniteMetric.from_rows(rows)
+
+    @pytest.mark.parametrize("eps", [F(0), Fraction(1, 10 ** 30)], ids=["int64", "big-ints"])
+    def test_triangle_first_failure_in_c_order(self, eps):
+        # (0,3) fails via 1 and, by a wider margin, via 2; (3,0) fails too
+        rows = [[F(0), 1 + eps, F("1/2"), F(5)],
+                [1 + eps, F(0), F(1), F(2)],
+                [F("1/2"), F(1), F(0), F(1)],
+                [F(5), F(2), F(1), F(0)]]
+        with pytest.raises(gm.ParameterError, match=r"fails at \(0,3\) via 1$"):
             gm.FiniteMetric.from_rows(rows)
 
     def test_loader_roundtrip(self, tmp_path):
@@ -252,6 +265,11 @@ class TestTheoremChecks:
         ("THM-2.12", {"alpha": True}),  # bool is an int: True would read as 1
         ("THM-2.12", {"delta": False}),
         ("THM-2.2", {"q": True}),
+        # the extension conditions take no weight and fix their own scope
+        ("THM-2.12", {"delta": "9/10", "a": catalog.get_aux("constant-1")}),
+        ("THM-2.12", {"delta": "9/10", "a": gm.AuxWeight.zero()}),
+        ("THM-2.12", {"delta": "9/10", "scope": "orbit"}),
+        ("THM-2.12", {"delta": "9/10", "scope": "carrier"}),
     ])
     def test_missing_or_out_of_range_parameter_rejected(self, theorem, params):
         sp = catalog.space_finite_uniform(3)
@@ -285,6 +303,77 @@ class TestOneGValuePerRun:
         assert rep.maps_satisfying_hypothesis > 0
         assert max(calls.values()) == 1
         assert sum(calls.values()) <= 4 ** 3
+
+
+class TestIntegerExtensionDecider:
+    """THM-2.12's integer decider passes the same tables, in the same order,
+    as the Fraction loop, so oracle.json and its counterexample order are
+    unchanged."""
+
+    PARAMS = [{"alpha": F(2)}, {"beta": F("3/4")}, {"delta": F("9/10")},
+              {"alpha": F("5/2"), "beta": F("2/3"), "delta": F("1/2")},
+              {"alpha": F(1), "delta": F(0)}, {"beta": F("1/2"), "delta": F("3/4")},
+              {"alpha": F("11/4"), "beta": F("7/8")}]
+
+    @staticmethod
+    def _both(space, params):
+        m = space.carrier.size
+        ctx, specs = _EvalContext(space), _extension_specs(**params)
+        fraction = _hypothesis_tables(
+            ctx, specs, product(range(m), repeat=m),
+            lambda t: _condition_triples(m, t, distinct_xy=False))
+        return list(_extension_tables(ctx, specs, m)), list(fraction)
+
+    def test_seeded_metrics(self):
+        rng = np.random.default_rng(20261019)
+        runs = 0
+        for n in range(20):
+            metric = gm.random_metric(rng, min_size=2, max_size=5)
+            for c, construction in enumerate(("max", "perimeter")):
+                # every parameter set, each on several sizes and both constructions
+                params = self.PARAMS[(2 * n + c) % len(self.PARAMS)]
+                fast, reference = self._both(gm.build_gmetric(metric, construction), params)
+                assert fast == reference, (n, construction, params)
+                runs += bool(reference)
+        assert runs > 20  # most runs pass some tables
+
+    def test_uniform_and_table(self):
+        for space in (catalog.space_finite_uniform(5),
+                      gm.build_gmetric(gm.FiniteMetric.from_rows(M4_ROWS), "perimeter")):
+            fast, reference = self._both(space, {"delta": F("9/10")})
+            assert fast == reference and fast
+
+    def test_signed_tables(self):
+        # not G-metrics: a zero left side can meet a negative right side,
+        # where only the VACUOUS reading lets the triple hold
+        rng = np.random.default_rng(11)
+        for n in range(6):
+            values = {t: F(int(rng.integers(-2, 3)))
+                      for t in product(range(3), repeat=3) if list(t) == sorted(t)}
+            space = gm.GMetricSpace(carrier=gm.FiniteCarrier(3),
+                                    g=lambda *t, v=values: v[tuple(sorted(t))],
+                                    arithmetic="exact", symmetric_claimed=True)
+            fast, reference = self._both(space, self.PARAMS[n % len(self.PARAMS)])
+            assert fast == reference, n
+
+    def test_report_bytes(self, monkeypatch):
+        space = gm.build_gmetric(gm.random_metric(np.random.default_rng(5), 5, 5), "max")
+        params = {"alpha": "5/2", "beta": "2/3", "delta": "9/10"}
+        fast = gm.exhaustive_theorem_check(space, "THM-2.12", params)
+        monkeypatch.setattr("gmetric.oracle._extension_tables", lambda *_: None)
+        reference = gm.exhaustive_theorem_check(space, "THM-2.12", params)
+        payloads = [gm.reports.render_report(gm.reports.theorem_report_dict(r))
+                    for r in (fast, reference)]
+        assert payloads[0] == payloads[1]
+        assert fast.maps_satisfying_hypothesis > 0
+
+    def test_overflow_takes_the_fraction_loop(self):
+        space = catalog.space_finite_uniform(3)
+        delta = Fraction(9 * 10 ** 29 + 1, 10 ** 30)
+        specs = _extension_specs(delta=delta)
+        assert _extension_tables(_EvalContext(space), specs, 3) is None
+        rep = gm.exhaustive_theorem_check(space, "THM-2.12", {"delta": delta})
+        assert rep.params["delta"] == str(delta) and rep.consistent()
 
 
 class TestExhaustiveAxioms:

@@ -390,3 +390,53 @@ class TestInjectiveOracleReference:
                 assert (r.maps_total, r.maps_satisfying_hypothesis, r.conclusion_holds,
                         r.counterexamples, r.hypothesis_failing) \
                     == _reference_oracle(space, theorem, spec, scope), (theorem, scope, weight)
+
+
+def _reference_extension_oracle(space, params):
+    """(maps_total, satisfying, conclusion_holds, counterexamples,
+    hypothesis_failing) of THM-2.12 from all m^m tables, with every triple
+    of every orbit set, x == y included, decided by eval_extension."""
+    m = space.carrier.size
+    satisfying = holds = 0
+    counterexamples = []
+    for table in product(range(m), repeat=m):
+        smap = gm.table_self_map(space, table)
+        orbits = []
+        for a in range(m):
+            visits = [a]
+            while table[visits[-1]] not in visits:
+                visits.append(table[visits[-1]])
+            orbits.append(visits)
+        triples = {t for visits in orbits for t in product(visits, repeat=3)}
+        if not all(gm.eval_extension(space, smap, *t, **params).any_holds for t in triples):
+            continue
+        satisfying += 1
+        cycles = [tuple(v[v.index(table[v[-1]]):]) for v in orbits]
+        violation = next(((table, "orbit-not-convergent", {"start": a, "cycle": c})
+                          for a, c in enumerate(cycles) if len(c) != 1), None)
+        if violation is None:
+            holds += 1
+        else:
+            counterexamples.append(violation)
+    return m ** m, satisfying, holds, counterexamples, m ** m - satisfying
+
+
+class TestExtensionOracleReference:
+    """THM-2.12 reads all m^m tables; every report equals one built triple
+    by triple from eval_extension, on int64 tables and on a delta whose
+    10^30 denominator sends the run to the Fraction loop."""
+
+    def test_reports_match(self):
+        rng = np.random.default_rng(20261018)
+        metrics = [gm.random_metric(rng, min_size=2, max_size=4) for _ in range(10)]
+        param_sets = [{"alpha": Fraction(5, 2)}, {"beta": Fraction(3, 4)},
+                      {"delta": Fraction(9, 10)},
+                      {"alpha": Fraction(2), "beta": Fraction(2, 3), "delta": Fraction(1, 2)}]
+        for n, (metric, construction) in enumerate(product(metrics, ("max", "perimeter"))):
+            space = gm.build_gmetric(metric, construction)
+            runs = param_sets + [{"delta": Fraction(9 * 10 ** 29 + 1, 10 ** 30)}] * (n == 0)
+            for params in runs:
+                r = gm.exhaustive_theorem_check(space, "THM-2.12", params)
+                assert (r.maps_total, r.maps_satisfying_hypothesis, r.conclusion_holds,
+                        r.counterexamples, r.hypothesis_failing) \
+                    == _reference_extension_oracle(space, params), (n, params)
