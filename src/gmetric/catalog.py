@@ -21,6 +21,10 @@ from .dynamics import SelfMap
 from .oracle import FiniteMetric, build_gmetric
 from .spaces import FiniteCarrier, GMetricSpace, RealCarrier
 
+# Largest m of ``finite-uniform-<m>``: building its m x m table and checking
+# the triangle inequality takes about 0.25 s at m = 300 and grows as m^3.
+FINITE_UNIFORM_MAX = 300
+
 # The half-line with G = max pairwise absolute difference. This is the
 # home of the worked moebius example; scale/step/constant maps live here too.
 _NONNEG = RealCarrier(dim=1, lo=0.0)
@@ -74,8 +78,9 @@ def get_space(name: str) -> GMetricSpace:
             m = int(name.rsplit("-", 1)[1])
         except ValueError:
             raise ConfigError(f"bad finite-uniform size in {name!r}")
-        if m < 1:
-            raise ConfigError(f"finite-uniform size must be positive, got {m}")
+        if not 1 <= m <= FINITE_UNIFORM_MAX:
+            raise ConfigError(f"malformed space {name!r}: finite-uniform size must be "
+                              f"in 1..{FINITE_UNIFORM_MAX}")
         return space_finite_uniform(m)
     raise ConfigError(f"unknown space {name!r}")
 

@@ -37,7 +37,7 @@ from .conditions import (
 from .dynamics import DEFAULT_TRACE_MAX, orbit, solve_picard, write_trace_csv  # noqa: F401
 from .errors import ConfigError, DomainError, GMetricError
 from .oracle import DEFAULT_MAP_CAP, build_gmetric, exhaustive_theorem_check, load_metric_table
-from .spaces import DEFAULT_TOL, FiniteCarrier, GMetricSpace, check_axioms
+from .spaces import DEFAULT_TOL, FiniteCarrier, GMetricSpace, RealCarrier, check_axioms
 from .spaces import normalize_point  # noqa: F401
 
 _TOP_KEYS = {"space", "map", "condition", "solver", "sampling", "gauge",
@@ -373,6 +373,9 @@ def cmd_violate(cfg: dict, out_dir: str, tol: float, seed_override=None) -> int:
     if base_spec.id not in MAJORANT_IDS:
         raise ConfigError(f"violate searches the majorant conditions "
                           f"({', '.join(MAJORANT_IDS)}), not {base_spec.id}")
+    if not (isinstance(space.carrier, RealCarrier) and space.carrier.dim == 1):
+        raise ConfigError(f"violate searches a one-dimensional real carrier, "
+                          f"not {_space_label(cfg)}")
     section = _shaped(cfg.get("violate"), dict, {}, "violate")
     raw_scales = _shaped(section.get("scales"), list, _VIOLATE_SCALES, "violate.scales")
     scales = [_number(float, s, "violate.scales") for s in raw_scales]

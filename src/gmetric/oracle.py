@@ -3,10 +3,11 @@
 Builds ternary distances from finite rational metrics (max-of-pairs and
 perimeter constructions), enumerates all self-maps of a small carrier,
 and brute-force checks each fixed-point theorem's hypothesis-implies-
-conclusion statement with exact arithmetic end to end: Fractions, or
-for the THM-2.12 hypothesis G scaled to int64 integers where a bound
-shows that no compared value overflows.  No floating point enters this
-module; every comparison is exact.
+conclusion statement with exact arithmetic end to end.  The THM-2.12
+hypothesis is decided on G scaled to integers: an int64 table where a
+bound shows that no compared value overflows, an object table of Python
+ints otherwise, never the Fraction loop of the other theorems.  No
+floating point enters this module; every comparison is exact.
 
 Theorem identifiers accepted by :func:`exhaustive_theorem_check`:
 
@@ -80,8 +81,7 @@ class FiniteMetric:
                     raise ParameterError(f"off-diagonal entry d[{i}][{j}] must be positive")
                 if v != self.d[j][i]:
                     raise ParameterError(f"metric table not symmetric at ({i},{j})")
-        ints = _integer_scaled([v for row in self.d for v in row])
-        d = np.array(ints, dtype=np.int64 if 2 * max(ints) < 2 ** 63 else object).reshape(m, m)
+        d = _integer_table([v for row in self.d for v in row], 2).reshape(m, m)
         for i in range(m):  # one row of (j, k) at a time; the first failure in C order
             bad = np.flatnonzero(d[i, :, None] > d[i, None, :] + d.T)
             if bad.size:
@@ -221,19 +221,15 @@ class TheoremCheckReport:
                 == self.maps_satisfying_hypothesis)
 
 
-def _condition_triples(m: int, table=None, distinct_xy: bool = True):
-    """The triples a condition is quantified over, each once.
-
-    Without a table: every triple of the carrier.  With a map table: every
-    triple of each orbit set {a, Ta, T^2 a, ...}, start by start.  With
-    ``distinct_xy`` the triples with x == y, which the majorant conditions
-    exclude, are left out.
-    """
+def _condition_triples(m: int, table=None):
+    """The triples a majorant condition is quantified over, each once, x == y
+    left out: every carrier triple, or with a map table every triple of each
+    orbit set {a, Ta, T^2 a, ...}, start by start."""
     point_sets = [range(m)] if table is None else (orbit_set(table, a) for a in range(m))
     seen = set()
     for pts in point_sets:
         for t in product(pts, repeat=3):
-            if (t[0] != t[1] or not distinct_xy) and t not in seen:
+            if t[0] != t[1] and t not in seen:
                 seen.add(t)
                 yield t
 
@@ -241,12 +237,7 @@ def _condition_triples(m: int, table=None, distinct_xy: bool = True):
 def _hypothesis_tables(ctx: _EvalContext, specs, tables, triples_of) -> Iterator[tuple]:
     """The tables whose triples ``triples_of(table)`` are each accepted by at
     least one of the conditions ``specs``, decided on Fractions one triple at
-    a time; ``ctx.t`` is left on the table just yielded.
-
-    For THM-2.12 the quantifier is read universally over starting points:
-    the hypothesis holds only when every orbit set has all its triples
-    accepted.
-    """
+    a time."""
     for table in tables:
         ctx.t = table.__getitem__
         if all(any(_eval_spec(ctx, spec, *t).holds for spec in specs)
@@ -254,25 +245,26 @@ def _hypothesis_tables(ctx: _EvalContext, specs, tables, triples_of) -> Iterator
             yield table
 
 
-def _integer_scaled(values) -> list:
-    """Fractions times the lcm of their denominators, as Python ints."""
+def _integer_table(values, headroom: int) -> np.ndarray:
+    """Fractions times the lcm of their denominators, as a flat int64 array
+    when ``headroom`` x the largest magnitude (at least 1) is below 2^63, and
+    as an object array of Python ints, just as exact, otherwise."""
     scale = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values]
+    ints = [v.numerator * (scale // v.denominator) for v in values]
+    fits = headroom * max([1, *map(abs, ints)]) < 2 ** 63
+    return np.array(ints, dtype=np.int64 if fits else object)
 
 
-def _extension_tables(ctx: _EvalContext, specs, m: int) -> Optional[Iterator[tuple]]:
-    """:func:`_hypothesis_tables` for THM-2.12 over all m^m tables, decided on
-    G tabulated once and scaled to int64, with each parameter p/q
-    cross-multiplied; None when the bound on every compared value (largest
-    parameter numerator or denominator x 12 x largest scaled G) leaves int64.
-    """
-    g = _integer_scaled([ctx.g(*t) for t in product(range(m), repeat=3)])
+def _extension_tables(ctx: _EvalContext, specs, m: int) -> Iterator[tuple]:
+    """The THM-2.12 tables of all m^m whose orbit-set triples are each accepted
+    by one of ``specs`` (universally over starting points), decided on G scaled
+    to integers with each parameter p/q cross-multiplied: no compared value
+    exceeds 12 x max(p, q) x the largest scaled G."""
     ratios = [next(Fraction(v) for v in (s.alpha, s.beta, s.delta) if v is not None)
               for s in specs]
-    if max(max(r.numerator, r.denominator) for r in ratios) * 12 * max([1, *map(abs, g)]) \
-            >= 2 ** 63:
-        return None
-    return _extension_chunks(np.array(g, dtype=np.int64).reshape(m, m, m), specs, ratios, m)
+    headroom = 12 * max(max(r.numerator, r.denominator) for r in ratios)
+    g = _integer_table([ctx.g(*t) for t in product(range(m), repeat=3)], headroom)
+    return _extension_chunks(g.reshape(m, m, m), specs, ratios, m)
 
 
 def _extension_chunks(g, specs, ratios, m: int) -> Iterator[tuple]:
@@ -384,9 +376,6 @@ def exhaustive_theorem_check(space: GMetricSpace, theorem_id: str,
     if params:
         raise ParameterError(f"unknown theorem parameters {sorted(params)}")
 
-    extension = theorem_id == "THM-2.12"
-    # THM-2.12 quantifies over orbit-set triples, x == y included.
-    orbit_scope = extension or scope == "orbit"
     # The uniqueness clause evaluates the condition at pairs of distinct
     # fixed points, which never share an orbit, so it is only claimed when
     # the condition is quantified over the whole carrier.
@@ -396,16 +385,13 @@ def exhaustive_theorem_check(space: GMetricSpace, theorem_id: str,
     # its image lookup changes from table to table.
     ctx = _EvalContext(space)
     carrier_triples = list(_condition_triples(m))
-    tables = enumerate_self_maps(m, cap=cap)  # raises past the cap
-    passing = None
-    if extension:
+    enumerate_self_maps(m, cap=cap)  # raises past the cap
+    if theorem_id == "THM-2.12":  # orbit-set triples, x == y included
         passing = _extension_tables(ctx, specs, m)
     else:  # injective tables only, in lexicographic order as product gives
-        tables = permutations(range(m))
-    if passing is None:
         passing = _hypothesis_tables(
-            ctx, specs, tables,
-            (lambda t: _condition_triples(m, t, distinct_xy=not extension)) if orbit_scope
+            ctx, specs, permutations(range(m)),
+            (lambda t: _condition_triples(m, t)) if scope == "orbit"
             else (lambda t: carrier_triples))
     satisfying = 0
     conclusion_holds = 0
@@ -422,11 +408,11 @@ def exhaustive_theorem_check(space: GMetricSpace, theorem_id: str,
                 violation = (table, clause, {"start": a, "cycle": cycle})
                 break
 
-        if (violation is None and check_uniqueness
-                and _aux_bound(ctx, aux, carrier_triples).passed):
-            fixed = [i for i in range(m) if table[i] == i]
-            if len(fixed) != 1:
-                violation = (table, "fixed-point-not-unique", {"fixed_points": tuple(fixed)})
+        if violation is None and check_uniqueness:
+            ctx.t = table.__getitem__
+            fixed = tuple(i for i in range(m) if table[i] == i)
+            if _aux_bound(ctx, aux, carrier_triples).passed and len(fixed) != 1:
+                violation = (table, "fixed-point-not-unique", {"fixed_points": fixed})
 
         if violation is None:
             conclusion_holds += 1

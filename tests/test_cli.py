@@ -154,12 +154,14 @@ class TestMalformedValues:
                      "condition": {"id": "C-Q", "q": 0.5}, "violate": {"scales": [-1.0, 0.0]}}),
         ("violate", {"space": "absmax", "map": "moebius",
                      "condition": {"id": "C-Q", "q": 0.5}, "violate": {"scales": []}}),
+        ("axioms", {"space": "finite-uniform-100000000"}),
     ], ids=["count", "eps_stop", "map-param", "weight-param", "table-entry", "q", "scales",
             "sampling-section", "gauge_check-section", "violate-section", "grid-scalar",
             "scales-scalar", "q_grid-scalar", "negative-seed", "grid-nan", "grid-inf",
             "range-inf", "range-span", "gauge-factor-overflow", "theorem-bool",
             "condition-bool", "count-bool", "eps_stop-inf", "eps_stop-nan", "thresh-inf",
-            "scales-nan", "weight-overflow", "scales-nonpositive", "scales-empty"])
+            "scales-nan", "weight-overflow", "scales-nonpositive", "scales-empty",
+            "finite-uniform-size"])
     def test_exit_two(self, tmp_path, capsys, command, config):
         table = tmp_path / "bad.txt"
         table.write_text("2\n0 x\nx 0\n")
@@ -434,6 +436,17 @@ class TestViolateCommand:
         })
         assert code == 2
         assert "(C-Q, C-UNIT, C-GAUGE), not EXT-III" in capsys.readouterr().err
+        assert not (out / "violate.json").exists()
+
+    def test_finite_carrier_exit_two(self, tmp_path, capsys):
+        # its candidate triples are floats, which a finite carrier rejects one
+        # by one, so the search would report a clean pass without a verdict
+        code, out = run(tmp_path, "violate", {
+            "space": "finite-uniform-3", "map": "identity",
+            "condition": {"id": "C-Q", "q": 0.5},
+        })
+        assert code == 2
+        assert "one-dimensional real carrier" in capsys.readouterr().err
         assert not (out / "violate.json").exists()
 
     def test_moebius_q_grid(self, tmp_path):

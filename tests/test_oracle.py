@@ -10,8 +10,8 @@ import pytest
 import gmetric as gm
 from gmetric import catalog
 from gmetric.conditions import _EvalContext, _extension_specs
-from gmetric.oracle import (_condition_triples, _extension_tables, _hypothesis_tables,
-                            orbit_cycle, orbit_set, steps_to_fixed)
+from gmetric.oracle import (_extension_tables, _hypothesis_tables, orbit_cycle, orbit_set,
+                            steps_to_fixed)
 
 
 def F(v):
@@ -305,10 +305,16 @@ class TestOneGValuePerRun:
         assert sum(calls.values()) <= 4 ** 3
 
 
+def _orbit_triples(table):
+    """Every triple of each orbit set of ``table``, x == y included, each once."""
+    return dict.fromkeys(t for a in range(len(table))
+                         for t in product(orbit_set(table, a), repeat=3))
+
+
 class TestIntegerExtensionDecider:
     """THM-2.12's integer decider passes the same tables, in the same order,
-    as the Fraction loop, so oracle.json and its counterexample order are
-    unchanged."""
+    as the Fraction loop over orbit-set triples, so oracle.json and its
+    counterexample order are those of the one-triple-at-a-time reading."""
 
     PARAMS = [{"alpha": F(2)}, {"beta": F("3/4")}, {"delta": F("9/10")},
               {"alpha": F("5/2"), "beta": F("2/3"), "delta": F("1/2")},
@@ -319,9 +325,7 @@ class TestIntegerExtensionDecider:
     def _both(space, params):
         m = space.carrier.size
         ctx, specs = _EvalContext(space), _extension_specs(**params)
-        fraction = _hypothesis_tables(
-            ctx, specs, product(range(m), repeat=m),
-            lambda t: _condition_triples(m, t, distinct_xy=False))
+        fraction = _hypothesis_tables(ctx, specs, product(range(m), repeat=m), _orbit_triples)
         return list(_extension_tables(ctx, specs, m)), list(fraction)
 
     def test_seeded_metrics(self):
@@ -360,20 +364,45 @@ class TestIntegerExtensionDecider:
         space = gm.build_gmetric(gm.random_metric(np.random.default_rng(5), 5, 5), "max")
         params = {"alpha": "5/2", "beta": "2/3", "delta": "9/10"}
         fast = gm.exhaustive_theorem_check(space, "THM-2.12", params)
-        monkeypatch.setattr("gmetric.oracle._extension_tables", lambda *_: None)
+        monkeypatch.setattr(  # the Fraction loop over orbit-set triples decides instead
+            "gmetric.oracle._extension_tables", lambda ctx, specs, m: _hypothesis_tables(
+                ctx, specs, product(range(m), repeat=m), _orbit_triples))
         reference = gm.exhaustive_theorem_check(space, "THM-2.12", params)
         payloads = [gm.reports.render_report(gm.reports.theorem_report_dict(r))
                     for r in (fast, reference)]
         assert payloads[0] == payloads[1]
         assert fast.maps_satisfying_hypothesis > 0
 
-    def test_overflow_takes_the_fraction_loop(self):
-        space = catalog.space_finite_uniform(3)
-        delta = Fraction(9 * 10 ** 29 + 1, 10 ** 30)
-        specs = _extension_specs(delta=delta)
-        assert _extension_tables(_EvalContext(space), specs, 3) is None
-        rep = gm.exhaustive_theorem_check(space, "THM-2.12", {"delta": delta})
-        assert rep.params["delta"] == str(delta) and rep.consistent()
+    def test_overflow_takes_a_python_int_table(self, monkeypatch):
+        # a 10^30 denominator leaves int64; the object table of Python ints
+        # must pass what the Fraction loop passes, while the benchmark's
+        # delta = 9/10 keeps int64
+        dtypes = []
+        chunks = gm.oracle._extension_chunks
+
+        def spy(g, *args):
+            dtypes.append(g.dtype)
+            return chunks(g, *args)
+
+        monkeypatch.setattr("gmetric.oracle._extension_chunks", spy)
+        big = Fraction(10 ** 30)
+        overflow = [{"alpha": 2 + 1 / big}, {"beta": Fraction(3, 4) + 1 / big},
+                    {"delta": Fraction(9, 10) + 1 / big},
+                    {"alpha": Fraction(5, 2) + 1 / big, "beta": Fraction(2, 3),
+                     "delta": Fraction(1, 2) - 1 / big}]
+        rng = np.random.default_rng(20261020)
+        runs = 0
+        for n in range(8):
+            metric = gm.random_metric(rng, min_size=2, max_size=5)
+            for c, construction in enumerate(("max", "perimeter")):
+                params = overflow[(2 * n + c) % len(overflow)]
+                fast, reference = self._both(gm.build_gmetric(metric, construction), params)
+                assert fast == reference, (n, construction, params)
+                runs += bool(reference)
+        assert runs > 8 and set(dtypes) == {np.dtype(object)}
+        dtypes.clear()
+        assert self._both(catalog.space_finite_uniform(5), {"delta": F("9/10")})[0]
+        assert dtypes == [np.dtype(np.int64)]
 
 
 class TestExhaustiveAxioms:
