@@ -4,10 +4,9 @@ Builds ternary distances from finite rational metrics (max-of-pairs and
 perimeter constructions), enumerates all self-maps of a small carrier,
 and brute-force checks each fixed-point theorem's hypothesis-implies-
 conclusion statement with exact arithmetic end to end.  The THM-2.12
-hypothesis is decided on G scaled to integers: an int64 table where a
-bound shows that no compared value overflows, an object table of Python
-ints otherwise, never the Fraction loop of the other theorems.  No
-floating point enters this module; every comparison is exact.
+hypothesis is decided by a search that assigns each map along orbit paths
+and cuts a partial map at its first failing orbit-set triple.  No floating
+point enters this module; every comparison is exact.
 
 Theorem identifiers accepted by :func:`exhaustive_theorem_check`:
 
@@ -50,10 +49,6 @@ from .spaces import EXACT, AxiomReport, FiniteCarrier, GMetricSpace, check_axiom
 
 DEFAULT_MAP_CAP = 5
 
-# Map tables x condition triples that the integer THM-2.12 pass holds at
-# once; it bounds that pass's arrays to a few hundred kB whatever m is.
-_CELL_BUDGET = 1 << 14
-
 THEOREM_IDS = ("THM-2.2", "THM-2.5", "THM-2.10", "THM-2.12")
 
 
@@ -81,7 +76,11 @@ class FiniteMetric:
                     raise ParameterError(f"off-diagonal entry d[{i}][{j}] must be positive")
                 if v != self.d[j][i]:
                     raise ParameterError(f"metric table not symmetric at ({i},{j})")
-        d = _integer_table([v for row in self.d for v in row], 2).reshape(m, m)
+        # times the lcm of the denominators; int64 when d[i][j] + d[j][k],
+        # the largest compared value, surely fits, exact Python ints otherwise
+        scale = math.lcm(*(v.denominator for row in self.d for v in row))
+        ints = [v.numerator * (scale // v.denominator) for row in self.d for v in row]
+        d = np.array(ints, dtype=np.int64 if 2 * max(ints) < 2 ** 63 else object).reshape(m, m)
         for i in range(m):  # one row of (j, k) at a time; the first failure in C order
             bad = np.flatnonzero(d[i, :, None] > d[i, None, :] + d.T)
             if bad.size:
@@ -245,64 +244,54 @@ def _hypothesis_tables(ctx: _EvalContext, specs, tables, triples_of) -> Iterator
             yield table
 
 
-def _integer_table(values, headroom: int) -> np.ndarray:
-    """Fractions times the lcm of their denominators, as a flat int64 array
-    when ``headroom`` x the largest magnitude (at least 1) is below 2^63, and
-    as an object array of Python ints, just as exact, otherwise."""
-    scale = math.lcm(*(v.denominator for v in values))
-    ints = [v.numerator * (scale // v.denominator) for v in values]
-    fits = headroom * max([1, *map(abs, ints)]) < 2 ** 63
-    return np.array(ints, dtype=np.int64 if fits else object)
-
-
-def _extension_tables(ctx: _EvalContext, specs, m: int) -> Iterator[tuple]:
+def _extension_tables(ctx: _EvalContext, specs, m: int) -> list:
     """The THM-2.12 tables of all m^m whose orbit-set triples are each accepted
-    by one of ``specs`` (universally over starting points), decided on G scaled
-    to integers with each parameter p/q cross-multiplied: no compared value
-    exceeds 12 x max(p, q) x the largest scaled G."""
-    ratios = [next(Fraction(v) for v in (s.alpha, s.beta, s.delta) if v is not None)
-              for s in specs]
-    headroom = 12 * max(max(r.numerator, r.denominator) for r in ratios)
-    g = _integer_table([ctx.g(*t) for t in product(range(m), repeat=3)], headroom)
-    return _extension_chunks(g.reshape(m, m, m), specs, ratios, m)
+    by one of ``specs``, in ``product`` order.
 
+    T is assigned along the path of the lowest unassigned start a.  That
+    path, and the orbit set of an earlier point it reaches, lie in orbit(a);
+    after each assignment their triples are decided, and a partial map is
+    cut at its first failing triple.  A verdict depends only on the triple
+    and its three images, so it is memoized by those six values.  The
+    search keeps its own stack, so Python's recursion limit does not bound m.
+    """
+    table = [None] * m
+    ctx.t = table.__getitem__
+    memo = {}
 
-def _extension_chunks(g, specs, ratios, m: int) -> Iterator[tuple]:
-    """The passing tables, read as chunks of tables x carrier triples in
-    ``product`` order; a triple counts only inside some orbit set."""
-    pts = np.arange(m)
-    x, y, z = np.ix_(pts, pts, pts)
-    place = m ** pts[::-1]  # product order varies the last entry fastest
-    size = max(1, _CELL_BUDGET // m ** 3)
-    for start in range(0, m ** m, size):
-        t = np.arange(start, min(start + size, m ** m))[:, None] // place % m
-        rows = np.arange(len(t))[:, None]
-        seen = np.zeros((len(t), m, m), dtype=bool)  # p in the orbit set of a
-        pos = np.broadcast_to(pts, t.shape)
-        for _ in range(m):
-            seen[rows, pts, pos] = True
-            pos = t[rows, pos]
-        inside = np.zeros((len(t), m, m, m), dtype=bool)
-        for s in seen.transpose(1, 0, 2):  # one start at a time
-            inside |= s[:, :, None, None] & s[:, None, :, None] & s[:, None, None, :]
-        tx, ty, tz = t[:, :, None, None], t[:, None, :, None], t[:, None, None, :]
-        own = g[pts, t, t]  # G(p, Tp, Tp)
-        ox, oy, oz = own[:, :, None, None], own[:, None, :, None], own[:, None, None, :]
-        cross = g[tx, y, z] + g[x, ty, z] + g[x, y, tz]
-        holds = np.zeros_like(inside)
-        for spec, r in zip(specs, ratios):
-            p, q = r.numerator, r.denominator
-            if spec.id == "EXT-I":
-                lhs, rhs = q * (ox + oy + oz), p * g
-            elif spec.id == "EXT-II":
-                lhs, rhs = q * (ox + oy + oz), p * cross
-            else:  # 4 q G(Tx,Ty,Tz) <= p max{4 G, 4 G(x,Tx,Tx), ..., cross}
-                lhs = 4 * q * g[tx, ty, tz]
-                rhs = p * np.maximum(4 * np.maximum(np.maximum(g, ox), np.maximum(oy, oz)),
-                                     cross)
-            holds |= (lhs == 0) | (lhs <= rhs)  # Regime.status, exact: VACUOUS or HOLDS
-        for table in t[~(inside & ~holds).any(axis=(1, 2, 3))].tolist():
-            yield tuple(table)
+    def holds(t):
+        key = (*t, table[t[0]], table[t[1]], table[t[2]])
+        if key not in memo:
+            memo[key] = any(_eval_spec(ctx, spec, *t).holds for spec in specs)
+        return memo[key]
+
+    # stack[i] is a point whose image is set or tried, starts[i] the index in
+    # stack where its path begins; the top tries its next image (-1: none yet)
+    passing, stack, starts = [], [0], [0]
+    table[0] = -1
+    while stack:
+        p, s = stack[-1], starts[-1]
+        table[p] = v = table[p] + 1
+        if v == m:  # every image of p tried: back up
+            table[stack.pop()] = None
+            starts.pop()
+            continue
+        path = stack[s:]
+        if table[v] is not None and v not in path:  # orbit(a) takes in orbit(v)
+            path += orbit_set(table, v)
+        if not all(map(holds, product(path, repeat=3))):
+            continue
+        if table[v] is None:  # the path goes on through v
+            stack.append(v)
+        elif None in table:  # orbit(a) is closed: the next start
+            s = len(stack)
+            stack.append(table.index(None))
+        else:
+            passing.append(tuple(table))
+            continue
+        starts.append(s)
+        table[stack[-1]] = -1
+    return sorted(passing)
 
 
 def _as_fraction(v, name: str) -> Fraction:
@@ -317,12 +306,14 @@ def _as_fraction(v, name: str) -> Fraction:
 def exhaustive_theorem_check(space: GMetricSpace, theorem_id: str,
                              params: Optional[dict] = None,
                              cap: int = DEFAULT_MAP_CAP) -> TheoremCheckReport:
-    """Brute-force a theorem over every self-map of an exact finite space.
+    """Check a theorem over all m^m self-maps of an exact finite space.
 
     For each map the hypothesis is decided exactly (condition on all
     admissible triples), then the conclusion is verified by exact orbit
     iteration.  Where the hypothesis requires injectivity only the m!
     permutations are read; the other m^m - m! maps count as failing it.
+    THM-2.12 searches the maps along orbit paths, so no partial map is
+    extended past its first failing orbit-set triple.
     Counterexamples carry the map table, the violated clause, and a
     witness, and always re-verify.
 
@@ -384,11 +375,11 @@ def exhaustive_theorem_check(space: GMetricSpace, theorem_id: str,
     # G does not depend on the map, so one context serves the run; only
     # its image lookup changes from table to table.
     ctx = _EvalContext(space)
-    carrier_triples = list(_condition_triples(m))
     enumerate_self_maps(m, cap=cap)  # raises past the cap
     if theorem_id == "THM-2.12":  # orbit-set triples, x == y included
         passing = _extension_tables(ctx, specs, m)
     else:  # injective tables only, in lexicographic order as product gives
+        carrier_triples = list(_condition_triples(m))
         passing = _hypothesis_tables(
             ctx, specs, permutations(range(m)),
             (lambda t: _condition_triples(m, t)) if scope == "orbit"

@@ -1,5 +1,6 @@
 """Exact finite-space verification: metrics, enumeration, theorem checks."""
 import dataclasses
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -238,6 +239,16 @@ class TestTheoremChecks:
         with pytest.raises(gm.ParameterError):
             gm.exhaustive_theorem_check(sp, "THM-2.2", {"q": "1/2"})
 
+    def test_cap_refused_before_any_triple_is_listed(self, monkeypatch):
+        # a carrier past the cap must not first list its m^3 triples
+        def listed(*args):
+            raise AssertionError("triples listed before the cap check")
+
+        monkeypatch.setattr("gmetric.oracle._condition_triples", listed)
+        for theorem, params in (("THM-2.2", {"q": "1/2"}), ("THM-2.12", {"delta": "9/10"})):
+            with pytest.raises(gm.CapExceededError):
+                gm.exhaustive_theorem_check(catalog.space_finite_uniform(6), theorem, params)
+
     def test_unknown_theorem(self):
         sp = catalog.space_finite_uniform(2)
         with pytest.raises(gm.ParameterError):
@@ -311,8 +322,8 @@ def _orbit_triples(table):
                          for t in product(orbit_set(table, a), repeat=3))
 
 
-class TestIntegerExtensionDecider:
-    """THM-2.12's integer decider passes the same tables, in the same order,
+class TestOrbitPathSearch:
+    """THM-2.12's orbit-path search passes the same tables, in the same order,
     as the Fraction loop over orbit-set triples, so oracle.json and its
     counterexample order are those of the one-triple-at-a-time reading."""
 
@@ -320,6 +331,11 @@ class TestIntegerExtensionDecider:
               {"alpha": F("5/2"), "beta": F("2/3"), "delta": F("1/2")},
               {"alpha": F(1), "delta": F(0)}, {"beta": F("1/2"), "delta": F("3/4")},
               {"alpha": F("11/4"), "beta": F("7/8")}]
+    TINY = Fraction(1, 10 ** 30)
+    BIG_DENOMINATORS = [{"alpha": 2 + TINY}, {"beta": Fraction(3, 4) + TINY},
+                        {"delta": Fraction(9, 10) + TINY},
+                        {"alpha": Fraction(5, 2) + TINY, "beta": Fraction(2, 3),
+                         "delta": Fraction(1, 2) - TINY}]
 
     @staticmethod
     def _both(space, params):
@@ -328,18 +344,21 @@ class TestIntegerExtensionDecider:
         fraction = _hypothesis_tables(ctx, specs, product(range(m), repeat=m), _orbit_triples)
         return list(_extension_tables(ctx, specs, m)), list(fraction)
 
-    def test_seeded_metrics(self):
-        rng = np.random.default_rng(20261019)
+    @pytest.mark.parametrize("seed, metrics, param_sets", [
+        (20261019, 20, PARAMS), (20261020, 8, BIG_DENOMINATORS)],
+        ids=["rational", "denominators-10^30"])
+    def test_seeded_metrics(self, seed, metrics, param_sets):
+        rng = np.random.default_rng(seed)
         runs = 0
-        for n in range(20):
+        for n in range(metrics):
             metric = gm.random_metric(rng, min_size=2, max_size=5)
             for c, construction in enumerate(("max", "perimeter")):
                 # every parameter set, each on several sizes and both constructions
-                params = self.PARAMS[(2 * n + c) % len(self.PARAMS)]
+                params = param_sets[(2 * n + c) % len(param_sets)]
                 fast, reference = self._both(gm.build_gmetric(metric, construction), params)
                 assert fast == reference, (n, construction, params)
                 runs += bool(reference)
-        assert runs > 20  # most runs pass some tables
+        assert runs > metrics  # most runs pass some tables
 
     def test_uniform_and_table(self):
         for space in (catalog.space_finite_uniform(5),
@@ -373,36 +392,29 @@ class TestIntegerExtensionDecider:
         assert payloads[0] == payloads[1]
         assert fast.maps_satisfying_hypothesis > 0
 
-    def test_overflow_takes_a_python_int_table(self, monkeypatch):
-        # a 10^30 denominator leaves int64; the object table of Python ints
-        # must pass what the Fraction loop passes, while the benchmark's
-        # delta = 9/10 keeps int64
-        dtypes = []
-        chunks = gm.oracle._extension_chunks
+    @pytest.mark.parametrize("m, passing", [(6, 1057), (7, 6322)])
+    def test_uniform_past_the_default_cap(self, m, passing):
+        rep = gm.exhaustive_theorem_check(catalog.space_finite_uniform(m), "THM-2.12",
+                                          {"delta": "9/10"}, cap=m)
+        assert rep.maps_satisfying_hypothesis == rep.conclusion_holds == passing
+        assert rep.counterexamples == []
 
-        def spy(g, *args):
-            dtypes.append(g.dtype)
-            return chunks(g, *args)
-
-        monkeypatch.setattr("gmetric.oracle._extension_chunks", spy)
-        big = Fraction(10 ** 30)
-        overflow = [{"alpha": 2 + 1 / big}, {"beta": Fraction(3, 4) + 1 / big},
-                    {"delta": Fraction(9, 10) + 1 / big},
-                    {"alpha": Fraction(5, 2) + 1 / big, "beta": Fraction(2, 3),
-                     "delta": Fraction(1, 2) - 1 / big}]
-        rng = np.random.default_rng(20261020)
-        runs = 0
-        for n in range(8):
-            metric = gm.random_metric(rng, min_size=2, max_size=5)
-            for c, construction in enumerate(("max", "perimeter")):
-                params = overflow[(2 * n + c) % len(overflow)]
-                fast, reference = self._both(gm.build_gmetric(metric, construction), params)
-                assert fast == reference, (n, construction, params)
-                runs += bool(reference)
-        assert runs > 8 and set(dtypes) == {np.dtype(object)}
-        dtypes.clear()
-        assert self._both(catalog.space_finite_uniform(5), {"delta": F("9/10")})[0]
-        assert dtypes == [np.dtype(np.int64)]
+    def test_depth_does_not_grow_with_m(self):
+        # each point's only passing image is itself, so the search sets all
+        # 120 images, one start after another; a search that recursed per
+        # assignment would need 120 frames
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            rep = gm.exhaustive_theorem_check(catalog.space_finite_uniform(120), "THM-2.12",
+                                              {"beta": Fraction(3, 4) + self.TINY}, cap=120)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert rep.maps_satisfying_hypothesis == rep.conclusion_holds == 1
+        assert rep.counterexamples == []
 
 
 class TestExhaustiveAxioms:

@@ -422,9 +422,9 @@ def _reference_extension_oracle(space, params):
 
 
 class TestExtensionOracleReference:
-    """THM-2.12 reads all m^m tables; every report equals one built triple
-    by triple from eval_extension, on int64 tables and on a delta whose
-    10^30 denominator sends the run to an object table of Python ints."""
+    """THM-2.12 decides all m^m tables; every report equals one built triple
+    by triple from eval_extension, on small rationals and on a delta with a
+    10^30 denominator."""
 
     def test_reports_match(self):
         rng = np.random.default_rng(20261018)
