@@ -36,7 +36,7 @@ import heapq
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, cached_property, lru_cache, partial
 from itertools import chain, islice
 from typing import Callable, Iterable, Optional
 
@@ -207,6 +207,13 @@ class ConditionVerdict:
     @property
     def holds(self) -> bool:
         return self.status in (HOLDS_STRICT, HOLDS_WEAK, VACUOUS)
+
+    @cached_property
+    def _sort_key(self):
+        # kept in the instance dict, outside the fields: equality, hash,
+        # replace and asdict do not see it
+        key_pts = tuple(p if isinstance(p, tuple) else (p,) for p in self.triple)
+        return (-(self.lhs - self.rhs), key_pts)
 
 
 class _EvalContext:
@@ -566,8 +573,9 @@ def _aux_bound(ctx: _EvalContext, a: AuxWeight, triples) -> Verdict:
 
 
 def _triple_sort_key(verdict: ConditionVerdict):
-    key_pts = tuple(p if isinstance(p, tuple) else (p,) for p in verdict.triple)
-    return (-(verdict.lhs - verdict.rhs), key_pts)
+    """Worst-list order: decreasing violation, then triple; computed once
+    per verdict."""
+    return verdict._sort_key
 
 
 @dataclass
@@ -607,8 +615,14 @@ def certify_on_samples(space: GMetricSpace, smap: SelfMap, spec: ConditionSpec,
     outside the carrier, x == y, a value that is not finite), takes the
     scalar path, which raises at the offending triple.  Both give the chunk's
     status counts, excluded-M3 count and failing verdicts, and the worst
-    list is cut per chunk, so at most ``BLOCK`` + ``worst_cap`` verdicts
-    are held at a time, whatever ``count`` is.
+    list is cut per chunk.
+
+    A finite carrier has at most m^3 triples, which a long stream repeats:
+    there the scalar path keeps the verdicts of the last ``BLOCK`` distinct
+    normalized triples in an LRU memo.  Every drawn triple is still
+    normalized, checked for x != y and counted.  At most ``BLOCK``
+    memoized verdicts, one chunk and ``worst_cap`` worst verdicts are held
+    at a time, whatever ``count`` is.
     """
     if worst_cap < 0:
         raise ParameterError("worst_cap must be nonnegative")
@@ -616,15 +630,18 @@ def certify_on_samples(space: GMetricSpace, smap: SelfMap, spec: ConditionSpec,
     distinct = ctx.regime.distinct
     majorant = spec.id in MAJORANT_IDS
     batch = _batch_evaluator(space, smap, spec, ctx.regime, worst_cap)
+    memo = lru_cache(maxsize=BLOCK) if isinstance(space.carrier, FiniteCarrier) else (lambda f: f)
+    verdict_of = memo(partial(_eval_spec, ctx, spec))
 
     def scalar(chunk):
         counts, excluded, fails = dict.fromkeys(ROW_STATUSES, 0), 0, []
         c = space.carrier
         for (x, y, z) in chunk:
+            # normalized before the lookup: True and np.int64(1) hash like 1
             xn, yn, zn = normalize_point(c, x), normalize_point(c, y), normalize_point(c, z)
             if majorant and not distinct(xn, yn):
                 raise DomainError("sampler produced a triple with x == y")
-            verdict = _eval_spec(ctx, spec, xn, yn, zn)
+            verdict = verdict_of(xn, yn, zn)
             counts[verdict.status] += 1
             excluded += len(verdict.excluded_terms)
             if verdict.status == FAILS:

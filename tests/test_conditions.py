@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import gmetric as gm
-from gmetric import catalog, sampling
-from gmetric.conditions import FAILS, HOLDS_STRICT, VACUOUS, _triple_sort_key
-from gmetric.spaces import FAIL, PASS
+from gmetric import catalog, conditions, sampling
+from gmetric.conditions import (FAILS, HOLDS_STRICT, VACUOUS, _EvalContext, _eval_spec,
+                                _triple_sort_key)
+from gmetric.spaces import FAIL, HOLDS_WEAK, PASS, ROW_STATUSES
 
 
 @pytest.fixture
@@ -276,6 +277,18 @@ class TestUniqueness:
         assert rep.checked == 1
 
 
+def _all_fail_peak(space, smap, spec, triples, count) -> int:
+    """Peak traced allocation of a certificate on which every triple fails."""
+    tracemalloc.start()
+    try:
+        cert = gm.certify_on_samples(space, smap, spec, triples, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.fails == count and len(cert.worst) == 10
+    return peak
+
+
 class TestCertify:
     def test_moebius_gauge_certificate_clean(self, absmax, moebius):
         spec = gm.ConditionSpec(id="C-GAUGE", h=catalog.get_gauge("ratio1"))
@@ -349,14 +362,7 @@ class TestCertify:
 
         def peak(count):
             triples = ((float(i), i + 0.5, i + 2.0) for i in range(count))
-            tracemalloc.start()
-            try:
-                cert = gm.certify_on_samples(absmax, ident, spec, triples, count)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert cert.fails == count and len(cert.worst) == 10
-            return peak
+            return _all_fail_peak(absmax, ident, spec, triples, count)
 
         peak(100)  # first-call allocations
         small = peak(4_000)
@@ -397,17 +403,122 @@ class TestScalarChunks:
 
         def peak(count):
             triples = ((i % 8, (i + 1) % 8, 3 * i % 8) for i in range(count))
-            tracemalloc.start()
-            try:
-                cert = gm.certify_on_samples(space, ident, spec, triples, count)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert cert.fails == count and len(cert.worst) == 10
-            return peak
+            return _all_fail_peak(space, ident, spec, triples, count)
 
         peak(100)  # first-call allocations
         assert peak(40_000) < 2 * peak(4_000)
+
+    @pytest.mark.parametrize("case", ["finite-evicting", "real-scalar"])
+    def test_memory_bounded_on_either_scalar_branch(self, case):
+        # the 8 triples above only ever hit the verdict memo; here 1584
+        # distinct triples overflow it, or a custom weight keeps a real
+        # carrier off the batch path
+        if case == "finite-evicting":
+            space = catalog.space_finite_uniform(12)
+            smap = gm.table_self_map(space, tuple(range(12)))
+            spec = gm.ConditionSpec(id="EXT-III", delta=Fraction(9, 10))
+        else:
+            space = catalog.space_absmax()
+            smap = catalog.get_map("identity", space)
+            spec = gm.ConditionSpec(id="C-UNIT", a=gm.AuxWeight.custom(lambda x, y, z: 0))
+
+        def peak(count):
+            return _all_fail_peak(space, smap, spec, sampling.triple_stream(space, seed=5), count)
+
+        peak(100)  # first-call allocations
+        assert peak(40_000) < 2 * peak(4_000)
+
+
+def _reference_certificates(spec, verdicts, counts, caps):
+    """certify_on_samples on each prefix of ``verdicts``, one exact verdict
+    per occurrence, all fails sorted: {(count, worst_cap): Certificate}."""
+    ranked = sorted((i for i, v in enumerate(verdicts) if v.status == FAILS),
+                    key=lambda i: _triple_sort_key(verdicts[i]))
+    certs = {}
+    for count in counts:
+        head = verdicts[:count]
+        tally = {s: sum(v.status == s for v in head) for s in ROW_STATUSES}
+        fails = [verdicts[i] for i in ranked if i < count]
+        for cap in caps:
+            certs[count, cap] = gm.Certificate(
+                condition_id=spec.id, params=spec.params_label(), checked=count,
+                holds_strict=tally[HOLDS_STRICT], holds_weak=tally[HOLDS_WEAK],
+                vacuous=tally[VACUOUS], fails=tally[FAILS], worst=fails[:cap],
+                excluded_term_count=sum(len(v.excluded_terms) for v in head))
+    return certs
+
+
+class TestFiniteVerdictMemo:
+    """On a finite carrier each distinct triple is decided once while it
+    stays in the BLOCK-sized memo; nothing else about a certificate moves."""
+
+    SPECS = (gm.ConditionSpec(id="EXT-III", delta=Fraction(9, 10)),
+             gm.ConditionSpec(id="EXT-I", alpha=Fraction(3, 2)),
+             gm.ConditionSpec(id="C-Q", q=Fraction(9, 10)))
+
+    @pytest.mark.parametrize("name", [
+        "uniform-8", "uniform-11",  # 11 * 10 * 11 = 1210 distinct triples > BLOCK
+        "perimeter-8", "perimeter-11", "perimeter-13", "max-8", "max-11", "max-13"])
+    def test_equals_one_verdict_per_occurrence(self, name):
+        kind, m = name.split("-")
+        m = int(m)
+        if kind == "uniform":
+            space = catalog.space_finite_uniform(m)
+        else:
+            metric = gm.random_metric(np.random.default_rng(m), min_size=m, max_size=m)
+            space = gm.build_gmetric(metric, kind)
+        tables = (range(m), np.random.default_rng(100 + m).integers(0, m, m).tolist())
+        block = sampling.BLOCK
+        counts = (1, block - 1, block + 1, 3 * block)
+        stream = list(islice(sampling.triple_stream(space, seed=m), 3 * block))
+        for smap in (gm.table_self_map(space, t) for t in tables):
+            for spec in self.SPECS:
+                ctx = _EvalContext(space, smap)
+                verdicts = [_eval_spec(ctx, spec, *t) for t in stream]
+                expected = _reference_certificates(spec, verdicts, counts, (0, 1, 10))
+                for (count, cap), cert in expected.items():
+                    assert gm.certify_on_samples(space, smap, spec, iter(stream), count,
+                                                 worst_cap=cap) == cert
+
+    @pytest.mark.parametrize("m", [5, 13])
+    def test_each_distinct_triple_decided_once(self, monkeypatch, m):
+        # m = 5 has 5 * 4 * 5 = 100 admissible triples, all kept; m = 13 draws
+        # more distinct triples than BLOCK, so evicted ones are decided again
+        space = catalog.space_finite_uniform(m)
+        ident = gm.table_self_map(space, range(m))
+        calls = []
+
+        def spy(*args):
+            calls.append(args[2:])
+            return _eval_spec(*args)
+
+        monkeypatch.setattr(conditions, "_eval_spec", spy)
+        count = 3 * sampling.BLOCK
+        cert = gm.certify_on_samples(space, ident, self.SPECS[2],
+                                     sampling.triple_stream(space, seed=2), count)
+        assert cert.checked == cert.fails == count
+        drawn = set(islice(sampling.triple_stream(space, seed=2), count))
+        assert set(calls) == drawn
+        if m == 5:
+            assert len(calls) == len(drawn) <= 100
+        else:
+            assert sampling.BLOCK < len(drawn) < len(calls) < count
+
+    @pytest.mark.parametrize("alias", [True, np.int64(1)], ids=["True", "int64"])
+    def test_memo_hit_still_normalizes(self, alias):
+        # (True, 0, 1) hashes like (1, 0, 1); it must raise, not hit the memo
+        space = catalog.space_finite_uniform(5)
+        ident = gm.table_self_map(space, range(5))
+        with pytest.raises(gm.DomainError, match="integer index"):
+            gm.certify_on_samples(space, ident, self.SPECS[0],
+                                  iter([(1, 0, 1), (alias, 0, 1)]), 2)
+
+    def test_memo_hit_still_checks_distinctness(self):
+        space = catalog.space_finite_uniform(5)
+        ident = gm.table_self_map(space, range(5))
+        triples = [(1, 0, 1), (1, 0, 1), (2, 2, 0), (7, 0, 1)]
+        with pytest.raises(gm.DomainError, match="x == y"):  # not the later index 7
+            gm.certify_on_samples(space, ident, self.SPECS[2], iter(triples), 4)
 
 
 class TestScaleCoherence:
