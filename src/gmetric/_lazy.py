@@ -1,0 +1,17 @@
+"""numpy, imported on first use.
+
+``from ._lazy import np`` stands in for ``import numpy as np``: the first
+attribute read imports numpy, so a command that never reaches an array
+kernel (``solve``, ``gauge``, ``violate``) starts without it.
+"""
+
+
+class _LazyNumpy:
+    def __getattr__(self, name):
+        import numpy
+        value = getattr(numpy, name)
+        setattr(self, name, value)  # later reads of ``name`` skip this method
+        return value
+
+
+np = _LazyNumpy()

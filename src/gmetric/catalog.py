@@ -10,11 +10,11 @@ same floats as their scalar forms; sampled certificates use them.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from fractions import Fraction
 
-import numpy as np
-
+from ._lazy import np
 from .errors import ConfigError
 from .conditions import AuxWeight, GaugeFunction
 from .dynamics import SelfMap
@@ -145,7 +145,7 @@ def _identity(p):  # elementwise on arrays as written
 def _moebius(x):
     """x / (x + 1.0), and nan where x + 1.0 is zero, as :func:`_moebius_batch` gives."""
     d = x + 1.0
-    return x / d if d != 0 else np.nan
+    return x / d if d != 0 else math.nan
 
 
 def _moebius_batch(x):

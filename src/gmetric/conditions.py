@@ -40,8 +40,7 @@ from functools import cache, cached_property, lru_cache, partial
 from itertools import chain, islice
 from typing import Callable, Iterable, Optional
 
-import numpy as np
-
+from ._lazy import np
 from .errors import DomainError, ParameterError
 from .spaces import (
     DEFAULT_TOL,

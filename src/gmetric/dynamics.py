@@ -12,6 +12,7 @@ import csv
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain, count, islice, repeat
 from typing import Callable, Optional, Sequence
 
 from .errors import DomainError, ParameterError
@@ -34,6 +35,9 @@ from .spaces import (
 )
 
 DEFAULT_TRACE_MAX = 100_000
+# Largest trace_max: the trace is held in memory until it is written, and at
+# this size its points and gaps take about 64 MB.
+TRACE_MAX_LIMIT = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -195,6 +199,8 @@ def solve_picard(space: GMetricSpace, smap: SelfMap, x0, eps_stop: float,
         raise ParameterError("max_iter must be nonnegative")
     if trace_max < 0:
         raise ParameterError("trace_max must be nonnegative")
+    if trace_max > TRACE_MAX_LIMIT:
+        raise ParameterError(f"trace_max must be at most {TRACE_MAX_LIMIT}")
     if certified_q is not None and not (0 < certified_q < 1):
         raise ParameterError("certified_q must lie in (0, 1)")
 
@@ -346,15 +352,44 @@ def write_trace_csv(trace: OrbitTrace, path, certified_q: Optional[float] = None
     The bound column is the geometric tail bound per row when a certified
     q is supplied and empty otherwise; the gap column is empty on the
     final row.
+
+    A trace whose points and gaps are all floats (a one-dimensional real
+    carrier) is written by :func:`_write_float_rows`; any other trace, with
+    exact or tuple points, by the ``csv.writer`` loop of :func:`_write_csv_rows`.
+    Both give the same bytes for a float trace, and neither holds more
+    than one chunk of rows beyond the trace.
     """
-    g0 = trace.gaps[0] if trace.gaps else None
+    floats = set(map(type, chain(trace.points, trace.gaps))) <= {float}
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "x", "gap", "bound"])
-        for n, p in enumerate(trace.points):
-            gap = repr(trace.gaps[n]) if n < len(trace.gaps) else ""
-            if certified_q is not None and g0 is not None:
-                bound = repr(apriori_bound(certified_q, g0, n))
-            else:
-                bound = ""
-            w.writerow([n, format_point(p), gap, bound])
+        (_write_float_rows if floats else _write_csv_rows)(fh, trace, certified_q)
+
+
+def _write_csv_rows(fh, trace: OrbitTrace, certified_q) -> None:
+    """The rows of any trace, one ``csv.writer`` row at a time."""
+    g0 = trace.gaps[0] if trace.gaps else None
+    w = csv.writer(fh)
+    w.writerow(["n", "x", "gap", "bound"])
+    for n, p in enumerate(trace.points):
+        gap = repr(trace.gaps[n]) if n < len(trace.gaps) else ""
+        if certified_q is not None and g0 is not None:
+            bound = repr(apriori_bound(certified_q, g0, n))
+        else:
+            bound = ""
+        w.writerow([n, format_point(p), gap, bound])
+
+
+def _write_float_rows(fh, trace: OrbitTrace, certified_q) -> None:
+    """The rows of :func:`_write_csv_rows` for float points and gaps, joined
+    4096 at a time: ``csv.writer`` ends rows with ``\\r\\n`` and never quotes
+    a float's repr, so the bytes are the same.  Joining the whole trace at
+    once would hold all of its text in memory."""
+    gaps = trace.gaps
+    if certified_q is not None and gaps:
+        bounds = (repr(apriori_bound(certified_q, gaps[0], n)) for n in count())
+    else:
+        bounds = repeat("")
+    rows = (f"{n},{x!r},{g},{b}\r\n" for n, x, g, b in
+            zip(count(), trace.points, chain(map(repr, gaps), repeat("")), bounds))
+    fh.write("n,x,gap,bound\r\n")
+    while chunk := "".join(islice(rows, 4096)):
+        fh.write(chunk)

@@ -32,8 +32,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from typing import Iterator, Optional, Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .errors import CapExceededError, ConfigError, DomainError, ParameterError
 from .conditions import (
     AuxWeight,

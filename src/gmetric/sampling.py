@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
+from ._lazy import np
 from .errors import ParameterError
 from .spaces import (
     DEFAULT_TOL,

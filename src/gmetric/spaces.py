@@ -20,8 +20,7 @@ from functools import cache, partial
 from itertools import chain, combinations, combinations_with_replacement, permutations
 from typing import Callable, Optional, Union
 
-import numpy as np
-
+from ._lazy import np
 from .errors import DomainError, ParameterError
 
 Point = Union[float, int, tuple]

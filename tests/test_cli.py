@@ -1,5 +1,9 @@
 """Command-line behavior: exit codes, report files, config validation."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -318,6 +322,15 @@ class TestSolveCommand:
         assert "trace_max must be nonnegative" in capsys.readouterr().err
         assert not (out / "trace.csv").exists()
 
+    def test_trace_max_over_the_limit_exit_two(self, tmp_path, capsys):
+        code, out = run(tmp_path, "solve", {
+            "space": "absmax", "map": "moebius",
+            "solver": {"x0": 1.0, "trace_max": gm.dynamics.TRACE_MAX_LIMIT + 1},
+        })
+        assert code == 2
+        assert "trace_max must be at most 1000000" in capsys.readouterr().err
+        assert not (out / "trace.csv").exists()
+
     def test_non_convergence_exit_one(self, tmp_path):
         code, out = run(tmp_path, "solve", {
             "space": "absmax", "map": "moebius",
@@ -507,3 +520,41 @@ class TestDeterminism:
             main(["solve", "--config", str(cfg_path), "--out", str(out)])
             blobs.append((out / "trace.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+# Runs in a fresh interpreter, since this one has numpy loaded already:
+# reports, after the import and after each command, whether numpy is loaded.
+_STARTUP_SCRIPT = """
+import json, os, sys
+import gmetric, gmetric.cli
+work = sys.argv[1]
+seen = [("import", None, "numpy" in sys.modules)]
+for command, config in json.loads(sys.argv[2]):
+    path = os.path.join(work, command + ".json")
+    with open(path, "w") as fh:
+        json.dump(config, fh)
+    code = gmetric.cli.main([command, "--config", path, "--out", os.path.join(work, command)])
+    seen.append((command, code, "numpy" in sys.modules))
+print(json.dumps(seen))
+"""
+
+
+def test_numpy_loads_only_for_commands_that_use_it(tmp_path):
+    commands = [
+        ("solve", {"space": "absmax", "map": "moebius", "solver": {"x0": 1.0}}),
+        ("gauge", {"gauge": "ratio1"}),
+        ("violate", {"space": "absmax", "map": "moebius", "condition": {"id": "C-Q", "q": 0.5}}),
+        ("axioms", {"space": "absmax"}),
+        ("condition", {"space": "absmax", "map": "moebius",
+                       "condition": {"id": "C-Q", "q": 0.5}, "sampling": {"count": 10}}),
+    ]
+    src = str(Path(gm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _STARTUP_SCRIPT, str(tmp_path),
+                           json.dumps(commands)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen == [["import", None, False], ["solve", 0, False], ["gauge", 0, False],
+                    ["violate", 0, False], ["axioms", 0, False], ["condition", 0, True]]

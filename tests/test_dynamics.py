@@ -1,11 +1,16 @@
 """Orbits, the Picard solver, error bounds, and the sampled probes."""
 import csv
+import tracemalloc
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gmetric as gm
-from gmetric import catalog
+from gmetric import catalog, dynamics
 from gmetric.spaces import FAIL, PASS
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -117,6 +122,14 @@ class TestSolvePicard:
             gm.solve_picard(absmax, halving, 1.0, 1e-6, 10, certified_q=1.0)
         with pytest.raises(gm.ParameterError, match="trace_max"):
             gm.solve_picard(absmax, halving, 1.0, 1e-6, 10, trace_max=-1)
+        with pytest.raises(gm.ParameterError, match="at most 1000000"):
+            gm.solve_picard(absmax, halving, 1.0, 1e-6, 10,
+                            trace_max=dynamics.TRACE_MAX_LIMIT + 1)
+
+    def test_trace_max_at_the_limit_runs(self, absmax, halving):
+        cert = gm.solve_picard(absmax, halving, 1.0, 1e-6, 1000,
+                               trace_max=dynamics.TRACE_MAX_LIMIT)
+        assert len(cert.trace) == cert.iterations + 1
 
 
     def test_image_outside_carrier_raises_at_that_step(self, absmax):
@@ -324,3 +337,117 @@ class TestTraceCsv:
         rows = list(csv.reader(path.read_text().splitlines()[1:]))
         assert float(rows[0][3]) == pytest.approx(1.0)   # 0.5^0 * 0.5 / 0.5
         assert float(rows[2][3]) == pytest.approx(0.25)
+
+
+def _seeded_x0(seed):
+    return float(np.random.default_rng(seed).uniform(0.5, 2.0))
+
+
+def _orbit(map_name, seed, n):
+    sp = catalog.space_absmax()
+    return gm.orbit(sp, catalog.get_map(map_name, sp), _seeded_x0(seed), n)
+
+
+def _moebius_rows(rows):
+    """A moebius orbit trace of ``rows`` rows from a seeded start."""
+    if rows == 1:
+        return gm.OrbitTrace(points=[_seeded_x0(rows)], gaps=[])
+    return _orbit("moebius", rows, rows - 1)
+
+
+def _solved(map_name, seed, **kwargs):
+    sp = catalog.space_absmax()
+    kwargs.setdefault("max_iter", 10_000)
+    return gm.solve_picard(sp, catalog.get_map(map_name, sp), _seeded_x0(seed), 1e-11,
+                           **kwargs).trace
+
+
+# Float traces of a one-dimensional real carrier; every one takes the join path.
+FLOAT_TRACES = {
+    "moebius-seeded": lambda: _solved("moebius", 3, max_iter=5000),
+    "scale-0.5-to-zero": lambda: _orbit("scale-0.5", 4, 1200),
+    "constant-c": lambda: _solved("constant-2.5", 5),
+    "exponent-reprs": lambda: gm.OrbitTrace(
+        points=[1e16, 1e-300, 5e-324, 3.162267219925727e-06, 0.0],
+        gaps=[1e16, 1e-300, 5e-324, 3.162267219925727e-06]),
+    "trace-max-0": lambda: _solved("moebius", 6, trace_max=0),
+    "trace-max-1": lambda: _solved("scale-0.5", 7, trace_max=1),
+    "exact-fixed": lambda: _solved("identity", 8),
+    **{f"rows-{n}": (lambda n=n: _moebius_rows(n)) for n in (1, 4095, 4096, 4097, 10 ** 5)},
+}
+
+
+def _reference_bytes(tmp_path, trace, certified_q):
+    """What the ``csv.writer`` loop writes for ``trace``."""
+    path = tmp_path / "reference.csv"
+    with open(path, "w", newline="") as fh:
+        dynamics._write_csv_rows(fh, trace, certified_q)
+    return path.read_bytes()
+
+
+def _written(tmp_path, monkeypatch, trace, certified_q):
+    """(bytes, writer name) of :func:`write_trace_csv` on ``trace``."""
+    used = []
+    for name in ("_write_csv_rows", "_write_float_rows"):
+        def spy(*args, _name=name, _writer=getattr(dynamics, name)):
+            used.append(_name)
+            return _writer(*args)
+        monkeypatch.setattr(dynamics, name, spy)
+    path = tmp_path / "trace.csv"
+    gm.write_trace_csv(trace, path, certified_q)
+    monkeypatch.undo()
+    return path.read_bytes(), used
+
+
+class TestTraceWriterPaths:
+    @pytest.mark.parametrize("certified_q", [None, 0.5])
+    @pytest.mark.parametrize("case", list(FLOAT_TRACES))
+    def test_join_path_matches_csv_writer(self, tmp_path, monkeypatch, case, certified_q):
+        trace = FLOAT_TRACES[case]()
+        data, used = _written(tmp_path, monkeypatch, trace, certified_q)
+        assert used == ["_write_float_rows"]
+        assert data == _reference_bytes(tmp_path, trace, certified_q)
+        assert data.count(b"\r\n") == len(trace) + 1
+
+    def test_row_counts_and_exponents_are_what_they_claim(self):
+        for n in (1, 4095, 4096, 4097, 10 ** 5):
+            assert len(FLOAT_TRACES[f"rows-{n}"]()) == n
+        assert FLOAT_TRACES["exact-fixed"]().exact_fixed
+        halving = FLOAT_TRACES["scale-0.5-to-zero"]()
+        assert halving.exact_fixed and 5e-324 in halving.points
+        assert len(FLOAT_TRACES["trace-max-0"]()) == len(FLOAT_TRACES["trace-max-1"]()) == 2
+
+    def test_exact_trace_takes_csv_writer_and_matches_golden(self, tmp_path, monkeypatch):
+        rows = [[0, 1, 2, "3/2", "5/4"], [1, 0, "3/2", 2, "7/4"], [2, "3/2", 0, 1, "4/3"],
+                ["3/2", 2, 1, 0, "5/3"], ["5/4", "7/4", "4/3", "5/3", 0]]
+        sp = gm.build_gmetric(gm.FiniteMetric.from_rows(rows), "max")
+        cert = gm.solve_picard(sp, catalog.get_map("constant-3", sp), 0, 1e-9, 10)
+        data, used = _written(tmp_path, monkeypatch, cert.trace, None)
+        assert used == ["_write_csv_rows"]
+        assert data == (GOLDEN / "solve-exact" / "trace.csv").read_bytes()
+
+    @pytest.mark.parametrize("trace", [
+        gm.OrbitTrace(points=[(1.0, 2.0), (0.5, 1.0)], gaps=[1.0]),
+        gm.OrbitTrace(points=[1.0, 2], gaps=[1.0]),
+        gm.OrbitTrace(points=[1.0, 0.5], gaps=[np.float64(0.5)]),
+    ], ids=["tuple-points", "int-point", "numpy-gap"])
+    def test_any_non_float_value_takes_csv_writer(self, tmp_path, monkeypatch, trace):
+        data, used = _written(tmp_path, monkeypatch, trace, 0.5)
+        assert used == ["_write_csv_rows"]
+        assert data == _reference_bytes(tmp_path, trace, 0.5)
+
+
+def _writer_peak(tmp_path, trace) -> int:
+    """Peak traced allocation of writing ``trace``."""
+    tracemalloc.start()
+    try:
+        gm.write_trace_csv(trace, tmp_path / "trace.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_trace_writer_memory_is_one_chunk(tmp_path):
+    small, large = _moebius_rows(10 ** 4), _moebius_rows(10 ** 5)
+    assert _writer_peak(tmp_path, large) < 2 * _writer_peak(tmp_path, small)
