@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 from itertools import chain, islice
 
 from . import catalog, reports, sampling
@@ -36,7 +35,8 @@ from .conditions import (
 # wraps both names in gmetric.cli.
 from .dynamics import DEFAULT_TRACE_MAX, orbit, solve_picard, write_trace_csv  # noqa: F401
 from .errors import ConfigError, DomainError, GMetricError
-from .oracle import DEFAULT_MAP_CAP, build_gmetric, exhaustive_theorem_check, load_metric_table
+from .oracle import (DEFAULT_MAP_CAP, build_gmetric, exhaustive_theorem_check,
+                     load_metric_table, parse_rational)
 from .spaces import DEFAULT_TOL, FiniteCarrier, GMetricSpace, RealCarrier, check_axioms
 from .spaces import normalize_point  # noqa: F401
 
@@ -69,7 +69,7 @@ def load_config(path) -> dict:
             cfg = json.load(fh)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}")
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, bytes that are not UTF-8, an overlong int
         raise ConfigError(f"config {path} is not valid JSON: {e}")
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
@@ -139,7 +139,7 @@ def _param(value, exact: bool, what: str):
     if value is None:
         return None
     if exact:
-        return _number(lambda v: Fraction(str(v)), value, what)
+        return _number(lambda v: parse_rational(str(v)), value, what)
     return _number(float, value, what)
 
 

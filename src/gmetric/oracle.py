@@ -50,6 +50,24 @@ DEFAULT_MAP_CAP = 5
 
 THEOREM_IDS = ("THM-2.2", "THM-2.5", "THM-2.10", "THM-2.12")
 
+# Most digits a rational string may write in its numerator or denominator,
+# and largest magnitude of its decimal exponent. A parsed value then has at
+# most 2 * RATIONAL_MAX_DIGITS + 1 digits above and below the line, well under
+# the 4300 that Python prints, and the parse stays fast: Fraction("1e10000000")
+# alone takes seconds.
+RATIONAL_MAX_DIGITS = 1000
+
+
+def parse_rational(text: str) -> Fraction:
+    """``Fraction(text)``, or a ValueError before ``Fraction`` runs when the
+    string passes :data:`RATIONAL_MAX_DIGITS`."""
+    mantissa, _, exponent = text.lower().partition("e")
+    if (max(sum(map(str.isdigit, part)) for part in mantissa.split("/")) > RATIONAL_MAX_DIGITS
+            or abs(int(exponent or 0)) > RATIONAL_MAX_DIGITS):
+        raise ValueError(f"more than {RATIONAL_MAX_DIGITS} digits in a numerator, "
+                         f"denominator or exponent")
+    return Fraction(text)
+
 
 @dataclass(frozen=True)
 class FiniteMetric:
@@ -79,7 +97,14 @@ class FiniteMetric:
         # the largest compared value, surely fits, exact Python ints otherwise
         scale = math.lcm(*(v.denominator for row in self.d for v in row))
         ints = [v.numerator * (scale // v.denominator) for row in self.d for v in row]
-        d = np.array(ints, dtype=np.int64 if 2 * max(ints) < 2 ** 63 else object).reshape(m, m)
+        top = max(ints)
+        # No triple of distinct points when m < 3. Otherwise, when no off-diagonal
+        # entry exceeds twice the smallest, d[i][k] + d[k][j] >= 2 min >= max >=
+        # d[i][j] for distinct i, j, k; k = i or j is trivial. This covers tables
+        # with entries in [1, 2] without numpy.
+        if m < 3 or top <= 2 * min(filter(None, ints)):
+            return
+        d = np.array(ints, dtype=np.int64 if 2 * top < 2 ** 63 else object).reshape(m, m)
         for i in range(m):  # one row of (j, k) at a time; the first failure in C order
             bad = np.flatnonzero(d[i, :, None] > d[i, None, :] + d.T)
             if bad.size:
@@ -124,15 +149,15 @@ def random_metric(rng, min_size: int = 2, max_size: int = 6,
 def load_metric_table(path) -> FiniteMetric:
     """Read a metric from a plain-text table: first line m, then m rows of
     whitespace-separated rationals ("p/q" or integers)."""
-    with open(path) as fh:
-        tokens = fh.read().split()
-    if not tokens:
-        raise ParameterError(f"empty metric table file {path}")
-    try:
-        m = int(tokens[0])
-        vals = [Fraction(v) for v in tokens[1:]]
+    try:  # a ValueError also when the file is not UTF-8
+        with open(path) as fh:
+            tokens = fh.read().split()
+        m = int(tokens[0]) if tokens else None
+        vals = [parse_rational(v) for v in tokens[1:]]
     except (ValueError, ZeroDivisionError) as e:
         raise ConfigError(f"malformed metric table {path}: {e}") from None
+    if m is None:
+        raise ParameterError(f"empty metric table file {path}")
     if len(vals) != m * m:
         raise ParameterError(f"expected {m * m} entries, found {len(vals)}")
     rows = [vals[i * m:(i + 1) * m] for i in range(m)]
@@ -296,7 +321,7 @@ def _extension_tables(ctx: _EvalContext, specs, m: int) -> list:
 def _as_fraction(v, name: str) -> Fraction:
     if isinstance(v, (Fraction, int, str, float)) and not isinstance(v, bool):
         try:
-            return Fraction(str(v) if isinstance(v, float) else v)
+            return parse_rational(str(v)) if isinstance(v, (str, float)) else Fraction(v)
         except (ValueError, ZeroDivisionError):
             pass
     raise ParameterError(f"malformed {name}: {v!r} is not rational-valued")

@@ -159,13 +159,27 @@ class TestMalformedValues:
         ("violate", {"space": "absmax", "map": "moebius",
                      "condition": {"id": "C-Q", "q": 0.5}, "violate": {"scales": []}}),
         ("axioms", {"space": "finite-uniform-100000000"}),
+        # rational strings past oracle.RATIONAL_MAX_DIGITS, refused before
+        # Fraction runs: Fraction("9e-100000001") alone would take minutes
+        ("condition", {"space": "finite-uniform-4", "map": "identity",
+                       "condition": {"id": "EXT-III", "delta": "9e-1000001"},
+                       "sampling": {"count": 10}}),
+        ("oracle", {"space": "finite-uniform-4",
+                    "theorem": {"id": "THM-2.12", "delta": "9e-100000001"}}),
+        ("oracle", {"space": "finite-uniform-4",
+                    "theorem": {"id": "THM-2.2", "q": "1/" + "7" * 1001}}),
+        ("condition", {"space": "absmax", "map": "moebius",
+                       "condition": {"id": "C-Q", "q": 0.5, "a": "constant-1e100000000"},
+                       "sampling": {"count": 10}}),
+        ("gauge", {"gauge": "linear-1e-100000000"}),
     ], ids=["count", "eps_stop", "map-param", "weight-param", "table-entry", "q", "scales",
             "sampling-section", "gauge_check-section", "violate-section", "grid-scalar",
             "scales-scalar", "q_grid-scalar", "negative-seed", "grid-nan", "grid-inf",
             "range-inf", "range-span", "gauge-factor-overflow", "theorem-bool",
             "condition-bool", "count-bool", "eps_stop-inf", "eps_stop-nan", "thresh-inf",
             "scales-nan", "weight-overflow", "scales-nonpositive", "scales-empty",
-            "finite-uniform-size"])
+            "finite-uniform-size", "condition-exponent", "theorem-exponent",
+            "theorem-denominator", "weight-exponent", "gauge-exponent"])
     def test_exit_two(self, tmp_path, capsys, command, config):
         table = tmp_path / "bad.txt"
         table.write_text("2\n0 x\nx 0\n")
@@ -211,6 +225,31 @@ class TestNonStringSelectors:
         code, _ = run(tmp_path, command, config)
         assert code == 2
         assert "must be a catalog name" in capsys.readouterr().err
+
+
+class TestUndecodableInput:
+    """A config or metric table that cannot be decoded is a configuration
+    error (exit 2), not a ValueError traceback and exit 1."""
+
+    @pytest.mark.parametrize("config, table, message", [
+        (b'{"space": "finite-uniform-4", "theorem": {"id": "THM-2.12", "delta": '
+         + b"9" * 5001 + b"}}", None, "is not valid JSON"),
+        (b'{"space": "finite-uniform-4", "theorem": {"id": "THM-2.12", "delta": "9/10\xff"}}',
+         None, "is not valid JSON"),
+        (b'{"space": {"metric_table": "TABLE"}, "theorem": {"id": "THM-2.5"}}',
+         b"2\n0 1\n1 0\xff\n", "malformed metric table"),
+        (b'{"space": {"metric_table": "TABLE"}, "theorem": {"id": "THM-2.5"}}',
+         b"2\n0 1e-1001\n1e-1001 0\n", "malformed metric table"),
+    ], ids=["config-int-digits", "config-not-utf8", "table-not-utf8", "table-exponent"])
+    def test_exit_two(self, tmp_path, capsys, config, table, message):
+        if table is not None:
+            (tmp_path / "table.txt").write_bytes(table)
+            config = config.replace(b"TABLE", str(tmp_path / "table.txt").encode())
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(config)
+        code = main(["oracle", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
 
 class TestConditionCommand:
@@ -540,11 +579,18 @@ print(json.dumps(seen))
 
 
 def test_numpy_loads_only_for_commands_that_use_it(tmp_path):
+    # entries in [1, 2]: the triangle inequality holds without the numpy check
+    table = tmp_path / "table.txt"
+    table.write_text("4\n0 1 3/2 2\n1 0 2 3/2\n3/2 2 0 1\n2 3/2 1 0\n")
     commands = [
         ("solve", {"space": "absmax", "map": "moebius", "solver": {"x0": 1.0}}),
         ("gauge", {"gauge": "ratio1"}),
         ("violate", {"space": "absmax", "map": "moebius", "condition": {"id": "C-Q", "q": 0.5}}),
         ("axioms", {"space": "absmax"}),
+        ("oracle", {"space": "finite-uniform-5", "theorem": {"id": "THM-2.12", "delta": "9/10"}}),
+        ("oracle", {"space": {"metric_table": str(table)},
+                    "theorem": {"id": "THM-2.5", "scope": "orbit"}}),
+        ("axioms", {"space": {"metric_table": str(table)}}),
         ("condition", {"space": "absmax", "map": "moebius",
                        "condition": {"id": "C-Q", "q": 0.5}, "sampling": {"count": 10}}),
     ]
@@ -557,4 +603,5 @@ def test_numpy_loads_only_for_commands_that_use_it(tmp_path):
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen == [["import", None, False], ["solve", 0, False], ["gauge", 0, False],
-                    ["violate", 0, False], ["axioms", 0, False], ["condition", 0, True]]
+                    ["violate", 0, False], ["axioms", 0, False], ["oracle", 0, False],
+                    ["oracle", 0, False], ["axioms", 0, False], ["condition", 0, True]]

@@ -11,8 +11,8 @@ import pytest
 import gmetric as gm
 from gmetric import catalog
 from gmetric.conditions import _EvalContext, _extension_specs
-from gmetric.oracle import (_extension_tables, _hypothesis_tables, orbit_cycle, orbit_set,
-                            steps_to_fixed)
+from gmetric.oracle import (RATIONAL_MAX_DIGITS, _extension_tables, _hypothesis_tables,
+                            orbit_cycle, orbit_set, parse_rational, steps_to_fixed)
 
 
 def F(v):
@@ -68,6 +68,41 @@ class TestFiniteMetric:
         p.write_text("2\n0 1\n")
         with pytest.raises(gm.ParameterError):
             gm.load_metric_table(p)
+
+    def test_loader_empty(self, tmp_path):
+        p = tmp_path / "metric.txt"
+        p.write_text(" \n")
+        with pytest.raises(gm.ParameterError, match="empty metric table"):
+            gm.load_metric_table(p)
+
+
+class TestParseRational:
+    """Strings up to RATIONAL_MAX_DIGITS digits per numerator, denominator and
+    exponent parse as Fraction does; longer ones are a ValueError."""
+
+    N = RATIONAL_MAX_DIGITS
+
+    @pytest.mark.parametrize("text", [
+        "9" * N, "1/" + "7" * N, "-" + "3" * N + "/" + "7" * N, "0." + "1" * (N - 1),
+        f"9e-{N}", f"2.5E+{N}", " 3/4 ", "1_000", "900000000000000000000000000001/10" + "0" * 29,
+    ], ids=["numerator", "denominator", "both", "decimal", "exponent-neg", "exponent-pos",
+            "spaces", "underscore", "30-digit-denominator"])
+    def test_within_limit_equals_fraction(self, text):
+        assert parse_rational(text) == Fraction(text)
+
+    @pytest.mark.parametrize("text", [
+        "9" * (N + 1), "1/" + "7" * (N + 1), "0." + "1" * N, f"9e-{N + 1}", f"9E{N + 1}",
+        "9e-100000001", "1e" + "9" * 5000,
+    ], ids=["numerator", "denominator", "decimal", "exponent-neg", "exponent-pos",
+            "exponent-huge", "exponent-digits"])
+    def test_past_limit_refused(self, text):
+        with pytest.raises(ValueError):
+            parse_rational(text)
+
+    @pytest.mark.parametrize("text", ["abc", "1/0", "1e", "1e5/3", "nan"])
+    def test_malformed_as_fraction(self, text):
+        with pytest.raises((ValueError, ZeroDivisionError)):
+            parse_rational(text)
 
 
 class TestBuildGMetric:

@@ -3,10 +3,11 @@ from fractions import Fraction
 from itertools import islice, permutations, product
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import gmetric as gm
-from gmetric import catalog, sampling
+from gmetric import catalog, oracle, sampling
 from gmetric.spaces import DEFAULT_TOL, Regime, raw_g
 
 finite_floats = st.floats(min_value=0.0, max_value=1e6, allow_nan=False,
@@ -440,3 +441,76 @@ class TestExtensionOracleReference:
                 assert (r.maps_total, r.maps_satisfying_hypothesis, r.conclusion_holds,
                         r.counterexamples, r.hypothesis_failing) \
                     == _reference_extension_oracle(space, params), (n, params)
+
+
+def _first_triangle_failure(rows):
+    """Reference triangle check: every (i, j, k) in C order."""
+    for i, j, k in product(range(len(rows)), repeat=3):
+        if rows[i][j] > rows[i][k] + rows[k][j]:
+            return f"triangle inequality fails at ({i},{j}) via {k}"
+    return None
+
+
+@st.composite
+def symmetric_tables(draw, kind):
+    """A symmetric table, zero on the diagonal and positive off it.
+
+    ``spread``: every off-diagonal entry in [s, 2s] for its denominator s.
+    ``closure``: the shortest-path closure of weights in [1, 10], a metric
+    whose largest entry exceeds twice its smallest.  ``broken``: a closure
+    with one entry raised past a two-step path.  The table is then scaled,
+    which keeps its first failure; the big factors need Python ints.
+    """
+    m = draw(st.integers(1 if kind == "spread" else 3, 6))
+    rows = [[Fraction(0)] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            den = draw(st.integers(1, 12))
+            top = 2 * den if kind == "spread" else 10 * den
+            rows[i][j] = rows[j][i] = Fraction(draw(st.integers(den, top)), den)
+    if kind != "spread":
+        for k, i, j in product(range(m), repeat=3):
+            rows[i][j] = min(rows[i][j], rows[i][k] + rows[k][j])
+        off = [v for i, row in enumerate(rows) for j, v in enumerate(row) if i != j]
+        assume(max(off) > 2 * min(off))
+    if kind == "broken":
+        i, j, k = draw(st.permutations(range(m)))[:3]
+        rows[i][j] = rows[j][i] = rows[i][k] + rows[k][j] + Fraction(1, draw(st.integers(1, 12)))
+    scale = draw(st.sampled_from([1, 10 ** 20 + 1, Fraction(10 ** 30 + 1, 10 ** 30)]))
+    return [[v * scale for v in row] for row in rows]
+
+
+class TestTriangleCheckReference:
+    """FiniteMetric accepts a table exactly when a loop over every (i, j, k)
+    finds no failure, and otherwise names the loop's first failure: inside
+    and outside the 2x spread, on int64 and on Python-int tables."""
+
+    @pytest.mark.parametrize("kind", ["spread", "closure", "broken"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_triple_loop(self, kind, data):
+        rows = data.draw(symmetric_tables(kind))
+        want = _first_triangle_failure(rows)
+        assert (want is None) == (kind != "broken")
+        if want is None:
+            assert gm.FiniteMetric.from_rows(rows).d == tuple(map(tuple, rows))
+        else:
+            with pytest.raises(gm.ParameterError) as err:
+                gm.FiniteMetric.from_rows(rows)
+            assert str(err.value) == want
+
+    @pytest.mark.parametrize("rows, numpy_check", [
+        ([[0]], False),
+        ([[0, 7], [7, 0]], False),
+        ([[0, 1, 2], [1, 0, 2], [2, 2, 0]], False),
+        ([[0, 1, 3], [1, 0, 2], [3, 2, 0]], True),
+    ], ids=["m1", "m2", "spread-2", "spread-3"])
+    def test_numpy_check_only_outside_the_spread(self, monkeypatch, rows, numpy_check):
+        arrays = []
+
+        def array(*args, **kwargs):
+            arrays.append(args)
+            return np.array(*args, **kwargs)
+        monkeypatch.setattr(oracle.np, "array", array)
+        gm.FiniteMetric.from_rows(rows)
+        assert bool(arrays) == numpy_check
