@@ -36,7 +36,7 @@ import heapq
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cache, cached_property, lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import chain, islice
 from typing import Callable, Iterable, Optional
 
@@ -64,6 +64,10 @@ from .spaces import (
 )
 from .dynamics import SelfMap
 from .sampling import BLOCK
+
+# G values and images one evaluation context keeps on a finite carrier: a
+# table with m^3 below it (m <= 40) reads each G value once
+G_MEMO_MAX = 1 << 16
 
 MAJORANT_IDS = ("C-Q", "C-UNIT", "C-GAUGE")
 CONDITION_IDS = MAJORANT_IDS + ("EXT-I", "EXT-II", "EXT-III")
@@ -220,8 +224,8 @@ class _EvalContext:
     with the arithmetic regime of one call.
 
     A finite carrier has at most m^3 G keys and m image keys, so both are
-    cached for the life of the context; on a real carrier keys do not
-    repeat and both are evaluated directly.  Without a map ``t`` is None,
+    kept in an LRU memo of ``G_MEMO_MAX`` entries; on a real carrier keys
+    do not repeat and both are evaluated directly.  Without a map ``t`` is None,
     for a caller that supplies its own image lookup.
     """
 
@@ -230,7 +234,8 @@ class _EvalContext:
         if smap is not None and smap.domain != space.carrier:
             raise DomainError("map domain does not match the space carrier")
         self.regime = Regime(space.exact, tol_base)
-        memo = cache if isinstance(space.carrier, FiniteCarrier) else (lambda f: f)
+        memo = (lru_cache(maxsize=G_MEMO_MAX) if isinstance(space.carrier, FiniteCarrier)
+                else (lambda f: f))
         self.g = memo(partial(raw_g, space))
         self.t = None if smap is None else memo(smap.step)
 

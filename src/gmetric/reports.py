@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .conditions import Certificate, ConditionVerdict, GaugeReport
 from .dynamics import FixedPointCertificate
+from .errors import ParameterError
 from .oracle import TheoremCheckReport
 from .spaces import AxiomReport, ConvergenceDiagnosis, Verdict
 
@@ -21,7 +22,11 @@ from .spaces import AxiomReport, ConvergenceDiagnosis, Verdict
 def jsonable(obj):
     """Recursively convert toolkit values into JSON-encodable structures."""
     if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
+        try:
+            return f"{obj.numerator}/{obj.denominator}"
+        except ValueError:  # past the interpreter's int-to-str digit limit
+            raise ParameterError("a rational in the report has too many digits to print; "
+                                 "use parameters and tables with shorter rationals") from None
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     if isinstance(obj, dict):

@@ -1,13 +1,19 @@
 """Seeded, reproducible point and triple sampling.
 
-All randomness flows through a numpy Generator seeded from the run
-config, so identical seeds give identical certificate inputs.  Points of
-a real carrier are drawn in blocks, one Generator call per block; a block
-draw gives, in C order, the same values as one scalar draw per point.
+All randomness flows through one generator per run, made by
+:func:`make_rng` from the run config's seed, so identical seeds give
+identical certificate inputs.  That generator is :class:`DefaultRng`, the
+stream of ``numpy.random.default_rng(seed)`` bit for bit: its scalar
+bounded integers (the finite carrier's indices) are drawn in plain
+Python, so a finite certificate never imports numpy, and any other draw
+continues the same stream in a numpy ``Generator``.  Points of a real
+carrier are drawn in blocks, one Generator call per block; a block draw
+gives, in C order, the same values as one scalar draw per point.
 """
 from __future__ import annotations
 
 import math
+import operator
 
 from ._lazy import np
 from .errors import ParameterError
@@ -25,8 +31,117 @@ DEFAULT_SEED = 0
 BLOCK = 1024  # triples drawn per Generator call, and per certificate chunk
 
 
-def make_rng(seed: int = DEFAULT_SEED) -> np.random.Generator:
-    return np.random.default_rng(seed)
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_pool(seed) -> list:
+    """``numpy.random.SeedSequence(seed).pool``: four 32-bit words hashed
+    from the seed's little-endian 32-bit words (numpy raises the same
+    errors for a seed that is not a nonnegative integer)."""
+    if isinstance(seed, bool) or not hasattr(type(seed), "__index__"):
+        raise TypeError(f"SeedSequence expects int or sequence of ints for entropy not {seed}")
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    entropy = [seed & _MASK32]
+    while seed > _MASK32:
+        seed >>= 32
+        entropy.append(seed & _MASK32)
+    h = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal h
+        value ^= h
+        h = h * 0x931E8875 & _MASK32
+        value = value * h & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return r ^ r >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    return pool
+
+
+class DefaultRng:
+    """The generator ``numpy.random.default_rng(seed)`` makes, bit for bit.
+
+    PCG64 (XSL-RR 128/64) seeded through SeedSequence, with numpy's
+    buffered upper half-word for 32-bit draws.  A scalar
+    ``integers(low, high)`` with ``2 <= high - low <= 2**32`` is drawn here
+    by Lemire's rejection method, as numpy draws it.  The first call it
+    does not cover (``size=``, ``uniform``, a wider range, any other
+    attribute) moves the state, buffered half-word included, into a numpy
+    ``Generator``, which serves that and every later call.
+    """
+
+    def __init__(self, seed: int):
+        pool, words = _seed_pool(seed), []
+        h = 0x8B51F9DD
+        for i in range(8):  # SeedSequence.generate_state(8, uint32)
+            value = pool[i % 4] ^ h
+            h = h * 0x58F38DED & _MASK32
+            value = value * h & _MASK32
+            words.append(value ^ value >> 16)
+        init = words[1] << 96 | words[0] << 64 | words[3] << 32 | words[2]
+        self._inc = (words[5] << 96 | words[4] << 64 | words[7] << 32 | words[6]) << 1 & _MASK128 | 1
+        self._state = ((self._inc + init) * _PCG64_MULT + self._inc) & _MASK128
+        self._has_uint32 = 0
+        self._uinteger = 0
+        self._generator = None
+
+    def integers(self, low, high=None, size=None, dtype="int64", endpoint=False):
+        if (size is None and dtype == "int64" and not endpoint and self._generator is None
+                and type(low) is int and type(high) is int and 1 < high - low <= 1 << 32):
+            n = high - low
+            while True:  # Lemire: accept unless the low word is below 2**32 % n
+                if self._has_uint32:
+                    self._has_uint32 = 0
+                    m = self._uinteger * n
+                else:
+                    s = self._state = (self._state * _PCG64_MULT + self._inc) & _MASK128
+                    rot = s >> 122
+                    word = (s >> 64 ^ s) & _MASK64
+                    word = (word >> rot | word << 64 - rot) & _MASK64
+                    self._has_uint32, self._uinteger = 1, word >> 32
+                    m = (word & _MASK32) * n
+                low_word = m & _MASK32
+                if low_word >= n or low_word >= (1 << 32) % n:
+                    return low + (m >> 32)
+        return self._numpy().integers(low, high, size, dtype, endpoint)
+
+    def bit_state(self) -> dict:
+        """The state in the form of numpy's ``bit_generator.state``."""
+        return {"bit_generator": "PCG64",
+                "state": {"state": self._state, "inc": self._inc},
+                "has_uint32": self._has_uint32, "uinteger": self._uinteger}
+
+    def _numpy(self):
+        if self._generator is None:
+            bit_generator = np.random.PCG64()
+            bit_generator.state = self.bit_state()
+            self._generator = np.random.Generator(bit_generator)
+        return self._generator
+
+    def __getattr__(self, name):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return getattr(self._numpy(), name)
+
+
+def make_rng(seed: int = DEFAULT_SEED) -> DefaultRng:
+    return DefaultRng(seed)
 
 
 def _draw_block(rng, carrier, lo, hi, shape: tuple) -> np.ndarray:
@@ -76,10 +191,11 @@ def triple_stream(space: GMetricSpace, seed: int = DEFAULT_SEED,
     first two points coincide, per the arithmetic regime's guard with
     ``tol``, is dropped, which is what redrawing it one point at a time
     would give.  A finite carrier, whose certificates take the scalar path,
-    draws one index per Generator call and redraws such a triple, so
-    Generator calls per triple (perfbench's ``sampling.draws_per_triple``)
-    still count its redraws.  Points are Python values: ``int`` indices,
-    ``float`` scalars or tuples of floats.
+    draws one index per ``integers`` call, in Python and without numpy
+    (see :class:`DefaultRng`), and redraws such a triple, so Generator calls
+    per triple (perfbench's ``sampling.draws_per_triple``) still count its
+    redraws.  Points are Python values: ``int`` indices, ``float`` scalars
+    or tuples of floats.
     """
     lo, hi = _clip_range(space, lo, hi)
     rng = make_rng(seed)
@@ -88,8 +204,9 @@ def triple_stream(space: GMetricSpace, seed: int = DEFAULT_SEED,
         raise ParameterError("cannot draw distinct pairs from a 1-point carrier")
     regime = Regime(space.exact, tol)
     if isinstance(carrier, FiniteCarrier):
+        m = carrier.size
         while True:
-            x, y, z = (int(rng.integers(0, carrier.size)) for _ in range(3))
+            x, y, z = rng.integers(0, m), rng.integers(0, m), rng.integers(0, m)
             if regime.distinct(x, y):
                 yield (x, y, z)
     distinct = regime.distinct_rows

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, report files, config validation."""
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -188,6 +189,24 @@ class TestMalformedValues:
         code, _ = run(tmp_path, command, config)
         assert code == 2
         assert "malformed" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                        reason="this interpreter prints ints of any length")
+    def test_report_rational_past_the_digit_limit_exit_two(self, tmp_path, capsys):
+        # every input passes oracle.RATIONAL_MAX_DIGITS, but rhs = q * G(x, y, z)
+        # on this perimeter table has more than 4300 digits
+        rng = random.Random(33)
+        den = [rng.randrange(10**998, 10**999) for _ in range(3)]
+        d01, d02, d12 = (f"{d + rng.randrange(d // 2, d)}/{d}" for d in den)
+        table = tmp_path / "t3.txt"
+        table.write_text(f"3\n0 {d01} {d02}\n{d01} 0 {d12}\n{d02} {d12} 0\n")
+        config = {"space": {"metric_table": str(table), "construction": "perimeter"},
+                  "map": "identity", "condition": {"id": "C-Q", "q": "0." + "3" * 999 + "e-1000"},
+                  "sampling": {"count": 10}}
+        code, out = run(tmp_path, "condition", config)
+        assert code == 2
+        assert "too many digits" in capsys.readouterr().err
+        assert not (out / "condition.json").exists()
 
     def test_negative_seed_flag_exit_two(self, tmp_path, capsys):
         config = {**_MOEBIUS_GAUGE, "sampling": {"count": 10}}
@@ -591,6 +610,12 @@ def test_numpy_loads_only_for_commands_that_use_it(tmp_path):
         ("oracle", {"space": {"metric_table": str(table)},
                     "theorem": {"id": "THM-2.5", "scope": "orbit"}}),
         ("axioms", {"space": {"metric_table": str(table)}}),
+        # finite indices are drawn without numpy; every triple fails (exit 1)
+        ("condition", {"space": "finite-uniform-8", "map": "identity",
+                       "condition": {"id": "EXT-III", "delta": "9/10"},
+                       "sampling": {"count": 2000, "seed": 1}}),
+        ("condition", {"space": {"metric_table": str(table)}, "map": "identity",
+                       "condition": {"id": "C-Q", "q": "1/2"}, "sampling": {"count": 100}}),
         ("condition", {"space": "absmax", "map": "moebius",
                        "condition": {"id": "C-Q", "q": 0.5}, "sampling": {"count": 10}}),
     ]
@@ -604,4 +629,5 @@ def test_numpy_loads_only_for_commands_that_use_it(tmp_path):
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen == [["import", None, False], ["solve", 0, False], ["gauge", 0, False],
                     ["violate", 0, False], ["axioms", 0, False], ["oracle", 0, False],
-                    ["oracle", 0, False], ["axioms", 0, False], ["condition", 0, True]]
+                    ["oracle", 0, False], ["axioms", 0, False], ["condition", 1, False],
+                    ["condition", 1, False], ["condition", 0, True]]

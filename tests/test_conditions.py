@@ -428,6 +428,29 @@ class TestScalarChunks:
         peak(100)  # first-call allocations
         assert peak(40_000) < 2 * peak(4_000)
 
+    def test_g_memo_bounded_on_a_large_finite_carrier(self):
+        # finite-uniform-300 has 2.7·10^7 G keys; under a cyclic shift EXT-III
+        # reads about five new ones per triple, so 2·10^4 triples already fill
+        # the G_MEMO_MAX LRU, and 2·10^5 must not hold more
+        space = catalog.space_finite_uniform(300)
+        shift = gm.table_self_map(space, tuple((i + 1) % 300 for i in range(300)))
+        spec = gm.ConditionSpec(id="EXT-III", delta=Fraction(9, 10))
+        assert _EvalContext(space, shift).g.cache_info().maxsize == conditions.G_MEMO_MAX >= 2**16
+
+        def peak(count):
+            tracemalloc.start()
+            try:
+                cert = gm.certify_on_samples(space, shift, spec,
+                                             sampling.triple_stream(space, seed=1), count)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert cert.checked == count
+            return peak
+
+        peak(100)  # first-call allocations
+        assert peak(200_000) < 1.2 * peak(20_000)
+
 
 def _reference_certificates(spec, verdicts, counts, caps):
     """certify_on_samples on each prefix of ``verdicts``, one exact verdict

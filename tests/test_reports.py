@@ -84,3 +84,4 @@ def test_diagnosis_dict():
     assert set(d["thresholds_met"]) == set(INDICATOR_KEYS)
     assert d["candidate"] == 0.0
     assert d["eps"] == 0.1
+
