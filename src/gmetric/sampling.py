@@ -4,11 +4,11 @@ All randomness flows through one generator per run, made by
 :func:`make_rng` from the run config's seed, so identical seeds give
 identical certificate inputs.  That generator is :class:`DefaultRng`, the
 stream of ``numpy.random.default_rng(seed)`` bit for bit: its scalar
-bounded integers (the finite carrier's indices) are drawn in plain
-Python, so a finite certificate never imports numpy, and any other draw
-continues the same stream in a numpy ``Generator``.  Points of a real
-carrier are drawn in blocks, one Generator call per block; a block draw
-gives, in C order, the same values as one scalar draw per point.
+bounded integers (the finite carrier's indices) and scalar uniforms
+(:func:`sample_points`) are drawn in plain Python, so a finite certificate
+and a sampled axiom check never import numpy, and any other draw continues
+the same stream in a numpy ``Generator``.  :func:`triple_stream` draws real
+points in blocks, which give, in C order, the scalar draws' values.
 """
 from __future__ import annotations
 
@@ -80,10 +80,12 @@ class DefaultRng:
     PCG64 (XSL-RR 128/64) seeded through SeedSequence, with numpy's
     buffered upper half-word for 32-bit draws.  A scalar
     ``integers(low, high)`` with ``2 <= high - low <= 2**32`` is drawn here
-    by Lemire's rejection method, as numpy draws it.  The first call it
-    does not cover (``size=``, ``uniform``, a wider range, any other
-    attribute) moves the state, buffered half-word included, into a numpy
-    ``Generator``, which serves that and every later call.
+    by Lemire's rejection method, and a scalar ``uniform(low, high)`` with
+    a finite span as numpy's ``random_uniform``, which leaves the buffered
+    half-word alone.  The first call it does not cover (``size=``, a wider
+    range, any other attribute) moves the state, buffered half-word
+    included, into a numpy ``Generator``, which serves that and every later
+    call.
     """
 
     def __init__(self, seed: int):
@@ -110,16 +112,26 @@ class DefaultRng:
                     self._has_uint32 = 0
                     m = self._uinteger * n
                 else:
-                    s = self._state = (self._state * _PCG64_MULT + self._inc) & _MASK128
-                    rot = s >> 122
-                    word = (s >> 64 ^ s) & _MASK64
-                    word = (word >> rot | word << 64 - rot) & _MASK64
+                    word = self._next64()
                     self._has_uint32, self._uinteger = 1, word >> 32
                     m = (word & _MASK32) * n
                 low_word = m & _MASK32
                 if low_word >= n or low_word >= (1 << 32) % n:
                     return low + (m >> 32)
         return self._numpy().integers(low, high, size, dtype, endpoint)
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        if size is None and self._generator is None and {type(low), type(high)} <= {int, float}:
+            low, high = float(low), float(high)
+            if math.isfinite(high - low):  # numpy's random_uniform on next_double
+                return low + (high - low) * ((self._next64() >> 11) * 2.0 ** -53)
+        return self._numpy().uniform(low, high, size)
+
+    def _next64(self) -> int:  # one PCG64 step: the next 64-bit output word
+        s = self._state = (self._state * _PCG64_MULT + self._inc) & _MASK128
+        rot = s >> 122
+        word = (s >> 64 ^ s) & _MASK64
+        return (word >> rot | word << 64 - rot) & _MASK64
 
     def bit_state(self) -> dict:
         """The state in the form of numpy's ``bit_generator.state``."""
@@ -144,28 +156,19 @@ def make_rng(seed: int = DEFAULT_SEED) -> DefaultRng:
     return DefaultRng(seed)
 
 
-def _draw_block(rng, carrier, lo, hi, shape: tuple) -> np.ndarray:
-    """An array of ``shape`` points in one draw: indices on a finite
-    carrier, floats with a trailing coordinate axis for dim >= 2."""
-    if isinstance(carrier, FiniteCarrier):
-        return rng.integers(0, carrier.size, size=shape)
-    if carrier.dim == 1:
-        return rng.uniform(lo, hi, size=shape)
-    return rng.uniform(lo, hi, size=shape + (carrier.dim,))
-
-
 def sample_points(space: GMetricSpace, count: int, seed: int = DEFAULT_SEED,
                   lo: float = DEFAULT_RANGE[0], hi: float = DEFAULT_RANGE[1]) -> list:
     """``count`` carrier points drawn uniformly from [lo, hi] (or the
-    whole carrier for finite spaces)."""
+    whole carrier for finite spaces), one scalar draw per real coordinate."""
     if count < 1:
         raise ParameterError("count must be positive")
     lo, hi = _clip_range(space, lo, hi)
-    carrier = space.carrier
-    points = _draw_block(make_rng(seed), carrier, lo, hi, (count,)).tolist()
-    if isinstance(carrier, RealCarrier) and carrier.dim > 1:
-        return [tuple(p) for p in points]
-    return points
+    carrier, rng = space.carrier, make_rng(seed)
+    if isinstance(carrier, FiniteCarrier):
+        return rng.integers(0, carrier.size, size=count).tolist()
+    if carrier.dim == 1:
+        return [rng.uniform(lo, hi) for _ in range(count)]
+    return [tuple(rng.uniform(lo, hi) for _ in range(carrier.dim)) for _ in range(count)]
 
 
 def _clip_range(space: GMetricSpace, lo: float, hi: float):
@@ -211,8 +214,9 @@ def triple_stream(space: GMetricSpace, seed: int = DEFAULT_SEED,
                 yield (x, y, z)
     distinct = regime.distinct_rows
     tuple_points = carrier.dim > 1
+    shape = (BLOCK, 3, carrier.dim) if tuple_points else (BLOCK, 3)
     while True:
-        block = _draw_block(rng, carrier, lo, hi, (BLOCK, 3))
+        block = rng.uniform(lo, hi, size=shape)
         kept = block[distinct(block[:, 0], block[:, 1])]
         if tuple_points:
             yield from ((tuple(x), tuple(y), tuple(z)) for x, y, z in kept.tolist())

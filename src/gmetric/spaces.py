@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
 from itertools import chain, combinations, combinations_with_replacement, permutations
+from operator import add
 from typing import Callable, Optional, Union
 
 from ._lazy import np
@@ -43,6 +44,7 @@ VACUOUS = "VACUOUS"
 ROW_STATUSES = (HOLDS_STRICT, HOLDS_WEAK, VACUOUS, FAILS)
 
 AXIOM_KEYS = ("G1", "G2", "G3", "G4", "G5", "symmetry")
+AXIOM_POINTS_MAX = 100  # n points tabulate n^3 G values and read n^4 G5 sums
 
 
 @dataclass(frozen=True)
@@ -251,6 +253,10 @@ class Regime:
             return lhs > rhs
         return lhs > rhs + scaled_tol(self.tol, lhs, rhs)
 
+    def may_exceed(self, lhs, low) -> bool:
+        """Implied by ``exceeds(lhs, rhs)`` for every rhs >= low: a row screen."""
+        return lhs > low if self.exact else lhs > low + self.tol * (1.0 + abs(lhs))
+
     def vacuous(self, lhs) -> bool:
         """A condition's left side is (numerically) zero."""
         if self.exact:
@@ -359,71 +365,74 @@ def check_axioms(space: GMetricSpace, sample=None, tol: float = DEFAULT_TOL,
       G5: G(x, y, z) <= G(x, a, a) + G(a, y, z) for every a
     plus the symmetry property G(x, y, y) = G(x, x, y) (skipped when the
     space does not claim it).
+
+    G is tabulated once, exact values scaled to integers by the lcm of their
+    denominators; G3 and G5 walk only a row whose min fails
+    :meth:`Regime.may_exceed`.  Past ``AXIOM_POINTS_MAX`` points: ParameterError.
     """
     pts = _axiom_points(space, sample, mode)
+    n, nn = len(pts), len(pts) ** 2
+    if n > AXIOM_POINTS_MAX:
+        raise ParameterError(f"malformed axiom check: {n} points, limit {AXIOM_POINTS_MAX}")
     reg = Regime(space.exact, tol)
-    distinct, exceeds = reg.distinct, reg.exceeds
-    g = cache(partial(raw_g, space))  # the n^4 loops reuse n^3 keys
+    distinct, exceeds, may_exceed = reg.distinct, reg.exceeds, reg.may_exceed
+    t = [raw_g(space, x, y, z) for x in pts for y in pts for z in pts]  # t[i*nn + j*n + k]
+    if space.exact:  # exact comparisons hold under a positive common scale
+        scale = math.lcm(*{v.denominator for v in t})
+        factor = cache(scale.__floordiv__)  # one division per distinct denominator
+        for i, v in enumerate(t):  # in place, so no Fraction table is held beside it
+            t[i] = v.numerator * factor(v.denominator)
+    unscale = partial(Fraction, denominator=scale) if space.exact else float
 
     def g1():  # zero on the diagonal
-        for x in pts:
-            val = g(x, x, x)
-            if distinct(val, reg.zero):
+        for x, val in zip(pts, t[::nn + n + 1]):
+            if distinct(val, 0):
                 yield (x, x, x), (val,)
 
     def g2():  # strictly positive off the diagonal
-        for x in pts:
-            for y in pts:
+        for i, x in enumerate(pts):
+            for j, y in enumerate(pts):
                 if distinct(x, y):
-                    val = g(x, x, y)
-                    if not exceeds(val, reg.zero):
+                    val = t[i * (nn + n) + j]
+                    if not exceeds(val, 0):
                         yield (x, x, y), (val,)
 
     def g3():  # the two-point value is a lower bound over third points
-        for x in pts:
-            for y in pts:
-                lhs = None
-                for z in pts:
-                    if not distinct(z, y):
-                        continue
-                    if lhs is None:
-                        lhs = g(x, x, y)
-                    rhs = g(x, y, z)
-                    if exceeds(lhs, rhs):
-                        yield (x, y, z), (lhs, rhs)
+        for i, x in enumerate(pts):
+            for j, y in enumerate(pts):
+                lhs, row = t[i * (nn + n) + j], t[i * nn + j * n:i * nn + j * n + n]
+                if may_exceed(lhs, min(row)):
+                    for z, rhs in zip(pts, row):
+                        if distinct(z, y) and exceeds(lhs, rhs):
+                            yield (x, y, z), (lhs, rhs)
 
     def g4():  # permutation invariance; max |v| over vals is |max| or |min|
         # One triple per permutation class: the first failing triple in C
         # order is the class member with its positions in pts sorted.
-        for t in combinations_with_replacement(pts, 3):
-            vals = [g(*p) for p in permutations(t)]
+        for ijk in combinations_with_replacement(range(n), 3):
+            vals = [t[a * nn + b * n + c] for a, b, c in permutations(ijk)]
             if distinct(max(vals), min(vals)):
-                yield t, tuple(vals)
+                yield tuple(pts[a] for a in ijk), tuple(vals)
 
     def g5():  # rectangle inequality through any fourth point
-        for x in pts:
-            for y in pts:
-                for z in pts:
-                    lhs = g(x, y, z)
-                    for a in pts:
-                        rhs = g(x, a, a) + g(a, y, z)
-                        if exceeds(lhs, rhs):
-                            yield (x, y, z, a), (lhs, rhs)
+        cols = [t[jk::nn] for jk in range(nn)]  # G(a, y, z) over a
+        for i, x in enumerate(pts):
+            diag = t[i * nn:(i + 1) * nn:n + 1]  # G(x, a, a) over a
+            for jk, col in enumerate(cols):
+                lhs = t[i * nn + jk]
+                if may_exceed(lhs, min(map(add, diag, col))):
+                    for a, ga, gb in zip(pts, diag, col):
+                        if exceeds(lhs, ga + gb):
+                            yield (x, pts[jk // n], pts[jk % n], a), (lhs, ga + gb)
 
-    verdicts = {
-        "G1": _first_failure(g1()),
-        "G2": _first_failure(g2()),
-        "G3": _first_failure(g3()),
-        "G4": _first_failure(g4()),
-        "G5": _first_failure(g5()),
-    }
+    checks = {"G1": g1, "G2": g2, "G3": g3, "G4": g4, "G5": g5}
     # symmetry property (a claim about the space, not one of G1-G5)
     if space.symmetric_claimed:
-        verdicts["symmetry"] = _first_failure(_symmetry_failures(reg, g, pts))
-    else:
-        verdicts["symmetry"] = Verdict(SKIPPED, note="space does not claim symmetry")
-
-    n = len(pts)
+        checks["symmetry"] = partial(_symmetry_failures, reg, pts, (
+            (t[i * nn:(i + 1) * nn:n + 1], t[i * (nn + n):i * (nn + n) + n]) for i in range(n)))
+    verdicts = {key: _first_failure((w, tuple(map(unscale, v))) for w, v in failures())
+                for key, failures in checks.items()}
+    verdicts.setdefault("symmetry", Verdict(SKIPPED, note="space does not claim symmetry"))
     return AxiomReport(verdicts=verdicts, sample_size=n ** 3,
                        quadruple_count=n ** 4, mode=mode)
 
@@ -435,13 +444,14 @@ def _first_failure(failures) -> Verdict:
     return Verdict(PASS)
 
 
-def _symmetry_failures(reg: Regime, g: Callable, pts):
-    """Pairs of ``pts`` where G(x, y, y) != G(x, x, y)."""
-    for x in pts:
-        for y in pts:
-            a, b = g(x, y, y), g(x, x, y)
-            if reg.distinct(a, b):
-                yield (x, y), (a, b)
+def _symmetry_failures(reg: Regime, pts, rows):
+    """Pairs of ``pts`` where G(x, y, y) != G(x, x, y); ``rows`` gives, for
+    each x in turn, the values G(x, y, y) and G(x, x, y) over y."""
+    for x, (yy, xy) in zip(pts, rows):
+        if yy != xy:  # distinct values are unequal, so an equal row holds
+            for y, a, b in zip(pts, yy, xy):
+                if reg.distinct(a, b):
+                    yield (x, y), (a, b)
 
 
 def check_symmetry(space: GMetricSpace, sample, tol: float = DEFAULT_TOL) -> Verdict:
@@ -450,8 +460,9 @@ def check_symmetry(space: GMetricSpace, sample, tol: float = DEFAULT_TOL) -> Ver
     if not sample:
         raise ParameterError("symmetry check requires a nonempty sample")
     pts = [normalize_point(space.carrier, p) for p in sample]
-    reg = Regime(space.exact, tol)
-    return _first_failure(_symmetry_failures(reg, partial(raw_g, space), pts))
+    rows = (([raw_g(space, x, y, y) for y in pts], [raw_g(space, x, x, y) for y in pts])
+            for x in pts)
+    return _first_failure(_symmetry_failures(Regime(space.exact, tol), pts, rows))
 
 
 # Indicator keys follow the quantities of the convergence-equivalence

@@ -160,6 +160,7 @@ class TestMalformedValues:
         ("violate", {"space": "absmax", "map": "moebius",
                      "condition": {"id": "C-Q", "q": 0.5}, "violate": {"scales": []}}),
         ("axioms", {"space": "finite-uniform-100000000"}),
+        ("axioms", {"space": "finite-uniform-101"}),  # past spaces.AXIOM_POINTS_MAX
         # rational strings past oracle.RATIONAL_MAX_DIGITS, refused before
         # Fraction runs: Fraction("9e-100000001") alone would take minutes
         ("condition", {"space": "finite-uniform-4", "map": "identity",
@@ -179,7 +180,7 @@ class TestMalformedValues:
             "range-inf", "range-span", "gauge-factor-overflow", "theorem-bool",
             "condition-bool", "count-bool", "eps_stop-inf", "eps_stop-nan", "thresh-inf",
             "scales-nan", "weight-overflow", "scales-nonpositive", "scales-empty",
-            "finite-uniform-size", "condition-exponent", "theorem-exponent",
+            "finite-uniform-size", "axioms-size", "condition-exponent", "theorem-exponent",
             "theorem-denominator", "weight-exponent", "gauge-exponent"])
     def test_exit_two(self, tmp_path, capsys, command, config):
         table = tmp_path / "bad.txt"
@@ -606,6 +607,8 @@ def test_numpy_loads_only_for_commands_that_use_it(tmp_path):
         ("gauge", {"gauge": "ratio1"}),
         ("violate", {"space": "absmax", "map": "moebius", "condition": {"id": "C-Q", "q": 0.5}}),
         ("axioms", {"space": "absmax"}),
+        # 16 scalar uniform draws join the standard sample without numpy
+        ("axioms", {"space": "absmax", "sampling": {"count": 16, "seed": 3}}),
         ("oracle", {"space": "finite-uniform-5", "theorem": {"id": "THM-2.12", "delta": "9/10"}}),
         ("oracle", {"space": {"metric_table": str(table)},
                     "theorem": {"id": "THM-2.5", "scope": "orbit"}}),
@@ -628,6 +631,7 @@ def test_numpy_loads_only_for_commands_that_use_it(tmp_path):
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen == [["import", None, False], ["solve", 0, False], ["gauge", 0, False],
-                    ["violate", 0, False], ["axioms", 0, False], ["oracle", 0, False],
+                    ["violate", 0, False], ["axioms", 0, False], ["axioms", 0, False],
+                    ["oracle", 0, False],
                     ["oracle", 0, False], ["axioms", 0, False], ["condition", 1, False],
                     ["condition", 1, False], ["condition", 0, True]]

@@ -39,6 +39,33 @@ def test_rejection_draws_equal_numpy():
     assert ours.bit_state() == ref.bit_generator.state
 
 
+def test_scalar_uniform_equals_numpy():
+    spans = [(0.0, 100.0), (0.0, 1.0), (-1e300, 1e300), (1.0, 1.0 + 2**-40), (0.0, 5e-324),
+             (0, 10)]
+    for seed in SEEDS:
+        ours, ref = DefaultRng(seed), np.random.default_rng(seed)
+        for _ in range(3):  # an odd count leaves numpy's buffered upper half-word set
+            assert ours.integers(0, 300) == ref.integers(0, 300)
+        for lo, hi in spans:
+            drawn = [ours.uniform(lo, hi) for _ in range(2)]
+            assert drawn == [ref.uniform(lo, hi) for _ in range(2)], (seed, lo, hi)
+            assert all(type(v) is float for v in drawn)
+        assert ours.bit_state() == ref.bit_generator.state, seed  # half-word kept
+        assert ours._generator is None  # every draw above stayed in Python
+        # hand-off: numpy continues the stream, half-word included
+        assert ours.integers(0, 300, size=5).tolist() == ref.integers(0, 300, size=5).tolist()
+        assert ours.uniform(-1.0, 1.0) == ref.uniform(-1.0, 1.0)
+
+
+@pytest.mark.parametrize("span", [(0.0, float("inf")), (-1e308, 1e308), (float("nan"), 1.0)],
+                         ids=["inf", "overflow", "nan"])
+def test_uniform_bad_span_raises_as_numpy_does(span):
+    with pytest.raises(OverflowError):
+        np.random.default_rng(0).uniform(*span)
+    with pytest.raises(OverflowError):
+        DefaultRng(0).uniform(*span)
+
+
 @pytest.mark.parametrize("scalars", [1, 3, 4])
 def test_scalar_then_block_handoff(scalars):
     # an odd count leaves numpy's buffered upper half-word for the block
