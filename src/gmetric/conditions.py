@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from itertools import chain, islice
+from itertools import chain, islice, product
 from typing import Callable, Iterable, Optional
 
 from ._lazy import np
@@ -68,6 +68,7 @@ from .sampling import BLOCK
 # G values and images one evaluation context keeps on a finite carrier: a
 # table with m^3 below it (m <= 40) reads each G value once
 G_MEMO_MAX = 1 << 16
+GAUGE_GRID_MAX = 32  # distinct grid values; n of them evaluate h 3 * n^3 * (n - 1) times
 
 MAJORANT_IDS = ("C-Q", "C-UNIT", "C-GAUGE")
 CONDITION_IDS = MAJORANT_IDS + ("EXT-I", "EXT-II", "EXT-III")
@@ -417,6 +418,7 @@ def check_gauge_admissible(h: GaugeFunction, ts, n_max: int = 500,
       diagonal, labeled heuristic;
     * equivalence_consistent: diagonal_strict and iterates_vanish agree,
       the grid-testable face of the "g(t) < t iff iterates vanish" dichotomy.
+    Past ``GAUGE_GRID_MAX`` distinct grid values: ParameterError, before h runs.
     """
     ts = sorted(set(float(t) for t in ts))
     if not ts:
@@ -425,6 +427,8 @@ def check_gauge_admissible(h: GaugeFunction, ts, n_max: int = 500,
         raise ParameterError(f"malformed gauge grid: {ts} has a non-finite value")
     if any(t <= 0 for t in ts):
         raise ParameterError("grid values must be positive")
+    if len(ts) > GAUGE_GRID_MAX:
+        raise ParameterError(f"malformed gauge grid: {len(ts)} values, limit {GAUGE_GRID_MAX}")
     if n_max < 1:
         raise ParameterError("n_max must be at least 1")
     if thresh <= 0:
@@ -434,17 +438,11 @@ def check_gauge_admissible(h: GaugeFunction, ts, n_max: int = 500,
     def monotone_failures():  # each variable slot, all grid pairs, other slots on the grid
         for slot in range(3):
             for lo_i, lo_t in enumerate(ts):
-                for hi_t in ts[lo_i + 1:]:
-                    for u in ts:
-                        for v in ts:
-                            args_lo = [u, v]
-                            args_lo.insert(slot, lo_t)
-                            args_hi = [u, v]
-                            args_hi.insert(slot, hi_t)
-                            a = h.evaluate(*args_lo)
-                            b = h.evaluate(*args_hi)
-                            if exceeds(a, b):
-                                yield (slot, lo_t, hi_t, u, v), (a, b)
+                for hi_t, u, v in product(ts[lo_i + 1:], ts, ts):
+                    a = h.evaluate(*(u, v)[:slot], lo_t, *(u, v)[slot:])
+                    b = h.evaluate(*(u, v)[:slot], hi_t, *(u, v)[slot:])
+                    if exceeds(a, b):
+                        yield (slot, lo_t, hi_t, u, v), (a, b)
 
     monotone = _first_failure(monotone_failures())
 

@@ -8,7 +8,6 @@ never proofs, and are labeled as such in their verdicts.
 """
 from __future__ import annotations
 
-import csv
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -29,7 +28,6 @@ from .spaces import (
     Verdict,
     _FLOAT_MAX,
     _validate_value,
-    format_point,
     normalize_point,
     raw_g,
 )
@@ -351,45 +349,33 @@ def write_trace_csv(trace: OrbitTrace, path, certified_q: Optional[float] = None
 
     The bound column is the geometric tail bound per row when a certified
     q is supplied and empty otherwise; the gap column is empty on the
-    final row.
-
-    A trace whose points and gaps are all floats (a one-dimensional real
-    carrier) is written by :func:`_write_float_rows`; any other trace, with
-    exact or tuple points, by the ``csv.writer`` loop of :func:`_write_csv_rows`.
-    Both give the same bytes for a float trace, and neither holds more
-    than one chunk of rows beyond the trace.
+    final row.  ``x`` is the repr of a float, the str of another scalar or
+    the reprs of a tuple's coordinates joined by ``;``; gap and bound are
+    reprs.  One row loop serves every trace, 4096 rows joined per write,
+    and gives the bytes of ``csv.writer``: rows end with ``\\r\\n``, and a
+    field is quoted when it holds a comma, as the repr of a ``Fraction``
+    does (the text of a number holds no quote or line break).
     """
-    floats = set(map(type, chain(trace.points, trace.gaps))) <= {float}
-    with open(path, "w", newline="") as fh:
-        (_write_float_rows if floats else _write_csv_rows)(fh, trace, certified_q)
-
-
-def _write_csv_rows(fh, trace: OrbitTrace, certified_q) -> None:
-    """The rows of any trace, one ``csv.writer`` row at a time."""
-    g0 = trace.gaps[0] if trace.gaps else None
-    w = csv.writer(fh)
-    w.writerow(["n", "x", "gap", "bound"])
-    for n, p in enumerate(trace.points):
-        gap = repr(trace.gaps[n]) if n < len(trace.gaps) else ""
-        if certified_q is not None and g0 is not None:
-            bound = repr(apriori_bound(certified_q, g0, n))
-        else:
-            bound = ""
-        w.writerow([n, format_point(p), gap, bound])
-
-
-def _write_float_rows(fh, trace: OrbitTrace, certified_q) -> None:
-    """The rows of :func:`_write_csv_rows` for float points and gaps, joined
-    4096 at a time: ``csv.writer`` ends rows with ``\\r\\n`` and never quotes
-    a float's repr, so the bytes are the same.  Joining the whole trace at
-    once would hold all of its text in memory."""
     gaps = trace.gaps
+    bounds = repeat("")
     if certified_q is not None and gaps:
-        bounds = (repr(apriori_bound(certified_q, gaps[0], n)) for n in count())
-    else:
-        bounds = repeat("")
-    rows = (f"{n},{x!r},{g},{b}\r\n" for n, x, g, b in
-            zip(count(), trace.points, chain(map(repr, gaps), repeat("")), bounds))
-    fh.write("n,x,gap,bound\r\n")
-    while chunk := "".join(islice(rows, 4096)):
-        fh.write(chunk)
+        bounds = map(repr, map(apriori_bound, repeat(certified_q), repeat(gaps[0]), count()))
+    rows = (f"{n},{repr(x) if type(x) is float else _point_field(x)},"
+            f"{g if ',' not in g else _quoted(g)},{b if ',' not in b else _quoted(b)}\r\n"
+            for n, x, g, b in zip(count(), trace.points, chain(map(repr, gaps), repeat("")), bounds))
+    with open(path, "w", newline="") as fh:
+        fh.write("n,x,gap,bound\r\n")
+        while chunk := "".join(islice(rows, 4096)):
+            fh.write(chunk)
+
+
+def _point_field(p) -> str:
+    """The ``x`` field of a point that is not a ``float``."""
+    if isinstance(p, tuple):
+        return _quoted(";".join(map(repr, p)))
+    return _quoted(repr(p) if isinstance(p, float) else str(p))
+
+
+def _quoted(text: str) -> str:
+    """``text`` as ``csv.writer`` writes a field that holds no quote or line break."""
+    return f'"{text}"' if "," in text else text

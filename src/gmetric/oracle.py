@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
+from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 from ._lazy import np
@@ -153,13 +154,14 @@ def load_metric_table(path) -> FiniteMetric:
         with open(path) as fh:
             tokens = fh.read().split()
         m = int(tokens[0]) if tokens else None
-        vals = [parse_rational(v) for v in tokens[1:]]
+        if m is not None and len(tokens) - 1 == m * m:  # counted before any is parsed
+            vals = [parse_rational(v) for v in tokens[1:]]
     except (ValueError, ZeroDivisionError) as e:
         raise ConfigError(f"malformed metric table {path}: {e}") from None
     if m is None:
         raise ParameterError(f"empty metric table file {path}")
-    if len(vals) != m * m:
-        raise ParameterError(f"expected {m * m} entries, found {len(vals)}")
+    if len(tokens) - 1 != m * m:
+        raise ParameterError(f"expected {m * m} entries, found {len(tokens) - 1}")
     rows = [vals[i * m:(i + 1) * m] for i in range(m)]
     return FiniteMetric.from_rows(rows)
 
@@ -268,9 +270,11 @@ def _hypothesis_tables(ctx: _EvalContext, specs, tables, triples_of) -> Iterator
             yield table
 
 
-def _extension_tables(ctx: _EvalContext, specs, m: int) -> list:
+def _extension_tables(ctx: _EvalContext, specs, m: int) -> Iterator[tuple]:
     """The THM-2.12 tables of all m^m whose orbit-set triples are each accepted
-    by one of ``specs``, in ``product`` order.
+    by one of ``specs``.  Each is yielded as the search meets it, which is
+    not ``product`` order, so none is held; ``ctx.t`` reads the partial
+    table while the search runs.
 
     T is assigned along the path of the lowest unassigned start a.  That
     path, and the orbit set of an earlier point it reaches, lie in orbit(a);
@@ -291,7 +295,7 @@ def _extension_tables(ctx: _EvalContext, specs, m: int) -> list:
 
     # stack[i] is a point whose image is set or tried, starts[i] the index in
     # stack where its path begins; the top tries its next image (-1: none yet)
-    passing, stack, starts = [], [0], [0]
+    stack, starts = [0], [0]
     table[0] = -1
     while stack:
         p, s = stack[-1], starts[-1]
@@ -311,11 +315,10 @@ def _extension_tables(ctx: _EvalContext, specs, m: int) -> list:
             s = len(stack)
             stack.append(table.index(None))
         else:
-            passing.append(tuple(table))
+            yield tuple(table)
             continue
         starts.append(s)
         table[stack[-1]] = -1
-    return sorted(passing)
 
 
 def _as_fraction(v, name: str) -> Fraction:
@@ -400,7 +403,7 @@ def exhaustive_theorem_check(space: GMetricSpace, theorem_id: str,
     # its image lookup changes from table to table.
     ctx = _EvalContext(space)
     enumerate_self_maps(m, cap=cap)  # raises past the cap
-    if theorem_id == "THM-2.12":  # orbit-set triples, x == y included
+    if theorem_id == "THM-2.12":  # orbit-set triples, x == y included; in search order
         passing = _extension_tables(ctx, specs, m)
     else:  # injective tables only, in lexicographic order as product gives
         carrier_triples = list(_condition_triples(m))
@@ -433,6 +436,7 @@ def exhaustive_theorem_check(space: GMetricSpace, theorem_id: str,
             conclusion_holds += 1
         else:
             counterexamples.append(violation)
+    counterexamples.sort(key=itemgetter(0))  # product order, as enumerate_self_maps gives
 
     return TheoremCheckReport(
         theorem_id=theorem_id, maps_total=m ** m,

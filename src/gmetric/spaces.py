@@ -134,15 +134,6 @@ def scaled_tol(base: float, *values) -> float:
     return base * (1.0 + m)
 
 
-def format_point(p: Point) -> str:
-    """Stable text form of a point (used in CSV traces and reports)."""
-    if isinstance(p, tuple):
-        return ";".join(repr(c) for c in p)
-    if isinstance(p, float):
-        return repr(p)
-    return str(p)
-
-
 @dataclass(frozen=True)
 class GMetricSpace:
     """A carrier together with a ternary distance function.

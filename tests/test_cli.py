@@ -82,6 +82,13 @@ class TestAxiomsCommand:
         assert code == 2
         assert "needs a metric_table path" in capsys.readouterr().err
 
+    def test_padded_metric_table_exit_two(self, tmp_path, capsys):
+        table = tmp_path / "m.txt"
+        table.write_text("2\n" + "123456789/987654321 " * 10 ** 5)
+        code, _ = run(tmp_path, "axioms", {"space": {"metric_table": str(table)}})
+        assert code == 2
+        assert "expected 4 entries, found 100000" in capsys.readouterr().err
+
     def test_unknown_key_exit_two(self, tmp_path):
         code, _ = run(tmp_path, "axioms", {"space": "absmax", "speling": 1})
         assert code == 2
@@ -174,6 +181,8 @@ class TestMalformedValues:
                        "condition": {"id": "C-Q", "q": 0.5, "a": "constant-1e100000000"},
                        "sampling": {"count": 10}}),
         ("gauge", {"gauge": "linear-1e-100000000"}),
+        # past conditions.GAUGE_GRID_MAX distinct values
+        ("gauge", {"gauge": "ratio1", "gauge_check": {"grid": list(range(1, 34))}}),
     ], ids=["count", "eps_stop", "map-param", "weight-param", "table-entry", "q", "scales",
             "sampling-section", "gauge_check-section", "violate-section", "grid-scalar",
             "scales-scalar", "q_grid-scalar", "negative-seed", "grid-nan", "grid-inf",
@@ -181,7 +190,7 @@ class TestMalformedValues:
             "condition-bool", "count-bool", "eps_stop-inf", "eps_stop-nan", "thresh-inf",
             "scales-nan", "weight-overflow", "scales-nonpositive", "scales-empty",
             "finite-uniform-size", "axioms-size", "condition-exponent", "theorem-exponent",
-            "theorem-denominator", "weight-exponent", "gauge-exponent"])
+            "theorem-denominator", "weight-exponent", "gauge-exponent", "grid-size"])
     def test_exit_two(self, tmp_path, capsys, command, config):
         table = tmp_path / "bad.txt"
         table.write_text("2\n0 x\nx 0\n")

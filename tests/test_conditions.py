@@ -244,6 +244,15 @@ class TestGaugeAdmissibility:
         with pytest.raises(gm.ParameterError, match="tol must be finite and nonnegative"):
             gm.check_gauge_admissible(catalog.get_gauge("half"), GRID, tol_base=tol)
 
+    def test_grid_past_the_limit_raises_before_h(self):
+        calls = []
+        counting = gm.GaugeFunction(evaluate=lambda *args: calls.append(args) or 0.0,
+                                    name="counting")
+        grid = [1.0 + i for i in range(conditions.GAUGE_GRID_MAX + 1)] + [1.0, 2.0]
+        with pytest.raises(gm.ParameterError, match="33 values, limit 32"):
+            gm.check_gauge_admissible(counting, grid)
+        assert calls == []
+
 
 class TestUniqueness:
     def test_halving_first_separation_holds(self, absmax, halving):

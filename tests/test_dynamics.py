@@ -1,6 +1,7 @@
 """Orbits, the Picard solver, error bounds, and the sampled probes."""
 import csv
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -362,7 +363,7 @@ def _solved(map_name, seed, **kwargs):
                            **kwargs).trace
 
 
-# Float traces of a one-dimensional real carrier; every one takes the join path.
+# Float traces of a one-dimensional real carrier.
 FLOAT_TRACES = {
     "moebius-seeded": lambda: _solved("moebius", 3, max_iter=5000),
     "scale-0.5-to-zero": lambda: _orbit("scale-0.5", 4, 1200),
@@ -377,37 +378,81 @@ FLOAT_TRACES = {
 }
 
 
+def _reference_point(p) -> str:
+    """A point as the trace CSV writes it, before quoting."""
+    if isinstance(p, tuple):
+        return ";".join(repr(c) for c in p)
+    if isinstance(p, float):
+        return repr(p)
+    return str(p)
+
+
 def _reference_bytes(tmp_path, trace, certified_q):
-    """What the ``csv.writer`` loop writes for ``trace``."""
+    """What one ``csv.writer`` row at a time writes for ``trace``: the
+    reference the chunked writer answers to."""
     path = tmp_path / "reference.csv"
+    g0 = trace.gaps[0] if trace.gaps else None
     with open(path, "w", newline="") as fh:
-        dynamics._write_csv_rows(fh, trace, certified_q)
+        w = csv.writer(fh)
+        w.writerow(["n", "x", "gap", "bound"])
+        for n, p in enumerate(trace.points):
+            gap = repr(trace.gaps[n]) if n < len(trace.gaps) else ""
+            if certified_q is not None and g0 is not None:
+                bound = repr(gm.apriori_bound(certified_q, g0, n))
+            else:
+                bound = ""
+            w.writerow([n, _reference_point(p), gap, bound])
     return path.read_bytes()
 
 
-def _written(tmp_path, monkeypatch, trace, certified_q):
-    """(bytes, writer name) of :func:`write_trace_csv` on ``trace``."""
-    used = []
-    for name in ("_write_csv_rows", "_write_float_rows"):
-        def spy(*args, _name=name, _writer=getattr(dynamics, name)):
-            used.append(_name)
-            return _writer(*args)
-        monkeypatch.setattr(dynamics, name, spy)
+def _written(tmp_path, trace, certified_q):
+    """The bytes :func:`write_trace_csv` writes for ``trace``."""
     path = tmp_path / "trace.csv"
     gm.write_trace_csv(trace, path, certified_q)
-    monkeypatch.undo()
-    return path.read_bytes(), used
+    return path.read_bytes()
+
+
+def _exact_trace():
+    """The trace of the ``solve-exact`` golden report."""
+    rows = [[0, 1, 2, "3/2", "5/4"], [1, 0, "3/2", 2, "7/4"], [2, "3/2", 0, 1, "4/3"],
+            ["3/2", 2, 1, 0, "5/3"], ["5/4", "7/4", "4/3", "5/3", 0]]
+    sp = gm.build_gmetric(gm.FiniteMetric.from_rows(rows), "max")
+    return gm.solve_picard(sp, catalog.get_map("constant-3", sp), 0, 1e-9, 10).trace
+
+
+# Traces that are not all floats: exact, tuple, int and numpy values.
+OTHER_TRACES = {
+    "tuple-points": lambda: gm.OrbitTrace(points=[(1.0, 2.0), (0.5, 1.0)], gaps=[1.0]),
+    "int-point": lambda: gm.OrbitTrace(points=[1.0, 2], gaps=[1.0]),
+    "numpy-gap": lambda: gm.OrbitTrace(points=[1.0, 0.5], gaps=[np.float64(0.5)]),
+    "exact": _exact_trace,
+    "thousand-digit-denominator": lambda: gm.OrbitTrace(
+        points=[0, 1, 1], gaps=[Fraction(1, 10 ** 999 + 7), Fraction(0)]),
+    "tuple-3d": lambda: gm.OrbitTrace(
+        points=[(1.0, -2.5, 1e-300), (0.5, -1.25, 5e-324), (0.25, 0.0, 0.0)],
+        gaps=[2.5, 1.25]),
+    "numpy-point-and-gap": lambda: gm.OrbitTrace(
+        points=[np.float64(1.5), np.float64(0.75), 0.375],
+        gaps=[np.float64(0.75), 0.375]),
+    "fraction-coordinates": lambda: gm.OrbitTrace(
+        points=[Fraction(1, 2), (Fraction(1, 3), 0.5)], gaps=[Fraction(1, 6)]),
+}
 
 
 class TestTraceWriterPaths:
     @pytest.mark.parametrize("certified_q", [None, 0.5])
     @pytest.mark.parametrize("case", list(FLOAT_TRACES))
-    def test_join_path_matches_csv_writer(self, tmp_path, monkeypatch, case, certified_q):
+    def test_join_path_matches_csv_writer(self, tmp_path, case, certified_q):
         trace = FLOAT_TRACES[case]()
-        data, used = _written(tmp_path, monkeypatch, trace, certified_q)
-        assert used == ["_write_float_rows"]
+        data = _written(tmp_path, trace, certified_q)
         assert data == _reference_bytes(tmp_path, trace, certified_q)
         assert data.count(b"\r\n") == len(trace) + 1
+
+    @pytest.mark.parametrize("case", [c for c in FLOAT_TRACES if c != "rows-100000"])
+    def test_float_trace_with_a_fraction_q(self, tmp_path, case):
+        trace = FLOAT_TRACES[case]()
+        data = _written(tmp_path, trace, Fraction(1, 3))
+        assert data == _reference_bytes(tmp_path, trace, Fraction(1, 3))
 
     def test_row_counts_and_exponents_are_what_they_claim(self):
         for n in (1, 4095, 4096, 4097, 10 ** 5):
@@ -417,24 +462,23 @@ class TestTraceWriterPaths:
         assert halving.exact_fixed and 5e-324 in halving.points
         assert len(FLOAT_TRACES["trace-max-0"]()) == len(FLOAT_TRACES["trace-max-1"]()) == 2
 
-    def test_exact_trace_takes_csv_writer_and_matches_golden(self, tmp_path, monkeypatch):
-        rows = [[0, 1, 2, "3/2", "5/4"], [1, 0, "3/2", 2, "7/4"], [2, "3/2", 0, 1, "4/3"],
-                ["3/2", 2, 1, 0, "5/3"], ["5/4", "7/4", "4/3", "5/3", 0]]
-        sp = gm.build_gmetric(gm.FiniteMetric.from_rows(rows), "max")
-        cert = gm.solve_picard(sp, catalog.get_map("constant-3", sp), 0, 1e-9, 10)
-        data, used = _written(tmp_path, monkeypatch, cert.trace, None)
-        assert used == ["_write_csv_rows"]
+    def test_exact_trace_takes_csv_writer_and_matches_golden(self, tmp_path):
+        data = _written(tmp_path, _exact_trace(), None)
         assert data == (GOLDEN / "solve-exact" / "trace.csv").read_bytes()
 
-    @pytest.mark.parametrize("trace", [
-        gm.OrbitTrace(points=[(1.0, 2.0), (0.5, 1.0)], gaps=[1.0]),
-        gm.OrbitTrace(points=[1.0, 2], gaps=[1.0]),
-        gm.OrbitTrace(points=[1.0, 0.5], gaps=[np.float64(0.5)]),
-    ], ids=["tuple-points", "int-point", "numpy-gap"])
-    def test_any_non_float_value_takes_csv_writer(self, tmp_path, monkeypatch, trace):
-        data, used = _written(tmp_path, monkeypatch, trace, 0.5)
-        assert used == ["_write_csv_rows"]
-        assert data == _reference_bytes(tmp_path, trace, 0.5)
+    @pytest.mark.parametrize("case", list(OTHER_TRACES))
+    def test_any_non_float_value_takes_csv_writer(self, tmp_path, case):
+        """Exact, tuple, int and numpy values are written as csv.writer
+        writes them, with no q, a float q and a Fraction q."""
+        trace = OTHER_TRACES[case]()
+        for certified_q in (None, 0.5, Fraction(1, 3)):
+            data = _written(tmp_path, trace, certified_q)
+            assert data == _reference_bytes(tmp_path, trace, certified_q)
+            assert data.count(b"\r\n") == len(trace) + 1
+
+    def test_fraction_gap_and_bound_are_quoted(self, tmp_path):
+        data = _written(tmp_path, _exact_trace(), Fraction(1, 3)).decode()
+        assert data.splitlines()[1] == '0,0,"Fraction(3, 2)","Fraction(9, 4)"'
 
 
 def _writer_peak(tmp_path, trace) -> int:

@@ -69,6 +69,15 @@ class TestFiniteMetric:
         with pytest.raises(gm.ParameterError):
             gm.load_metric_table(p)
 
+    def test_loader_counts_entries_before_parsing_any(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr("gmetric.oracle.parse_rational", calls.append)
+        p = tmp_path / "metric.txt"
+        p.write_text("2\n" + "123456789/987654321 " * 10 ** 5)
+        with pytest.raises(gm.ParameterError, match="^expected 4 entries, found 100000$"):
+            gm.load_metric_table(p)
+        assert calls == []
+
     def test_loader_empty(self, tmp_path):
         p = tmp_path / "metric.txt"
         p.write_text(" \n")
@@ -358,9 +367,10 @@ def _orbit_triples(table):
 
 
 class TestOrbitPathSearch:
-    """THM-2.12's orbit-path search passes the same tables, in the same order,
-    as the Fraction loop over orbit-set triples, so oracle.json and its
-    counterexample order are those of the one-triple-at-a-time reading."""
+    """THM-2.12's orbit-path search passes the same tables as the Fraction
+    loop over orbit-set triples, in its own order; the check sorts the
+    counterexamples, so oracle.json and its counterexample order are those
+    of the one-triple-at-a-time reading."""
 
     PARAMS = [{"alpha": F(2)}, {"beta": F("3/4")}, {"delta": F("9/10")},
               {"alpha": F("5/2"), "beta": F("2/3"), "delta": F("1/2")},
@@ -377,7 +387,7 @@ class TestOrbitPathSearch:
         m = space.carrier.size
         ctx, specs = _EvalContext(space), _extension_specs(**params)
         fraction = _hypothesis_tables(ctx, specs, product(range(m), repeat=m), _orbit_triples)
-        return list(_extension_tables(ctx, specs, m)), list(fraction)
+        return sorted(_extension_tables(ctx, specs, m)), list(fraction)
 
     @pytest.mark.parametrize("seed, metrics, param_sets", [
         (20261019, 20, PARAMS), (20261020, 8, BIG_DENOMINATORS)],
@@ -414,18 +424,39 @@ class TestOrbitPathSearch:
             fast, reference = self._both(space, self.PARAMS[n % len(self.PARAMS)])
             assert fast == reference, n
 
-    def test_report_bytes(self, monkeypatch):
-        space = gm.build_gmetric(gm.random_metric(np.random.default_rng(5), 5, 5), "max")
-        params = {"alpha": "5/2", "beta": "2/3", "delta": "9/10"}
+    @staticmethod
+    def _reports(monkeypatch, space, params):
+        """The THM-2.12 report of the search and of the Fraction loop."""
         fast = gm.exhaustive_theorem_check(space, "THM-2.12", params)
         monkeypatch.setattr(  # the Fraction loop over orbit-set triples decides instead
             "gmetric.oracle._extension_tables", lambda ctx, specs, m: _hypothesis_tables(
                 ctx, specs, product(range(m), repeat=m), _orbit_triples))
         reference = gm.exhaustive_theorem_check(space, "THM-2.12", params)
+        monkeypatch.undo()
         payloads = [gm.reports.render_report(gm.reports.theorem_report_dict(r))
                     for r in (fast, reference)]
         assert payloads[0] == payloads[1]
-        assert fast.maps_satisfying_hypothesis > 0
+        return fast
+
+    def test_report_bytes(self, monkeypatch):
+        space = gm.build_gmetric(gm.random_metric(np.random.default_rng(5), 5, 5), "max")
+        params = {"alpha": "5/2", "beta": "2/3", "delta": "9/10"}
+        assert self._reports(monkeypatch, space, params).maps_satisfying_hypothesis > 0
+
+    def test_counterexamples_keep_product_order(self, monkeypatch):
+        # a signed table (not a G-metric) whose passing tables include
+        # cycles, met by the search out of product order
+        rng = np.random.default_rng(8)
+        values = {t: F(int(rng.integers(-2, 3)))
+                  for t in product(range(4), repeat=3) if list(t) == sorted(t)}
+        space = gm.GMetricSpace(carrier=gm.FiniteCarrier(4),
+                                g=lambda *t: values[tuple(sorted(t))],
+                                arithmetic="exact", symmetric_claimed=True)
+        rep = self._reports(monkeypatch, space, {"delta": "9/10"})
+        tables = [c[0] for c in rep.counterexamples]
+        assert len(tables) > 1 and tables == sorted(tables)
+        met = list(_extension_tables(_EvalContext(space), _extension_specs(delta=F("9/10")), 4))
+        assert [t for t in met if t in tables] != tables
 
     @pytest.mark.parametrize("m, passing", [(6, 1057), (7, 6322)])
     def test_uniform_past_the_default_cap(self, m, passing):
