@@ -69,6 +69,7 @@ from .sampling import BLOCK
 # table with m^3 below it (m <= 40) reads each G value once
 G_MEMO_MAX = 1 << 16
 GAUGE_GRID_MAX = 32  # distinct grid values; n of them evaluate h 3 * n^3 * (n - 1) times
+GAUGE_N_MAX = 10 ** 6  # diagonal steps per grid value: about 5 s at 32 values
 
 MAJORANT_IDS = ("C-Q", "C-UNIT", "C-GAUGE")
 CONDITION_IDS = MAJORANT_IDS + ("EXT-I", "EXT-II", "EXT-III")
@@ -418,7 +419,8 @@ def check_gauge_admissible(h: GaugeFunction, ts, n_max: int = 500,
       diagonal, labeled heuristic;
     * equivalence_consistent: diagonal_strict and iterates_vanish agree,
       the grid-testable face of the "g(t) < t iff iterates vanish" dichotomy.
-    Past ``GAUGE_GRID_MAX`` distinct grid values: ParameterError, before h runs.
+    Past ``GAUGE_GRID_MAX`` distinct grid values or ``GAUGE_N_MAX`` steps:
+    ParameterError, before h runs.
     """
     ts = sorted(set(float(t) for t in ts))
     if not ts:
@@ -431,6 +433,8 @@ def check_gauge_admissible(h: GaugeFunction, ts, n_max: int = 500,
         raise ParameterError(f"malformed gauge grid: {len(ts)} values, limit {GAUGE_GRID_MAX}")
     if n_max < 1:
         raise ParameterError("n_max must be at least 1")
+    if n_max > GAUGE_N_MAX:
+        raise ParameterError(f"malformed n_max: {n_max} steps, limit {GAUGE_N_MAX}")
     if thresh <= 0:
         raise ParameterError("thresh must be positive")
     exceeds = Regime(False, tol_base).exceeds

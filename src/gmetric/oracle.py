@@ -3,10 +3,10 @@
 Builds ternary distances from finite rational metrics (max-of-pairs and
 perimeter constructions), enumerates all self-maps of a small carrier,
 and brute-force checks each fixed-point theorem's hypothesis-implies-
-conclusion statement with exact arithmetic end to end.  The THM-2.12
-hypothesis is decided by a search that assigns each map along orbit paths
-and cuts a partial map at its first failing orbit-set triple.  No floating
-point enters this module; every comparison is exact.
+conclusion statement with exact arithmetic end to end.  Every theorem's
+hypothesis is decided by one search that assigns each map along orbit paths
+and cuts a partial map at its first failing triple.  No floating point
+enters this module; every comparison is exact.
 
 Theorem identifiers accepted by :func:`exhaustive_theorem_check`:
 
@@ -27,15 +27,18 @@ satisfied and convergence reduces to "the reached cycle has length 1".
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations, product
+from functools import partial
+from itertools import islice, product
 from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 from ._lazy import np
 from .errors import CapExceededError, ConfigError, DomainError, ParameterError
 from .conditions import (
+    MAJORANT_IDS,
     AuxWeight,
     ConditionSpec,
     GaugeFunction,
@@ -147,21 +150,47 @@ def random_metric(rng, min_size: int = 2, max_size: int = 6,
     return FiniteMetric.from_rows(rows)
 
 
+def _words(fh, size: int = 1 << 16) -> Iterator[str]:
+    """``fh.read().split()``, read ``size`` characters at a time; a word
+    that spans chunks is joined once."""
+    parts = []  # the pieces of a word that may go on in the next chunk
+    for chunk in iter(partial(fh.read, size), ""):
+        words = chunk.split()
+        if parts and not chunk[0].isspace():
+            parts.append(words.pop(0))
+        if parts and (words or chunk[-1].isspace()):
+            yield "".join(parts)
+            parts = []
+        if words and not chunk[-1].isspace():
+            parts.append(words.pop())
+        yield from words
+    if parts:
+        yield "".join(parts)
+
+
 def load_metric_table(path) -> FiniteMetric:
     """Read a metric from a plain-text table: first line m, then m rows of
-    whitespace-separated rationals ("p/q" or integers)."""
+    whitespace-separated rationals ("p/q" or integers).  The file is read in
+    chunks and only its first m * m + 1 tokens are kept; the rest are counted."""
     try:  # a ValueError also when the file is not UTF-8
         with open(path) as fh:
-            tokens = fh.read().split()
+            words = _words(fh)
+            tokens = list(islice(words, 1))
+            try:  # an m that is no int is refused below, once the file is read
+                keep = min(int(tokens[0]) ** 2, sys.maxsize) if tokens else 0
+            except ValueError:
+                keep = 0
+            tokens += islice(words, keep)
+            found = len(tokens) - 1 + sum(1 for _ in words)
         m = int(tokens[0]) if tokens else None
-        if m is not None and len(tokens) - 1 == m * m:  # counted before any is parsed
+        if m is not None and found == m * m:  # counted before any is parsed
             vals = [parse_rational(v) for v in tokens[1:]]
     except (ValueError, ZeroDivisionError) as e:
         raise ConfigError(f"malformed metric table {path}: {e}") from None
     if m is None:
         raise ParameterError(f"empty metric table file {path}")
-    if len(tokens) - 1 != m * m:
-        raise ParameterError(f"expected {m * m} entries, found {len(tokens) - 1}")
+    if found != m * m:
+        raise ParameterError(f"expected {m * m} entries, found {found}")
     rows = [vals[i * m:(i + 1) * m] for i in range(m)]
     return FiniteMetric.from_rows(rows)
 
@@ -246,51 +275,33 @@ class TheoremCheckReport:
                 == self.maps_satisfying_hypothesis)
 
 
-def _condition_triples(m: int, table=None):
-    """The triples a majorant condition is quantified over, each once, x == y
-    left out: every carrier triple, or with a map table every triple of each
-    orbit set {a, Ta, T^2 a, ...}, start by start."""
-    point_sets = [range(m)] if table is None else (orbit_set(table, a) for a in range(m))
-    seen = set()
-    for pts in point_sets:
-        for t in product(pts, repeat=3):
-            if t[0] != t[1] and t not in seen:
-                seen.add(t)
-                yield t
-
-
-def _hypothesis_tables(ctx: _EvalContext, specs, tables, triples_of) -> Iterator[tuple]:
-    """The tables whose triples ``triples_of(table)`` are each accepted by at
-    least one of the conditions ``specs``, decided on Fractions one triple at
-    a time."""
-    for table in tables:
-        ctx.t = table.__getitem__
-        if all(any(_eval_spec(ctx, spec, *t).holds for spec in specs)
-               for t in triples_of(table)):
-            yield table
-
-
-def _extension_tables(ctx: _EvalContext, specs, m: int) -> Iterator[tuple]:
-    """The THM-2.12 tables of all m^m whose orbit-set triples are each accepted
-    by one of ``specs``.  Each is yielded as the search meets it, which is
-    not ``product`` order, so none is held; ``ctx.t`` reads the partial
-    table while the search runs.
+def _hypothesis_tables(ctx: _EvalContext, specs, m: int, scope: str) -> Iterator[tuple]:
+    """The tables of all m^m whose quantified triples are each accepted by
+    one of ``specs``: every carrier triple (``scope`` "carrier") or every
+    orbit-set triple ("orbit").  A majorant condition is quantified over
+    x != y only and its theorems ask for injectivity, so then only the m!
+    permutations are met.  Each table is yielded as the search meets it,
+    which is not ``product`` order, so none is held.
 
     T is assigned along the path of the lowest unassigned start a.  That
     path, and the orbit set of an earlier point it reaches, lie in orbit(a);
-    after each assignment their triples are decided, and a partial map is
-    cut at its first failing triple.  A verdict depends only on the triple
-    and its three images, so it is memoized by those six values.  The
-    search keeps its own stack, so Python's recursion limit does not bound m.
+    after each assignment their triples are decided, or with "carrier" every
+    triple of assigned points, and a partial map is cut at its first failing
+    triple.  A verdict depends only on the triple and its three images, so it
+    is memoized by those six values.  The search keeps its own stack, so
+    Python's recursion limit does not bound m.
     """
+    majorant = specs[0].id in MAJORANT_IDS
     table = [None] * m
-    ctx.t = table.__getitem__
+    lookup = table.__getitem__
     memo = {}
 
     def holds(t):
         key = (*t, table[t[0]], table[t[1]], table[t[2]])
         if key not in memo:
-            memo[key] = any(_eval_spec(ctx, spec, *t).holds for spec in specs)
+            ctx.t = lookup  # a caller may read ctx.t while the search is suspended
+            memo[key] = ((majorant and t[0] == t[1])
+                         or any(_eval_spec(ctx, spec, *t).holds for spec in specs))
         return memo[key]
 
     # stack[i] is a point whose image is set or tried, starts[i] the index in
@@ -304,7 +315,9 @@ def _extension_tables(ctx: _EvalContext, specs, m: int) -> Iterator[tuple]:
             table[stack.pop()] = None
             starts.pop()
             continue
-        path = stack[s:]
+        if majorant and table[v] is not None and v != stack[s]:  # not injective
+            continue
+        path = stack[s if scope == "orbit" else 0:]
         if table[v] is not None and v not in path:  # orbit(a) takes in orbit(v)
             path += orbit_set(table, v)
         if not all(map(holds, product(path, repeat=3))):
@@ -335,14 +348,13 @@ def exhaustive_theorem_check(space: GMetricSpace, theorem_id: str,
                              cap: int = DEFAULT_MAP_CAP) -> TheoremCheckReport:
     """Check a theorem over all m^m self-maps of an exact finite space.
 
-    For each map the hypothesis is decided exactly (condition on all
-    admissible triples), then the conclusion is verified by exact orbit
-    iteration.  Where the hypothesis requires injectivity only the m!
-    permutations are read; the other m^m - m! maps count as failing it.
-    THM-2.12 searches the maps along orbit paths, so no partial map is
-    extended past its first failing orbit-set triple.
-    Counterexamples carry the map table, the violated clause, and a
-    witness, and always re-verify.
+    The hypothesis is decided exactly (condition on all admissible
+    triples) by one search along orbit paths, so no partial map is extended
+    past its first failing triple; then the conclusion of each passing map is
+    verified by exact orbit iteration.  Where the hypothesis requires
+    injectivity the search meets only the m! permutations; the other
+    m^m - m! maps count as failing it.  Counterexamples carry the map table,
+    the violated clause, and a witness, and always re-verify.
 
     ``params`` per theorem: THM-2.2 needs ``q`` (rational in (0,1));
     THM-2.10 needs ``gauge`` (a GaugeFunction); THM-2.12 needs at least
@@ -399,18 +411,12 @@ def exhaustive_theorem_check(space: GMetricSpace, theorem_id: str,
     # the condition is quantified over the whole carrier.
     check_uniqueness = theorem_id in ("THM-2.2", "THM-2.10") and scope == "carrier"
 
-    # G does not depend on the map, so one context serves the run; only
-    # its image lookup changes from table to table.
+    # G does not depend on the map, so one context serves the run
     ctx = _EvalContext(space)
     enumerate_self_maps(m, cap=cap)  # raises past the cap
-    if theorem_id == "THM-2.12":  # orbit-set triples, x == y included; in search order
-        passing = _extension_tables(ctx, specs, m)
-    else:  # injective tables only, in lexicographic order as product gives
-        carrier_triples = list(_condition_triples(m))
-        passing = _hypothesis_tables(
-            ctx, specs, permutations(range(m)),
-            (lambda t: _condition_triples(m, t)) if scope == "orbit"
-            else (lambda t: carrier_triples))
+    passing = _hypothesis_tables(ctx, specs, m, "orbit" if theorem_id == "THM-2.12" else scope)
+    if check_uniqueness:
+        carrier_triples = [t for t in product(range(m), repeat=3) if t[0] != t[1]]
     satisfying = 0
     conclusion_holds = 0
     counterexamples = []

@@ -183,6 +183,8 @@ class TestMalformedValues:
         ("gauge", {"gauge": "linear-1e-100000000"}),
         # past conditions.GAUGE_GRID_MAX distinct values
         ("gauge", {"gauge": "ratio1", "gauge_check": {"grid": list(range(1, 34))}}),
+        # past conditions.GAUGE_N_MAX diagonal steps
+        ("gauge", {"gauge": "ratio1", "gauge_check": {"n_max": 10 ** 12}}),
     ], ids=["count", "eps_stop", "map-param", "weight-param", "table-entry", "q", "scales",
             "sampling-section", "gauge_check-section", "violate-section", "grid-scalar",
             "scales-scalar", "q_grid-scalar", "negative-seed", "grid-nan", "grid-inf",
@@ -190,7 +192,8 @@ class TestMalformedValues:
             "condition-bool", "count-bool", "eps_stop-inf", "eps_stop-nan", "thresh-inf",
             "scales-nan", "weight-overflow", "scales-nonpositive", "scales-empty",
             "finite-uniform-size", "axioms-size", "condition-exponent", "theorem-exponent",
-            "theorem-denominator", "weight-exponent", "gauge-exponent", "grid-size"])
+            "theorem-denominator", "weight-exponent", "gauge-exponent", "grid-size",
+            "n_max-size"])
     def test_exit_two(self, tmp_path, capsys, command, config):
         table = tmp_path / "bad.txt"
         table.write_text("2\n0 x\nx 0\n")

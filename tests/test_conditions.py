@@ -253,6 +253,17 @@ class TestGaugeAdmissibility:
             gm.check_gauge_admissible(counting, grid)
         assert calls == []
 
+    def test_n_max_past_the_limit_raises_before_h(self):
+        calls = []
+        counting = gm.GaugeFunction(evaluate=lambda *args: calls.append(args) or 0.0,
+                                    name="counting")
+        with pytest.raises(gm.ParameterError,
+                           match=r"^malformed n_max: 1000001 steps, limit 1000000$"):
+            gm.check_gauge_admissible(counting, GRID, n_max=conditions.GAUGE_N_MAX + 1)
+        assert calls == []
+        gm.check_gauge_admissible(counting, [1.0], n_max=conditions.GAUGE_N_MAX)
+        assert len(calls) > 1
+
 
 class TestUniqueness:
     def test_halving_first_separation_holds(self, absmax, halving):

@@ -1,18 +1,21 @@
 """Exact finite-space verification: metrics, enumeration, theorem checks."""
 import dataclasses
+import io
+import json
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
 
 import gmetric as gm
 from gmetric import catalog
-from gmetric.conditions import _EvalContext, _extension_specs
-from gmetric.oracle import (RATIONAL_MAX_DIGITS, _extension_tables, _hypothesis_tables,
-                            orbit_cycle, orbit_set, parse_rational, steps_to_fixed)
+from gmetric.conditions import MAJORANT_IDS, _EvalContext, _eval_spec, _extension_specs
+from gmetric.oracle import (RATIONAL_MAX_DIGITS, _hypothesis_tables, _words, orbit_cycle,
+                            orbit_set, parse_rational, steps_to_fixed)
 
 
 def F(v):
@@ -77,6 +80,27 @@ class TestFiniteMetric:
         with pytest.raises(gm.ParameterError, match="^expected 4 entries, found 100000$"):
             gm.load_metric_table(p)
         assert calls == []
+
+    def test_loader_memory_does_not_grow_with_the_file(self, tmp_path):
+        # the padded file is about 4 MB; all its tokens would take several times that
+        p = tmp_path / "metric.txt"
+        p.write_text("2\n" + "123456789/987654321 " * 2 * 10 ** 5)
+        tracemalloc.start()
+        try:
+            with pytest.raises(gm.ParameterError, match="^expected 4 entries, found 200000$"):
+                gm.load_metric_table(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 ** 6
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 7])
+    def test_chunked_words_split_as_str_split(self, size):
+        rng = np.random.default_rng(size)
+        alphabet = ["a", "1", "/", " ", "\n", "\t", "\u3000", "\x1c", "\u00e9"]
+        for _ in range(200):
+            text = "".join(rng.choice(alphabet, size=int(rng.integers(0, 20))))
+            assert list(_words(io.StringIO(text), size)) == text.split(), repr(text)
 
     def test_loader_empty(self, tmp_path):
         p = tmp_path / "metric.txt"
@@ -284,11 +308,11 @@ class TestTheoremChecks:
             gm.exhaustive_theorem_check(sp, "THM-2.2", {"q": "1/2"})
 
     def test_cap_refused_before_any_triple_is_listed(self, monkeypatch):
-        # a carrier past the cap must not first list its m^3 triples
-        def listed(*args):
-            raise AssertionError("triples listed before the cap check")
+        # a carrier past the cap must not first decide any of its triples
+        def decided(*args):
+            raise AssertionError("a triple decided before the cap check")
 
-        monkeypatch.setattr("gmetric.oracle._condition_triples", listed)
+        monkeypatch.setattr("gmetric.oracle._eval_spec", decided)
         for theorem, params in (("THM-2.2", {"q": "1/2"}), ("THM-2.12", {"delta": "9/10"})):
             with pytest.raises(gm.CapExceededError):
                 gm.exhaustive_theorem_check(catalog.space_finite_uniform(6), theorem, params)
@@ -360,88 +384,160 @@ class TestOneGValuePerRun:
         assert sum(calls.values()) <= 4 ** 3
 
 
+def _condition_triples(m: int, table=None):
+    """The triples a majorant condition is quantified over, each once, x == y
+    left out: every carrier triple, or with a map table every triple of each
+    orbit set {a, Ta, T^2 a, ...}, start by start."""
+    point_sets = [range(m)] if table is None else (orbit_set(table, a) for a in range(m))
+    seen = set()
+    for pts in point_sets:
+        for t in product(pts, repeat=3):
+            if t[0] != t[1] and t not in seen:
+                seen.add(t)
+                yield t
+
+
 def _orbit_triples(table):
     """Every triple of each orbit set of ``table``, x == y included, each once."""
     return dict.fromkeys(t for a in range(len(table))
                          for t in product(orbit_set(table, a), repeat=3))
 
 
+def _reference_tables(ctx, specs, m, scope):
+    """The reference for ``_hypothesis_tables``, with its signature: each
+    permutation (a majorant condition) or each of the m^m tables (the
+    extension conditions, over orbit sets) in lexicographic order, decided
+    from scratch on Fractions one triple at a time."""
+    if specs[0].id in MAJORANT_IDS:
+        tables = permutations(range(m))
+        carrier = list(_condition_triples(m))
+        triples_of = ((lambda t: _condition_triples(m, t)) if scope == "orbit"
+                      else (lambda t: carrier))
+    else:
+        tables, triples_of = product(range(m), repeat=m), _orbit_triples
+    for table in tables:
+        ctx.t = table.__getitem__
+        if all(any(_eval_spec(ctx, spec, *t).holds for spec in specs)
+               for t in triples_of(table)):
+            yield table
+
+
+def _run(monkeypatch, search, space, theorem, params):
+    """(the sorted passing tables, the rendered report) of one theorem check
+    whose hypothesis ``search`` decides."""
+    met = []
+
+    def recording(*args):
+        for table in search(*args):
+            met.append(table)
+            yield table  # the check reads ctx.t for uniqueness before the next
+
+    with monkeypatch.context() as patch:
+        patch.setattr("gmetric.oracle._hypothesis_tables", recording)
+        report = gm.exhaustive_theorem_check(space, theorem, params)
+    return sorted(met), gm.reports.render_report(gm.reports.theorem_report_dict(report))
+
+
+def _both(monkeypatch, space, theorem, params):
+    """The search's and the reference loop's run, which must be equal."""
+    fast = _run(monkeypatch, _hypothesis_tables, space, theorem, params)
+    reference = _run(monkeypatch, _reference_tables, space, theorem, params)
+    assert fast == reference, (theorem, params)
+    return json.loads(fast[1])
+
+
+def _majorant_cases(qs, weights):
+    """Every majorant theorem, weight and scope; THM-2.2 at each q and
+    THM-2.10 at each catalog gauge."""
+    hypotheses = ([("THM-2.2", {"q": q}) for q in qs] + [("THM-2.5", {})]
+                  + [("THM-2.10", {"gauge": catalog.get_gauge(name)})
+                     for name in ("half", "ratio1", "identity-diag")])
+    return [(theorem, {**params, "a": a, "scope": scope})
+            for theorem, params in hypotheses for a in weights
+            for scope in ("carrier", "orbit")]
+
+
 class TestOrbitPathSearch:
-    """THM-2.12's orbit-path search passes the same tables as the Fraction
-    loop over orbit-set triples, in its own order; the check sorts the
+    """The orbit-path search passes the same tables as the per-table Fraction
+    loop for every theorem, in its own order; the check sorts the
     counterexamples, so oracle.json and its counterexample order are those
     of the one-triple-at-a-time reading."""
 
-    PARAMS = [{"alpha": F(2)}, {"beta": F("3/4")}, {"delta": F("9/10")},
-              {"alpha": F("5/2"), "beta": F("2/3"), "delta": F("1/2")},
-              {"alpha": F(1), "delta": F(0)}, {"beta": F("1/2"), "delta": F("3/4")},
-              {"alpha": F("11/4"), "beta": F("7/8")}]
+    EXTENSION = [{"alpha": F(2)}, {"beta": F("3/4")}, {"delta": F("9/10")},
+                 {"alpha": F("5/2"), "beta": F("2/3"), "delta": F("1/2")},
+                 {"alpha": F(1), "delta": F(0)}, {"beta": F("1/2"), "delta": F("3/4")},
+                 {"alpha": F("11/4"), "beta": F("7/8")}]
+    WEIGHTS = [catalog.get_aux(name) for name in ("zero", "constant-3", "reciprocal-cap-2")]
+    MAJORANT = _majorant_cases(["1/2", "9/10"], WEIGHTS)
     TINY = Fraction(1, 10 ** 30)
-    BIG_DENOMINATORS = [{"alpha": 2 + TINY}, {"beta": Fraction(3, 4) + TINY},
-                        {"delta": Fraction(9, 10) + TINY},
-                        {"alpha": Fraction(5, 2) + TINY, "beta": Fraction(2, 3),
-                         "delta": Fraction(1, 2) - TINY}]
+    BIG_EXTENSION = [{"alpha": 2 + TINY}, {"beta": Fraction(3, 4) + TINY},
+                     {"delta": Fraction(9, 10) + TINY},
+                     {"alpha": Fraction(5, 2) + TINY, "beta": Fraction(2, 3),
+                      "delta": Fraction(1, 2) - TINY}]
+    BIG_MAJORANT = _majorant_cases(
+        [Fraction(1, 2) + TINY, Fraction(9, 10) - TINY],
+        [gm.AuxWeight.constant(3 + TINY), gm.AuxWeight.reciprocal_cap(2 - TINY)])
 
-    @staticmethod
-    def _both(space, params):
-        m = space.carrier.size
-        ctx, specs = _EvalContext(space), _extension_specs(**params)
-        fraction = _hypothesis_tables(ctx, specs, product(range(m), repeat=m), _orbit_triples)
-        return sorted(_extension_tables(ctx, specs, m)), list(fraction)
-
-    @pytest.mark.parametrize("seed, metrics, param_sets", [
-        (20261019, 20, PARAMS), (20261020, 8, BIG_DENOMINATORS)],
+    @pytest.mark.parametrize("seed, metrics, extension, majorant", [
+        (20261019, 20, EXTENSION, MAJORANT), (20261020, 8, BIG_EXTENSION, BIG_MAJORANT)],
         ids=["rational", "denominators-10^30"])
-    def test_seeded_metrics(self, seed, metrics, param_sets):
+    def test_seeded_metrics(self, monkeypatch, seed, metrics, extension, majorant):
         rng = np.random.default_rng(seed)
-        runs = 0
+        passing = violated = 0
         for n in range(metrics):
             metric = gm.random_metric(rng, min_size=2, max_size=5)
             for c, construction in enumerate(("max", "perimeter")):
-                # every parameter set, each on several sizes and both constructions
-                params = param_sets[(2 * n + c) % len(param_sets)]
-                fast, reference = self._both(gm.build_gmetric(metric, construction), params)
-                assert fast == reference, (n, construction, params)
-                runs += bool(reference)
-        assert runs > metrics  # most runs pass some tables
+                # one THM-2.12 case and every third majorant case, so that
+                # each case meets several sizes and both constructions
+                k = 2 * n + c
+                cases = ([("THM-2.12", extension[k % len(extension)])]
+                         + majorant[k % 3::3])
+                for theorem, params in cases:
+                    report = _both(monkeypatch, gm.build_gmetric(metric, construction),
+                                   theorem, params)
+                    passing += report["maps_satisfying_hypothesis"] > 0
+                    violated += bool(report["counterexamples"])
+        assert passing > 4 * metrics and violated > metrics
 
-    def test_uniform_and_table(self):
+    def test_uniform_and_table(self, monkeypatch):
         for space in (catalog.space_finite_uniform(5),
                       gm.build_gmetric(gm.FiniteMetric.from_rows(M4_ROWS), "perimeter")):
-            fast, reference = self._both(space, {"delta": F("9/10")})
-            assert fast == reference and fast
+            for theorem, params in [("THM-2.12", {"delta": F("9/10")}),
+                                    ("THM-2.2", {"q": "9/10", "a": self.WEIGHTS[1]}),
+                                    ("THM-2.10", {"gauge": catalog.get_gauge("identity-diag")})]:
+                assert _both(monkeypatch, space, theorem, params)["maps_satisfying_hypothesis"]
 
-    def test_signed_tables(self):
+    def test_signed_tables(self, monkeypatch):
         # not G-metrics: a zero left side can meet a negative right side,
-        # where only the VACUOUS reading lets the triple hold
+        # where only the VACUOUS reading lets the triple hold; ratio1 is
+        # left out, since it divides by G + 1, which is zero here at G = -1
+        cases = [("THM-2.12", p) for p in self.EXTENSION] + [
+            c for c in self.MAJORANT if getattr(c[1].get("gauge"), "name", "") != "ratio1"]
         rng = np.random.default_rng(11)
-        for n in range(6):
+        for n in range(12):
             values = {t: F(int(rng.integers(-2, 3)))
                       for t in product(range(3), repeat=3) if list(t) == sorted(t)}
             space = gm.GMetricSpace(carrier=gm.FiniteCarrier(3),
                                     g=lambda *t, v=values: v[tuple(sorted(t))],
                                     arithmetic="exact", symmetric_claimed=True)
-            fast, reference = self._both(space, self.PARAMS[n % len(self.PARAMS)])
-            assert fast == reference, n
+            for k in range(n % 4, len(cases), 4):
+                _both(monkeypatch, space, *cases[k])
 
-    @staticmethod
-    def _reports(monkeypatch, space, params):
-        """The THM-2.12 report of the search and of the Fraction loop."""
-        fast = gm.exhaustive_theorem_check(space, "THM-2.12", params)
-        monkeypatch.setattr(  # the Fraction loop over orbit-set triples decides instead
-            "gmetric.oracle._extension_tables", lambda ctx, specs, m: _hypothesis_tables(
-                ctx, specs, product(range(m), repeat=m), _orbit_triples))
-        reference = gm.exhaustive_theorem_check(space, "THM-2.12", params)
-        monkeypatch.undo()
-        payloads = [gm.reports.render_report(gm.reports.theorem_report_dict(r))
-                    for r in (fast, reference)]
-        assert payloads[0] == payloads[1]
-        return fast
+    def test_uniqueness_reads_the_yielded_table(self, monkeypatch):
+        # the uniqueness clause points ctx.t at each passing table while the
+        # search is suspended; here only the identity, met first, passes,
+        # and a search that then decided its later triples through that
+        # ctx.t would pass all 120 permutations
+        metric = gm.random_metric(np.random.default_rng(7), 4, 5)
+        for construction in ("max", "perimeter"):
+            report = _both(monkeypatch, gm.build_gmetric(metric, construction), "THM-2.2",
+                           {"q": "1/2", "a": self.WEIGHTS[1]})
+            assert report["maps_total"] == 3125 and report["maps_satisfying_hypothesis"] == 1
 
     def test_report_bytes(self, monkeypatch):
         space = gm.build_gmetric(gm.random_metric(np.random.default_rng(5), 5, 5), "max")
         params = {"alpha": "5/2", "beta": "2/3", "delta": "9/10"}
-        assert self._reports(monkeypatch, space, params).maps_satisfying_hypothesis > 0
+        assert _both(monkeypatch, space, "THM-2.12", params)["maps_satisfying_hypothesis"] > 0
 
     def test_counterexamples_keep_product_order(self, monkeypatch):
         # a signed table (not a G-metric) whose passing tables include
@@ -452,10 +548,11 @@ class TestOrbitPathSearch:
         space = gm.GMetricSpace(carrier=gm.FiniteCarrier(4),
                                 g=lambda *t: values[tuple(sorted(t))],
                                 arithmetic="exact", symmetric_claimed=True)
-        rep = self._reports(monkeypatch, space, {"delta": "9/10"})
-        tables = [c[0] for c in rep.counterexamples]
+        rep = _both(monkeypatch, space, "THM-2.12", {"delta": "9/10"})
+        tables = [tuple(c["map"]) for c in rep["counterexamples"]]
         assert len(tables) > 1 and tables == sorted(tables)
-        met = list(_extension_tables(_EvalContext(space), _extension_specs(delta=F("9/10")), 4))
+        met = list(_hypothesis_tables(_EvalContext(space), _extension_specs(delta=F("9/10")),
+                                      4, "orbit"))
         assert [t for t in met if t in tables] != tables
 
     @pytest.mark.parametrize("m, passing", [(6, 1057), (7, 6322)])
@@ -464,6 +561,16 @@ class TestOrbitPathSearch:
                                           {"delta": "9/10"}, cap=m)
         assert rep.maps_satisfying_hypothesis == rep.conclusion_holds == passing
         assert rep.counterexamples == []
+
+    def test_every_permutation_past_the_default_cap(self):
+        # identity-diag accepts every injective map of a uniform table, so
+        # the search meets all 6! permutations; each has a cycle or, the
+        # identity, six fixed points
+        rep = gm.exhaustive_theorem_check(
+            catalog.space_finite_uniform(6), "THM-2.10",
+            {"gauge": catalog.get_gauge("identity-diag")}, cap=6)
+        assert rep.maps_satisfying_hypothesis == len(rep.counterexamples) == 720
+        assert rep.conclusion_holds == 0
 
     def test_depth_does_not_grow_with_m(self):
         # each point's only passing image is itself, so the search sets all
