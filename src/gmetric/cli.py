@@ -182,6 +182,8 @@ def sampling_settings(cfg: dict, seed_override=None):
         raise ConfigError(f"malformed seed: {seed} is negative")
     if count < 1:
         raise ConfigError("sampling.count must be positive")
+    if count > sampling.COUNT_MAX:
+        raise ConfigError(f"malformed sampling.count: {count} draws, limit {sampling.COUNT_MAX}")
     lo = _number(float, rng_range[0], "sampling.range")
     hi = _number(float, rng_range[1], "sampling.range")
     return count, lo, hi, seed

@@ -228,7 +228,7 @@ class _EvalContext:
     A finite carrier has at most m^3 G keys and m image keys, so both are
     kept in an LRU memo of ``G_MEMO_MAX`` entries; on a real carrier keys
     do not repeat and both are evaluated directly.  Without a map ``t`` is None,
-    for a caller that supplies its own image lookup.
+    for a caller that supplies its own images.
     """
 
     def __init__(self, space: GMetricSpace, smap: Optional[SelfMap] = None,
@@ -256,19 +256,21 @@ def eval_condition(space: GMetricSpace, smap: SelfMap, spec: ConditionSpec,
     if not points_distinct(space, xn, yn, tol_base):
         raise DomainError("condition requires x != y")
     ctx = _EvalContext(space, smap, tol_base)
-    return _eval_majorant(ctx, spec, xn, yn, zn)
+    return _eval_majorant(ctx, spec, xn, yn, zn, ctx.t(xn), ctx.t(yn), ctx.t(zn))
 
 
-def _eval_spec(ctx: _EvalContext, spec: ConditionSpec, x, y, z) -> ConditionVerdict:
-    """Verdict of any condition on a normalized triple (x != y for a majorant one)."""
+def _eval_spec(ctx: _EvalContext, spec: ConditionSpec,
+               x, y, z, tx, ty, tz) -> ConditionVerdict:
+    """Verdict of any condition on a normalized triple (x != y for a majorant
+    one) whose images are tx, ty and tz; it reads nothing else of the map."""
     if spec.id in MAJORANT_IDS:
-        return _eval_majorant(ctx, spec, x, y, z)
-    return _eval_extension(ctx, spec, x, y, z)
+        return _eval_majorant(ctx, spec, x, y, z, tx, ty, tz)
+    return _eval_extension(ctx, spec, x, y, z, tx, ty, tz)
 
 
-def _eval_majorant(ctx: _EvalContext, spec: ConditionSpec, x, y, z) -> ConditionVerdict:
+def _eval_majorant(ctx: _EvalContext, spec: ConditionSpec,
+                   x, y, z, tx, ty, tz) -> ConditionVerdict:
     reg, g = ctx.regime, ctx.g
-    tx, ty, tz = ctx.t(x), ctx.t(y), ctx.t(z)
     lhs = g(tx, ty, tz)
     m1 = g(x, y, z)
 
@@ -309,9 +311,9 @@ class ExtensionVerdicts:
     any_holds: bool
 
 
-def _eval_extension(ctx: _EvalContext, spec: ConditionSpec, x, y, z) -> ConditionVerdict:
+def _eval_extension(ctx: _EvalContext, spec: ConditionSpec,
+                    x, y, z, tx, ty, tz) -> ConditionVerdict:
     g = ctx.g
-    tx, ty, tz = ctx.t(x), ctx.t(y), ctx.t(z)
     gx = g(x, tx, tx)
     gy = g(y, ty, ty)
     gz = g(z, tz, tz)
@@ -353,7 +355,8 @@ def eval_extension(space: GMetricSpace, smap: SelfMap, x, y, z,
     c = space.carrier
     xn, yn, zn = normalize_point(c, x), normalize_point(c, y), normalize_point(c, z)
     ctx = _EvalContext(space, smap, tol_base)
-    verdicts = {s.id: _eval_extension(ctx, s, xn, yn, zn) for s in specs}
+    images = ctx.t(xn), ctx.t(yn), ctx.t(zn)
+    verdicts = {s.id: _eval_extension(ctx, s, xn, yn, zn, *images) for s in specs}
     return ExtensionVerdicts(i=verdicts.get("EXT-I"), ii=verdicts.get("EXT-II"),
                              iii=verdicts.get("EXT-III"),
                              any_holds=any(v.holds for v in verdicts.values()))
@@ -558,14 +561,14 @@ def check_aux_bound(space: GMetricSpace, smap: SelfMap, a: AuxWeight,
     """Pointwise check of the uniqueness hypothesis a <= 1/(G * G') on a
     collection of triples, skipping triples where the denominator vanishes."""
     c = space.carrier
-    return _aux_bound(_EvalContext(space, smap, tol_base), a,
-                      ((normalize_point(c, x), normalize_point(c, y), normalize_point(c, z))
-                       for x, y, z in triples))
+    ctx = _EvalContext(space, smap, tol_base)
+    return _aux_bound(ctx, a, ((normalize_point(c, x), normalize_point(c, y),
+                                normalize_point(c, z)) for x, y, z in triples), ctx.t)
 
 
-def _aux_bound(ctx: _EvalContext, a: AuxWeight, triples) -> Verdict:
-    """:func:`check_aux_bound` on normalized triples."""
-    g, t = ctx.g, ctx.t
+def _aux_bound(ctx: _EvalContext, a: AuxWeight, triples, t) -> Verdict:
+    """:func:`check_aux_bound` on normalized triples, with images ``t(p)``."""
+    g = ctx.g
     for (x, y, z) in triples:
         g_xyz, g_image = g(x, y, z), g(t(x), t(y), t(z))
         denom = g_xyz * g_image
@@ -637,7 +640,8 @@ def certify_on_samples(space: GMetricSpace, smap: SelfMap, spec: ConditionSpec,
     majorant = spec.id in MAJORANT_IDS
     batch = _batch_evaluator(space, smap, spec, ctx.regime, worst_cap)
     memo = lru_cache(maxsize=BLOCK) if isinstance(space.carrier, FiniteCarrier) else (lambda f: f)
-    verdict_of = memo(partial(_eval_spec, ctx, spec))
+    t = ctx.t
+    verdict_of = memo(lambda x, y, z: _eval_spec(ctx, spec, x, y, z, t(x), t(y), t(z)))
 
     def scalar(chunk):
         counts, excluded, fails = dict.fromkeys(ROW_STATUSES, 0), 0, []

@@ -36,6 +36,7 @@ DEFAULT_TRACE_MAX = 100_000
 # Largest trace_max: the trace is held in memory until it is written, and at
 # this size its points and gaps take about 64 MB.
 TRACE_MAX_LIMIT = 1_000_000
+MAX_ITER_LIMIT = 10 ** 7  # largest max_iter: 12 s of moebius steps on a 2-core VM
 
 
 @dataclass(frozen=True)
@@ -195,6 +196,8 @@ def solve_picard(space: GMetricSpace, smap: SelfMap, x0, eps_stop: float,
         raise ParameterError("eps_stop must be positive")
     if max_iter < 0:
         raise ParameterError("max_iter must be nonnegative")
+    if max_iter > MAX_ITER_LIMIT:
+        raise ParameterError(f"malformed max_iter: {max_iter} steps, limit {MAX_ITER_LIMIT}")
     if trace_max < 0:
         raise ParameterError("trace_max must be nonnegative")
     if trace_max > TRACE_MAX_LIMIT:

@@ -31,7 +31,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import islice, product
+from itertools import chain, islice, product
 from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
@@ -252,13 +252,6 @@ def orbit_set(table: Sequence[int], start: int) -> tuple:
     return tuple(seen)
 
 
-def steps_to_fixed(table: Sequence[int], start: int) -> Optional[int]:
-    """Number of applications until a fixed point, or None if the orbit
-    ends in a longer cycle."""
-    mu, cycle = orbit_cycle(table, start)
-    return mu if len(cycle) == 1 else None
-
-
 @dataclass
 class TheoremCheckReport:
     theorem_id: str
@@ -276,61 +269,69 @@ class TheoremCheckReport:
 
 
 def _hypothesis_tables(ctx: _EvalContext, specs, m: int, scope: str) -> Iterator[tuple]:
-    """The tables of all m^m whose quantified triples are each accepted by
-    one of ``specs``: every carrier triple (``scope`` "carrier") or every
-    orbit-set triple ("orbit").  A majorant condition is quantified over
-    x != y only and its theorems ask for injectivity, so then only the m!
-    permutations are met.  Each table is yielded as the search meets it,
-    which is not ``product`` order, so none is held.
+    """(table, bad) for each table of all m^m whose quantified triples are
+    each accepted by one of ``specs``: every carrier triple (``scope``
+    "carrier") or every orbit-set triple ("orbit"); ``bad`` is the lowest
+    start whose orbit ends in a cycle longer than 1, or None.  A majorant
+    condition is quantified over x != y only and its theorems ask for
+    injectivity, so then only the m! permutations are met.  Tables are
+    yielded as met, which is not ``product`` order, so none is held.
 
     T is assigned along the path of the lowest unassigned start a.  That
     path, and the orbit set of an earlier point it reaches, lie in orbit(a);
-    after each assignment their triples are decided, or with "carrier" every
-    triple of assigned points, and a partial map is cut at its first failing
-    triple.  A verdict depends only on the triple and its three images, so it
-    is memoized by those six values.  The search keeps its own stack, so
-    Python's recursion limit does not bound m.
+    after each assignment their triples are decided (with "carrier", the
+    triples of assigned points that hold the new one), and a partial map is
+    cut at its first failing triple.  A verdict reads only the triple and
+    its images, so it is memoized by those six points.  The search keeps its
+    own stack, so Python's recursion limit does not bound m.
     """
     majorant = specs[0].id in MAJORANT_IDS
     table = [None] * m
-    lookup = table.__getitem__
     memo = {}
 
     def holds(t):
         key = (*t, table[t[0]], table[t[1]], table[t[2]])
         if key not in memo:
-            ctx.t = lookup  # a caller may read ctx.t while the search is suspended
             memo[key] = ((majorant and t[0] == t[1])
-                         or any(_eval_spec(ctx, spec, *t).holds for spec in specs))
+                         or any(_eval_spec(ctx, spec, *key).holds for spec in specs))
         return memo[key]
 
-    # stack[i] is a point whose image is set or tried, starts[i] the index in
-    # stack where its path begins; the top tries its next image (-1: none yet)
-    stack, starts = [0], [0]
+    # stack[i] is a point whose image is set or tried, and paths[i] the index
+    # in stack where its path begins with the bad start of the orbits closed
+    # before that path; the top tries its next image (-1: none yet)
+    stack, paths = [0], [(0, None)]
     table[0] = -1
     while stack:
-        p, s = stack[-1], starts[-1]
+        p, (s, bad) = stack[-1], paths[-1]
         table[p] = v = table[p] + 1
         if v == m:  # every image of p tried: back up
             table[stack.pop()] = None
-            starts.pop()
+            paths.pop()
             continue
         if majorant and table[v] is not None and v != stack[s]:  # not injective
             continue
-        path = stack[s if scope == "orbit" else 0:]
-        if table[v] is not None and v not in path:  # orbit(a) takes in orbit(v)
-            path += orbit_set(table, v)
-        if not all(map(holds, product(path, repeat=3))):
+        if scope == "orbit":
+            path = stack[s:]
+            if table[v] is not None and v not in path:  # orbit(a) takes in orbit(v)
+                path += orbit_set(table, v)
+            triples = product(path, repeat=3)
+        else:  # a triple without p held at the node that assigned its last point
+            others = stack[:-1]
+            triples = chain(product([p], stack, stack), product(others, [p], stack),
+                            product(others, others, [p]))
+        if not all(map(holds, triples)):
             continue
         if table[v] is None:  # the path goes on through v
             stack.append(v)
-        elif None in table:  # orbit(a) is closed: the next start
+        else:  # orbit(a) is closed: on a cycle from v on, or on that of the orbit it joins
+            if bad is None and v != p and v in stack[s:]:
+                bad = stack[s]
+            if None not in table:
+                yield tuple(table), bad
+                continue
             s = len(stack)
             stack.append(table.index(None))
-        else:
-            yield tuple(table)
-            continue
-        starts.append(s)
+        paths.append((s, bad))
         table[stack[-1]] = -1
 
 
@@ -350,11 +351,12 @@ def exhaustive_theorem_check(space: GMetricSpace, theorem_id: str,
 
     The hypothesis is decided exactly (condition on all admissible
     triples) by one search along orbit paths, so no partial map is extended
-    past its first failing triple; then the conclusion of each passing map is
-    verified by exact orbit iteration.  Where the hypothesis requires
-    injectivity the search meets only the m! permutations; the other
-    m^m - m! maps count as failing it.  Counterexamples carry the map table,
-    the violated clause, and a witness, and always re-verify.
+    past its first failing triple; the same search sees each passing map's
+    orbits close, and so gives the lowest start whose orbit ends in a cycle
+    longer than 1.  Where the hypothesis requires injectivity the search
+    meets only the m! permutations; the other m^m - m! maps count as
+    failing it.  Counterexamples carry the map table, the violated clause,
+    and a witness, and always re-verify.
 
     ``params`` per theorem: THM-2.2 needs ``q`` (rational in (0,1));
     THM-2.10 needs ``gauge`` (a GaugeFunction); THM-2.12 needs at least
@@ -417,37 +419,24 @@ def exhaustive_theorem_check(space: GMetricSpace, theorem_id: str,
     passing = _hypothesis_tables(ctx, specs, m, "orbit" if theorem_id == "THM-2.12" else scope)
     if check_uniqueness:
         carrier_triples = [t for t in product(range(m), repeat=3) if t[0] != t[1]]
+    clause = "cluster-not-fixed" if theorem_id == "THM-2.5" else "orbit-not-convergent"
     satisfying = 0
-    conclusion_holds = 0
     counterexamples = []
-
-    for table in passing:
+    for table, bad in passing:
         satisfying += 1
-        violation = None
-        for a in range(m):
-            _, cycle = orbit_cycle(table, a)
-            if len(cycle) != 1:
-                clause = ("cluster-not-fixed" if theorem_id == "THM-2.5"
-                          else "orbit-not-convergent")
-                violation = (table, clause, {"start": a, "cycle": cycle})
-                break
-
-        if violation is None and check_uniqueness:
-            ctx.t = table.__getitem__
+        if bad is not None:
+            counterexamples.append((table, clause,
+                                    {"start": bad, "cycle": orbit_cycle(table, bad)[1]}))
+        elif check_uniqueness:
             fixed = tuple(i for i in range(m) if table[i] == i)
-            if _aux_bound(ctx, aux, carrier_triples).passed and len(fixed) != 1:
-                violation = (table, "fixed-point-not-unique", {"fixed_points": fixed})
-
-        if violation is None:
-            conclusion_holds += 1
-        else:
-            counterexamples.append(violation)
+            if len(fixed) != 1 and _aux_bound(ctx, aux, carrier_triples, table.__getitem__).passed:
+                counterexamples.append((table, "fixed-point-not-unique", {"fixed_points": fixed}))
     counterexamples.sort(key=itemgetter(0))  # product order, as enumerate_self_maps gives
 
     return TheoremCheckReport(
         theorem_id=theorem_id, maps_total=m ** m,
         maps_satisfying_hypothesis=satisfying,
-        conclusion_holds=conclusion_holds,
+        conclusion_holds=satisfying - len(counterexamples),
         counterexamples=counterexamples, params=report_params,
         hypothesis_failing=m ** m - satisfying)
 

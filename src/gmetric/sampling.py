@@ -27,6 +27,7 @@ from .spaces import (
 
 DEFAULT_RANGE = (0.0, 100.0)
 DEFAULT_COUNT = 10_000
+COUNT_MAX = 10 ** 7  # largest sampling.count: 80 s of finite EXT-III verdicts, 2-core VM
 DEFAULT_SEED = 0
 BLOCK = 1024  # triples drawn per Generator call, and per certificate chunk
 

@@ -185,6 +185,11 @@ class TestMalformedValues:
         ("gauge", {"gauge": "ratio1", "gauge_check": {"grid": list(range(1, 34))}}),
         # past conditions.GAUGE_N_MAX diagonal steps
         ("gauge", {"gauge": "ratio1", "gauge_check": {"n_max": 10 ** 12}}),
+        # past sampling.COUNT_MAX draws and dynamics.MAX_ITER_LIMIT steps,
+        # refused before the first draw or step
+        ("condition", {**_MOEBIUS_GAUGE, "sampling": {"count": 10 ** 7 + 1}}),
+        ("solve", {"space": "absmax", "map": "moebius",
+                   "solver": {"x0": 1.0, "max_iter": 10 ** 7 + 1}}),
     ], ids=["count", "eps_stop", "map-param", "weight-param", "table-entry", "q", "scales",
             "sampling-section", "gauge_check-section", "violate-section", "grid-scalar",
             "scales-scalar", "q_grid-scalar", "negative-seed", "grid-nan", "grid-inf",
@@ -193,7 +198,7 @@ class TestMalformedValues:
             "scales-nan", "weight-overflow", "scales-nonpositive", "scales-empty",
             "finite-uniform-size", "axioms-size", "condition-exponent", "theorem-exponent",
             "theorem-denominator", "weight-exponent", "gauge-exponent", "grid-size",
-            "n_max-size"])
+            "n_max-size", "count-size", "max_iter-size"])
     def test_exit_two(self, tmp_path, capsys, command, config):
         table = tmp_path / "bad.txt"
         table.write_text("2\n0 x\nx 0\n")

@@ -517,7 +517,7 @@ class TestFiniteVerdictMemo:
         for smap in (gm.table_self_map(space, t) for t in tables):
             for spec in self.SPECS:
                 ctx = _EvalContext(space, smap)
-                verdicts = [_eval_spec(ctx, spec, *t) for t in stream]
+                verdicts = [_eval_spec(ctx, spec, *t, *map(ctx.t, t)) for t in stream]
                 expected = _reference_certificates(spec, verdicts, counts, (0, 1, 10))
                 for (count, cap), cert in expected.items():
                     assert gm.certify_on_samples(space, smap, spec, iter(stream), count,
@@ -532,7 +532,7 @@ class TestFiniteVerdictMemo:
         calls = []
 
         def spy(*args):
-            calls.append(args[2:])
+            calls.append(args[2:5])
             return _eval_spec(*args)
 
         monkeypatch.setattr(conditions, "_eval_spec", spy)

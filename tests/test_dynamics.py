@@ -126,6 +126,8 @@ class TestSolvePicard:
         with pytest.raises(gm.ParameterError, match="at most 1000000"):
             gm.solve_picard(absmax, halving, 1.0, 1e-6, 10,
                             trace_max=dynamics.TRACE_MAX_LIMIT + 1)
+        with pytest.raises(gm.ParameterError, match="malformed max_iter"):
+            gm.solve_picard(absmax, halving, 1.0, 1e-6, dynamics.MAX_ITER_LIMIT + 1)
 
     def test_trace_max_at_the_limit_runs(self, absmax, halving):
         cert = gm.solve_picard(absmax, halving, 1.0, 1e-6, 1000,

@@ -14,8 +14,8 @@ import pytest
 import gmetric as gm
 from gmetric import catalog
 from gmetric.conditions import MAJORANT_IDS, _EvalContext, _eval_spec, _extension_specs
-from gmetric.oracle import (RATIONAL_MAX_DIGITS, _hypothesis_tables, _words, orbit_cycle,
-                            orbit_set, parse_rational, steps_to_fixed)
+from gmetric.oracle import (DEFAULT_MAP_CAP, RATIONAL_MAX_DIGITS, _hypothesis_tables, _words,
+                            orbit_cycle, orbit_set, parse_rational)
 
 
 def F(v):
@@ -195,8 +195,9 @@ class TestOrbitHelpers:
         mu, cycle = orbit_cycle(table, 0)
         assert mu == 0 and sorted(cycle) == [0, 1, 2]
         assert orbit_cycle(table, 3) == (0, (3,))
-        assert steps_to_fixed(table, 0) is None
-        assert steps_to_fixed(table, 3) == 0
+        assert len(orbit_cycle(table, 0)[1]) != 1
+        steps, cycle = orbit_cycle(table, 3)
+        assert len(cycle) == 1 and steps == 0
 
     def test_orbit_set(self):
         table = (1, 2, 2, 0)
@@ -218,8 +219,8 @@ class TestTheoremChecks:
         assert rep.maps_satisfying_hypothesis == len(idempotents) == 41
         for t in idempotents:
             for start in range(4):
-                steps = steps_to_fixed(t, start)
-                assert steps is not None and steps <= 4
+                steps, cycle = orbit_cycle(t, start)
+                assert len(cycle) == 1 and steps <= 4
 
     def test_three_cycle_permutations_fail_hypothesis(self):
         sp = catalog.space_finite_uniform(4)
@@ -407,7 +408,9 @@ def _reference_tables(ctx, specs, m, scope):
     """The reference for ``_hypothesis_tables``, with its signature: each
     permutation (a majorant condition) or each of the m^m tables (the
     extension conditions, over orbit sets) in lexicographic order, decided
-    from scratch on Fractions one triple at a time."""
+    from scratch on Fractions one triple at a time, with the first start
+    whose orbit ends in a cycle longer than 1, or None, found by iterating
+    the table from each start in turn."""
     if specs[0].id in MAJORANT_IDS:
         tables = permutations(range(m))
         carrier = list(_condition_triples(m))
@@ -416,34 +419,64 @@ def _reference_tables(ctx, specs, m, scope):
     else:
         tables, triples_of = product(range(m), repeat=m), _orbit_triples
     for table in tables:
-        ctx.t = table.__getitem__
-        if all(any(_eval_spec(ctx, spec, *t).holds for spec in specs)
+        if all(any(_eval_spec(ctx, spec, *t, *(table[p] for p in t)).holds for spec in specs)
                for t in triples_of(table)):
-            yield table
+            yield table, next((a for a in range(m) if len(orbit_cycle(table, a)[1]) != 1),
+                              None)
 
 
-def _run(monkeypatch, search, space, theorem, params):
-    """(the sorted passing tables, the rendered report) of one theorem check
-    whose hypothesis ``search`` decides."""
+def _run(monkeypatch, search, space, theorem, params, cap):
+    """(the sorted (table, bad start) pairs, the rendered report) of one
+    theorem check whose hypothesis ``search`` decides."""
     met = []
 
     def recording(*args):
-        for table in search(*args):
-            met.append(table)
-            yield table  # the check reads ctx.t for uniqueness before the next
+        for found in search(*args):
+            met.append(found)
+            yield found  # the check decides its conclusion before the next
 
     with monkeypatch.context() as patch:
         patch.setattr("gmetric.oracle._hypothesis_tables", recording)
-        report = gm.exhaustive_theorem_check(space, theorem, params)
+        report = gm.exhaustive_theorem_check(space, theorem, params, cap=cap)
     return sorted(met), gm.reports.render_report(gm.reports.theorem_report_dict(report))
 
 
-def _both(monkeypatch, space, theorem, params):
+def _both(monkeypatch, space, theorem, params, cap=DEFAULT_MAP_CAP):
     """The search's and the reference loop's run, which must be equal."""
-    fast = _run(monkeypatch, _hypothesis_tables, space, theorem, params)
-    reference = _run(monkeypatch, _reference_tables, space, theorem, params)
+    fast = _run(monkeypatch, _hypothesis_tables, space, theorem, params, cap)
+    reference = _run(monkeypatch, _reference_tables, space, theorem, params, cap)
     assert fast == reference, (theorem, params)
     return json.loads(fast[1])
+
+
+def _signed_space(seed: int, m: int):
+    """A symmetric exact space whose G values are drawn from -2..2; not a
+    G-metric, so maps with long cycles can pass a hypothesis."""
+    rng = np.random.default_rng(seed)
+    values = {t: F(int(rng.integers(-2, 3)))
+              for t in product(range(m), repeat=3) if list(t) == sorted(t)}
+    return gm.GMetricSpace(carrier=gm.FiniteCarrier(m), g=lambda *t: values[tuple(sorted(t))],
+                           arithmetic="exact", symmetric_claimed=True)
+
+
+def _shapes(report) -> set:
+    """The orbit shapes of a report's non-convergent counterexamples: each
+    witness cycle length, "tail" when the witness start lies off its cycle,
+    and "merge" when a point off the witness orbit reaches the same cycle
+    (a later start merging into the earlier failing orbit)."""
+    shapes = set()
+    for c in report["counterexamples"]:
+        table, witness = c["map"], c["witness"]
+        if "cycle" not in witness:
+            continue
+        orbit, cycle = orbit_set(table, witness["start"]), set(witness["cycle"])
+        shapes.add(len(cycle))
+        if witness["start"] not in cycle:
+            shapes.add("tail")
+        if any(b not in orbit and set(orbit_cycle(table, b)[1]) == cycle
+               for b in range(len(table))):
+            shapes.add("merge")
+    return shapes
 
 
 def _majorant_cases(qs, weights):
@@ -523,11 +556,46 @@ class TestOrbitPathSearch:
             for k in range(n % 4, len(cases), 4):
                 _both(monkeypatch, space, *cases[k])
 
+    @pytest.mark.parametrize("seed", [23, 76, 125])
+    def test_signed_cycles_tails_and_merges(self, monkeypatch, seed):
+        # passing m = 5 maps with 2- and 3-cycles, orbits that run a tail
+        # into their cycle, and later starts that merge into an earlier
+        # failing orbit; the search reads the bad start as the orbits close
+        report = _both(monkeypatch, _signed_space(seed, 5), "THM-2.12", {"delta": "9/10"})
+        assert report["conclusion_holds"] > 0
+        assert _shapes(report) >= {2, 3, "tail", "merge"}
+
+    @pytest.mark.parametrize("seed", [5, 8])
+    def test_signed_permutations_with_cycles(self, monkeypatch, seed):
+        # THM-2.5 over orbit sets: passing permutations with 2- and 3-cycles
+        report = _both(monkeypatch, _signed_space(seed, 5), "THM-2.5", {"scope": "orbit"})
+        assert {c["violated_clause"] for c in report["counterexamples"]} == {"cluster-not-fixed"}
+        assert _shapes(report) >= {2, 3}
+
+    def test_carrier_scope_both_clauses(self, monkeypatch):
+        # distance 1 inside {0, 1, 2} and inside {3, 4, 5}, 2 across, so that
+        # under identity-diag the passing permutations are isometries; G is
+        # 1/2 at (3, 4, 5) in that order only, which leaves the six that fix
+        # 3, 4 and 5. A search that skipped the triples with the newly
+        # assigned point last would also pass some that move them, such as
+        # the swap of 3 and 4. The identity has six fixed points, every
+        # other passing map a cycle.
+        rows = [[0 if i == j else 1 if i // 3 == j // 3 else 2 for j in range(6)]
+                for i in range(6)]
+        base = gm.build_gmetric(gm.FiniteMetric.from_rows(rows), "max")
+        space = dataclasses.replace(base, g=lambda *t: F("1/2") if t == (3, 4, 5) else base.g(*t))
+        report = _both(monkeypatch, space, "THM-2.10",
+                       {"gauge": catalog.get_gauge("identity-diag")}, cap=6)
+        clauses = Counter(c["violated_clause"] for c in report["counterexamples"])
+        assert report["maps_satisfying_hypothesis"] == 6
+        assert clauses == {"orbit-not-convergent": 5, "fixed-point-not-unique": 1}
+        assert _shapes(report) == {2, 3}
+
     def test_uniqueness_reads_the_yielded_table(self, monkeypatch):
-        # the uniqueness clause points ctx.t at each passing table while the
-        # search is suspended; here only the identity, met first, passes,
-        # and a search that then decided its later triples through that
-        # ctx.t would pass all 120 permutations
+        # the uniqueness clause reads the images of each passing table while
+        # the search is suspended; here only the identity, met first,
+        # passes, and a search that then decided its later triples on the
+        # identity's images would pass all 120 permutations
         metric = gm.random_metric(np.random.default_rng(7), 4, 5)
         for construction in ("max", "perimeter"):
             report = _both(monkeypatch, gm.build_gmetric(metric, construction), "THM-2.2",
@@ -542,18 +610,13 @@ class TestOrbitPathSearch:
     def test_counterexamples_keep_product_order(self, monkeypatch):
         # a signed table (not a G-metric) whose passing tables include
         # cycles, met by the search out of product order
-        rng = np.random.default_rng(8)
-        values = {t: F(int(rng.integers(-2, 3)))
-                  for t in product(range(4), repeat=3) if list(t) == sorted(t)}
-        space = gm.GMetricSpace(carrier=gm.FiniteCarrier(4),
-                                g=lambda *t: values[tuple(sorted(t))],
-                                arithmetic="exact", symmetric_claimed=True)
+        space = _signed_space(8, 4)
         rep = _both(monkeypatch, space, "THM-2.12", {"delta": "9/10"})
         tables = [tuple(c["map"]) for c in rep["counterexamples"]]
         assert len(tables) > 1 and tables == sorted(tables)
         met = list(_hypothesis_tables(_EvalContext(space), _extension_specs(delta=F("9/10")),
                                       4, "orbit"))
-        assert [t for t in met if t in tables] != tables
+        assert [t for t, _ in met if t in tables] != tables
 
     @pytest.mark.parametrize("m, passing", [(6, 1057), (7, 6322)])
     def test_uniform_past_the_default_cap(self, m, passing):
