@@ -34,10 +34,12 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import chain, islice, product
+from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
 from ._lazy import np
@@ -60,6 +62,7 @@ from .spaces import (
     normalize_point,
     points_distinct,
     raw_g,
+    scaled_form,
     scaled_tol,
 )
 from .dynamics import SelfMap
@@ -216,8 +219,10 @@ class ConditionVerdict:
     @cached_property
     def _sort_key(self):
         # kept in the instance dict, outside the fields: equality, hash,
-        # replace and asdict do not see it
-        key_pts = tuple(p if isinstance(p, tuple) else (p,) for p in self.triple)
+        # replace and asdict do not see it. Built from a list: tuple() of a
+        # generator shrinks an over-allocated tuple, which then joins the
+        # 3-tuple free list and grows a long certificate's traced memory.
+        key_pts = tuple([p if isinstance(p, tuple) else (p,) for p in self.triple])
         return (-(self.lhs - self.rhs), key_pts)
 
 
@@ -228,7 +233,8 @@ class _EvalContext:
     A finite carrier has at most m^3 G keys and m image keys, so both are
     kept in an LRU memo of ``G_MEMO_MAX`` entries; on a real carrier keys
     do not repeat and both are evaluated directly.  Without a map ``t`` is None,
-    for a caller that supplies its own images.
+    for a caller that supplies its own images.  ``scaled`` is the space's
+    :func:`scaled_form`, for :func:`_scaled_decider`.
     """
 
     def __init__(self, space: GMetricSpace, smap: Optional[SelfMap] = None,
@@ -236,6 +242,7 @@ class _EvalContext:
         if smap is not None and smap.domain != space.carrier:
             raise DomainError("map domain does not match the space carrier")
         self.regime = Regime(space.exact, tol_base)
+        self.scaled = scaled_form(space)
         memo = (lru_cache(maxsize=G_MEMO_MAX) if isinstance(space.carrier, FiniteCarrier)
                 else (lambda f: f))
         self.g = memo(partial(raw_g, space))
@@ -329,6 +336,76 @@ def _eval_extension(ctx: _EvalContext, spec: ConditionSpec,
         rhs = spec.delta * max(g(x, y, z), gx, gy, gz, cross / 4)
     return ConditionVerdict(status=ctx.regime.status(lhs, rhs, strict=False),
                             lhs=lhs, rhs=rhs, triple=(x, y, z))
+
+
+def _scaled_decider(ctx: _EvalContext, spec: ConditionSpec) -> Optional[Callable]:
+    """:func:`_eval_extension` on the scaled integer G of ``ctx``: a function
+    of (x, y, z, tx, ty, tz) giving (status, lhs, rhs, den), with the
+    verdict's sides lhs / den and rhs / den.  ``den`` > 0, one constant of
+    the run, multiplies both sides, so :meth:`Regime.status` decides the same
+    on the integers.  None where only the Fraction path applies: no
+    :class:`ScaledG`, a majorant condition, or a parameter that is no int or
+    Fraction.  (A majorant's M3 term would put M1 * lhs * scale^3 in the
+    factor, whose products outgrow the Fraction path's on long denominators.)
+    """
+    factor = {"EXT-I": spec.alpha, "EXT-II": spec.beta, "EXT-III": spec.delta}.get(spec.id)
+    if ctx.scaled is None or not isinstance(factor, (int, Fraction)):
+        return None
+    g, status = ctx.scaled.ints, ctx.regime.status
+    p, q = factor.as_integer_ratio()
+    if spec.id == "EXT-III":
+        den = 4 * q * ctx.scaled.scale
+
+        def decide(x, y, z, tx, ty, tz):  # 4q * lhs <= p * max(4 M1, 4 gx, 4 gy, 4 gz, cross)
+            lhs = 4 * q * g(tx, ty, tz)
+            rhs = p * max(4 * g(x, y, z), 4 * g(x, tx, tx), 4 * g(y, ty, ty), 4 * g(z, tz, tz),
+                          g(tx, y, z) + g(x, ty, z) + g(x, y, tz))
+            return status(lhs, rhs, False), lhs, rhs, den
+        return decide
+    ext_i, den = spec.id == "EXT-I", q * ctx.scaled.scale
+
+    def decide(x, y, z, tx, ty, tz):  # q * lhs <= p * (G(x, y, z) or the cross sum)
+        lhs = q * (g(x, tx, tx) + g(y, ty, ty) + g(z, tz, tz))
+        rhs = p * (g(x, y, z) if ext_i else g(tx, y, z) + g(x, ty, z) + g(x, y, tz))
+        return status(lhs, rhs, False), lhs, rhs, den
+    return decide
+
+
+def _scaled_evaluator(ctx: _EvalContext, spec: ConditionSpec, size: int,
+                      worst_cap: int) -> Optional[Callable]:
+    """Chunks of a finite carrier's triples decided by :func:`_scaled_decider`
+    (None where it does not apply), the scalar path's result on each.
+
+    A chunk whose triples are not all tuples of three ``int`` points in
+    range(``size``) gives None.  Otherwise each distinct triple is decided
+    once (an LRU memo keeps ``BLOCK``), and the status counts, 0 excluded M3
+    terms and the chunk's ``worst_cap`` worst fails, the only verdicts
+    built, are returned.
+    """
+    decide = _scaled_decider(ctx, spec)
+    if decide is None:
+        return None
+    t = ctx.t
+    decided = lru_cache(maxsize=BLOCK)(lambda x, y, z: decide(x, y, z, t(x), t(y), t(z)))
+
+    def evaluate(chunk):
+        if set(map(type, chunk)) != {tuple} or set(map(len, chunk)) != {3}:
+            return None
+        flat = list(chain.from_iterable(chunk))
+        if set(map(type, flat)) != {int} or min(flat) < 0 or max(flat) >= size:
+            return None
+        counts, ranked = dict.fromkeys(ROW_STATUSES, 0), []
+        for triple, n in Counter(chunk).items():
+            status, lhs, rhs, den = decided(*triple)
+            counts[status] += n
+            if status == FAILS:  # rhs - lhs times den orders as the worst list does
+                ranked.append((rhs - lhs, triple, min(n, worst_cap), lhs, rhs, den))
+        worst = heapq.nsmallest(worst_cap, ranked, key=itemgetter(0, 1))
+        return list(counts.values()), 0, [  # a triple drawn n times is n entries
+            ConditionVerdict(FAILS, Fraction(lhs, den), Fraction(rhs, den), (), triple)
+            for _, triple, n, lhs, rhs, den in worst for _ in range(n)][:worst_cap]
+
+    return evaluate
 
 
 def _extension_specs(alpha=None, beta=None, delta=None) -> list:
@@ -626,22 +703,27 @@ def certify_on_samples(space: GMetricSpace, smap: SelfMap, spec: ConditionSpec,
     status counts, excluded-M3 count and failing verdicts, and the worst
     list is cut per chunk.
 
-    A finite carrier has at most m^3 triples, which a long stream repeats:
-    there the scalar path keeps the verdicts of the last ``BLOCK`` distinct
-    normalized triples in an LRU memo.  Every drawn triple is still
-    normalized, checked for x != y and counted.  At most ``BLOCK``
-    memoized verdicts, one chunk and ``worst_cap`` worst verdicts are held
-    at a time, whatever ``count`` is.
+    A finite carrier has at most m^3 triples, which a long stream repeats.
+    Where :func:`_scaled_evaluator` applies (an extension condition on a
+    :class:`ScaledG` space), a chunk of in-range ``int`` points is tallied
+    by distinct triple, each decided on scaled integers, and only its worst
+    fails get ``Fraction`` verdicts; any other chunk takes the scalar path.
+    Both keep the decisions of the last ``BLOCK`` distinct triples in an LRU
+    memo, and every drawn triple is still checked and counted.  At most
+    ``BLOCK`` memoized decisions, one chunk and ``worst_cap`` worst verdicts
+    are held at a time, whatever ``count`` is.
     """
     if worst_cap < 0:
         raise ParameterError("worst_cap must be nonnegative")
     ctx = _EvalContext(space, smap, tol_base)
     distinct = ctx.regime.distinct
     majorant = spec.id in MAJORANT_IDS
-    batch = _batch_evaluator(space, smap, spec, ctx.regime, worst_cap)
-    memo = lru_cache(maxsize=BLOCK) if isinstance(space.carrier, FiniteCarrier) else (lambda f: f)
+    finite = isinstance(space.carrier, FiniteCarrier)
     t = ctx.t
-    verdict_of = memo(lambda x, y, z: _eval_spec(ctx, spec, x, y, z, t(x), t(y), t(z)))
+    verdict_of = (lru_cache(maxsize=BLOCK) if finite else (lambda f: f))(
+        lambda x, y, z: _eval_spec(ctx, spec, x, y, z, t(x), t(y), t(z)))
+    fast = (_scaled_evaluator(ctx, spec, space.carrier.size, worst_cap) if finite
+            else _batch_evaluator(space, smap, spec, ctx.regime, worst_cap))
 
     def scalar(chunk):
         counts, excluded, fails = dict.fromkeys(ROW_STATUSES, 0), 0, []
@@ -663,7 +745,7 @@ def certify_on_samples(space: GMetricSpace, smap: SelfMap, spec: ConditionSpec,
     excluded = 0
     triples = islice(sampler, count)
     for chunk in iter(lambda: list(islice(triples, BLOCK)), []):
-        counts, chunk_excluded, fails = (batch and batch(chunk)) or scalar(chunk)
+        counts, chunk_excluded, fails = (fast and fast(chunk)) or scalar(chunk)
         for status, n in zip(ROW_STATUSES, counts):
             tallies[status] += n
         excluded += chunk_excluded

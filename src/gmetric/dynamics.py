@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import chain, count, islice, repeat
 from typing import Callable, Optional, Sequence
 
@@ -361,7 +362,9 @@ def write_trace_csv(trace: OrbitTrace, path, certified_q: Optional[float] = None
     """
     gaps = trace.gaps
     bounds = repeat("")
-    if certified_q is not None and gaps:
+    if isinstance(certified_q, Fraction) and gaps:
+        bounds = map(repr, _exact_apriori_bounds(certified_q, gaps[0]))
+    elif certified_q is not None and gaps:
         bounds = map(repr, map(apriori_bound, repeat(certified_q), repeat(gaps[0]), count()))
     rows = (f"{n},{repr(x) if type(x) is float else _point_field(x)},"
             f"{g if ',' not in g else _quoted(g)},{b if ',' not in b else _quoted(b)}\r\n"
@@ -370,6 +373,17 @@ def write_trace_csv(trace: OrbitTrace, path, certified_q: Optional[float] = None
         fh.write("n,x,gap,bound\r\n")
         while chunk := "".join(islice(rows, 4096)):
             fh.write(chunk)
+
+
+def _exact_apriori_bounds(q: Fraction, g0):
+    """``apriori_bound(q, g0, n)`` for n = 0, 1, ..., with q^n carried as a
+    running exact product: the same value, without a fresh power per row.  A
+    float q keeps ``q ** n``, as a running float product rounds differently."""
+    yield apriori_bound(q, g0, 0)  # checks q and g0
+    power = q
+    while True:
+        yield power * g0 / (1 - q)
+        power *= q
 
 
 def _point_field(p) -> str:

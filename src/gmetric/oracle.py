@@ -6,7 +6,10 @@ and brute-force checks each fixed-point theorem's hypothesis-implies-
 conclusion statement with exact arithmetic end to end.  Every theorem's
 hypothesis is decided by one search that assigns each map along orbit paths
 and cuts a partial map at its first failing triple.  No floating point
-enters this module; every comparison is exact.
+enters this module; every comparison is exact.  A built space's G carries
+the metric table times the lcm of its denominators, on which the extension
+conditions of THM-2.12 are decided as cross-multiplied integers; the
+majorant conditions are decided on Fractions.
 
 Theorem identifiers accepted by :func:`exhaustive_theorem_check`:
 
@@ -46,9 +49,10 @@ from .conditions import (
     _aux_bound,
     _eval_spec,
     _extension_specs,
+    _scaled_decider,
 )
 from .dynamics import SelfMap
-from .spaces import EXACT, AxiomReport, FiniteCarrier, GMetricSpace, check_axioms
+from .spaces import EXACT, FAILS, AxiomReport, FiniteCarrier, GMetricSpace, ScaledG, check_axioms
 
 DEFAULT_MAP_CAP = 5
 
@@ -75,9 +79,12 @@ def parse_rational(text: str) -> Fraction:
 
 @dataclass(frozen=True)
 class FiniteMetric:
-    """A finite metric given by an m x m table of exact rationals."""
+    """A finite metric given by an m x m table of exact rationals; ``ints``
+    is the table times ``scale``, the lcm of its denominators."""
 
     d: tuple
+    scale: int = field(init=False, repr=False, compare=False)
+    ints: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = len(self.d)
@@ -97,10 +104,10 @@ class FiniteMetric:
                     raise ParameterError(f"off-diagonal entry d[{i}][{j}] must be positive")
                 if v != self.d[j][i]:
                     raise ParameterError(f"metric table not symmetric at ({i},{j})")
-        # times the lcm of the denominators; int64 when d[i][j] + d[j][k],
-        # the largest compared value, surely fits, exact Python ints otherwise
         scale = math.lcm(*(v.denominator for row in self.d for v in row))
         ints = [v.numerator * (scale // v.denominator) for row in self.d for v in row]
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "ints", tuple(tuple(ints[i * m:(i + 1) * m]) for i in range(m)))
         top = max(ints)
         # No triple of distinct points when m < 3. Otherwise, when no off-diagonal
         # entry exceeds twice the smallest, d[i][k] + d[k][j] >= 2 min >= max >=
@@ -108,6 +115,8 @@ class FiniteMetric:
         # with entries in [1, 2] without numpy.
         if m < 3 or top <= 2 * min(filter(None, ints)):
             return
+        # int64 when d[i][j] + d[j][k], the largest compared value, surely
+        # fits, exact Python ints otherwise
         d = np.array(ints, dtype=np.int64 if 2 * top < 2 ** 63 else object).reshape(m, m)
         for i in range(m):  # one row of (j, k) at a time; the first failure in C order
             bad = np.flatnonzero(d[i, :, None] > d[i, None, :] + d.T)
@@ -199,18 +208,19 @@ def build_gmetric(metric: FiniteMetric, construction: str) -> GMetricSpace:
     """Exact ternary distance from a finite metric.
 
     ``max``: G(x,y,z) = max of the three pairwise distances;
-    ``perimeter``: their sum.  Both are symmetric by construction.
+    ``perimeter``: their sum.  Both are symmetric by construction.  G is a
+    :class:`ScaledG`: the same rule on ``metric.ints`` gives it as integers.
     """
-    d = metric.d
     if construction == "max":
-        def g(i, j, k):
-            return max(d[i][j], d[j][k], d[k][i])
+        def on(d):
+            return lambda i, j, k: max(d[i][j], d[j][k], d[k][i])
     elif construction == "perimeter":
-        def g(i, j, k):
-            return d[i][j] + d[j][k] + d[k][i]
+        def on(d):
+            return lambda i, j, k: d[i][j] + d[j][k] + d[k][i]
     else:
         raise ParameterError(f"unknown construction {construction!r}")
-    return GMetricSpace(carrier=FiniteCarrier(metric.size), g=g,
+    return GMetricSpace(carrier=FiniteCarrier(metric.size),
+                        g=ScaledG(on(metric.d), on(metric.ints), metric.scale),
                         arithmetic=EXACT, symmetric_claimed=True,
                         name=f"{construction}-m{metric.size}")
 
@@ -282,19 +292,25 @@ def _hypothesis_tables(ctx: _EvalContext, specs, m: int, scope: str) -> Iterator
     after each assignment their triples are decided (with "carrier", the
     triples of assigned points that hold the new one), and a partial map is
     cut at its first failing triple.  A verdict reads only the triple and
-    its images, so it is memoized by those six points.  The search keeps its
+    its images, so it is memoized by those six points; it is decided on
+    scaled integers where :func:`_scaled_decider` applies.  The search keeps its
     own stack, so Python's recursion limit does not bound m.
     """
     majorant = specs[0].id in MAJORANT_IDS
     table = [None] * m
     memo = {}
+    decide = [_scaled_decider(ctx, spec) for spec in specs]  # None: on Fractions
 
     def holds(t):
-        key = (*t, table[t[0]], table[t[1]], table[t[2]])
-        if key not in memo:
-            memo[key] = ((majorant and t[0] == t[1])
-                         or any(_eval_spec(ctx, spec, *key).holds for spec in specs))
-        return memo[key]
+        x, y, z = t
+        key = (x, y, z, table[x], table[y], table[z])
+        found = memo.get(key)
+        if found is None:
+            found = memo[key] = (
+                (majorant and x == y)
+                or any(d(*key)[0] != FAILS if d else _eval_spec(ctx, spec, *key).holds
+                       for spec, d in zip(specs, decide)))
+        return found
 
     # stack[i] is a point whose image is set or tried, and paths[i] the index
     # in stack where its path begins with the bad start of the orbits closed

@@ -1,4 +1,5 @@
 """Contractive-condition evaluators, gauges, factors, and certificates."""
+import dataclasses
 import tracemalloc
 from fractions import Fraction
 from itertools import islice
@@ -10,7 +11,7 @@ import gmetric as gm
 from gmetric import catalog, conditions, sampling
 from gmetric.conditions import (FAILS, HOLDS_STRICT, VACUOUS, _EvalContext, _eval_spec,
                                 _triple_sort_key)
-from gmetric.spaces import FAIL, HOLDS_WEAK, PASS, ROW_STATUSES
+from gmetric.spaces import FAIL, HOLDS_WEAK, PASS, ROW_STATUSES, scaled_form
 
 
 @pytest.fixture
@@ -468,8 +469,25 @@ class TestScalarChunks:
             assert cert.checked == count
             return peak
 
-        peak(100)  # first-call allocations
+        # first-call allocations, over a few chunks: without a G memo, the
+        # tuple free lists they fill are nearly half of a first run's peak
+        peak(4 * sampling.BLOCK)
         assert peak(200_000) < 1.2 * peak(20_000)
+
+    def test_g_memo_bounded_without_an_integer_form(self):
+        # the same G on Fractions alone takes the scalar path, whose G_MEMO_MAX
+        # LRU is full after about 1.3·10^4 triples
+        space = catalog.space_finite_uniform(300)
+        space = dataclasses.replace(space, g=space.g.fraction)
+        assert scaled_form(space) is None
+        shift = gm.table_self_map(space, tuple((i + 1) % 300 for i in range(300)))
+        spec = gm.ConditionSpec(id="EXT-III", delta=Fraction(9, 10))
+
+        def peak(count):
+            return _all_fail_peak(space, shift, spec, sampling.triple_stream(space, seed=1), count)
+
+        peak(4 * sampling.BLOCK)
+        assert peak(40_000) < 1.2 * peak(20_000)
 
 
 def _reference_certificates(spec, verdicts, counts, caps):
@@ -538,6 +556,31 @@ class TestFiniteVerdictMemo:
         monkeypatch.setattr(conditions, "_eval_spec", spy)
         count = 3 * sampling.BLOCK
         cert = gm.certify_on_samples(space, ident, self.SPECS[2],
+                                     sampling.triple_stream(space, seed=2), count)
+        assert cert.checked == cert.fails == count
+        drawn = set(islice(sampling.triple_stream(space, seed=2), count))
+        assert set(calls) == drawn
+        if m == 5:
+            assert len(calls) == len(drawn) <= 100
+        else:
+            assert sampling.BLOCK < len(drawn) < len(calls) < count
+
+    @pytest.mark.parametrize("m", [5, 13])
+    def test_integer_path_decides_each_distinct_triple_once(self, monkeypatch, m):
+        # the same for EXT-III, decided on the catalog space's scaled integers;
+        # its chunks are tallied by distinct triple before the memo is asked
+        space = catalog.space_finite_uniform(m)
+        ident = gm.table_self_map(space, range(m))
+        calls = []
+
+        def spying(ctx, spec):
+            decide = scaled_decider(ctx, spec)
+            return lambda *key: calls.append(key[:3]) or decide(*key)
+
+        scaled_decider = conditions._scaled_decider
+        monkeypatch.setattr(conditions, "_scaled_decider", spying)
+        count = 3 * sampling.BLOCK
+        cert = gm.certify_on_samples(space, ident, self.SPECS[0],
                                      sampling.triple_stream(space, seed=2), count)
         assert cert.checked == cert.fails == count
         drawn = set(islice(sampling.triple_stream(space, seed=2), count))

@@ -1,5 +1,6 @@
 """Orbits, the Picard solver, error bounds, and the sampled probes."""
 import csv
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -481,6 +482,26 @@ class TestTraceWriterPaths:
     def test_fraction_gap_and_bound_are_quoted(self, tmp_path):
         data = _written(tmp_path, _exact_trace(), Fraction(1, 3)).decode()
         assert data.splitlines()[1] == '0,0,"Fraction(3, 2)","Fraction(9, 4)"'
+
+    @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(9, 10), Fraction(10 ** 30, 10 ** 30 + 1)])
+    def test_fraction_q_power_carried_row_to_row(self, tmp_path, q):
+        # q^n is a running exact product, so every row still holds
+        # repr(apriori_bound(q, g0, n)); 1/2 underflows to 0.0 before the end
+        trace = _moebius_rows(1200)
+        assert _written(tmp_path, trace, q) == _reference_bytes(tmp_path, trace, q)
+        assert _written(tmp_path, trace, Fraction(1, 2)).endswith(b",0.0\r\n")
+
+    def test_fraction_q_out_of_range_still_raises(self, tmp_path):
+        with pytest.raises(gm.ParameterError):
+            _written(tmp_path, _moebius_rows(3), Fraction(3, 2))
+
+    def test_fraction_q_trace_time_grows_with_the_digits_alone(self, tmp_path):
+        # a fresh q ** n per row took 6 s for these 16,384 rows with q = 9/10,
+        # against 0.07 s with q = 0.5; carried, about 0.4 s on a 2-core VM
+        trace = _moebius_rows(16_384)
+        start = time.perf_counter()
+        gm.write_trace_csv(trace, tmp_path / "trace.csv", Fraction(9, 10))
+        assert time.perf_counter() - start < 2.5
 
 
 def _writer_peak(tmp_path, trace) -> int:
