@@ -38,8 +38,8 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from itertools import chain, islice, product
-from operator import itemgetter
+from itertools import chain, islice, product, repeat
+from operator import eq, itemgetter
 from typing import Callable, Iterable, Optional
 
 from ._lazy import np
@@ -234,7 +234,7 @@ class _EvalContext:
     kept in an LRU memo of ``G_MEMO_MAX`` entries; on a real carrier keys
     do not repeat and both are evaluated directly.  Without a map ``t`` is None,
     for a caller that supplies its own images.  ``scaled`` is the space's
-    :func:`scaled_form`, for :func:`_scaled_decider`.
+    :func:`scaled_form`, for :func:`_decider`.
     """
 
     def __init__(self, space: GMetricSpace, smap: Optional[SelfMap] = None,
@@ -338,19 +338,31 @@ def _eval_extension(ctx: _EvalContext, spec: ConditionSpec,
                             lhs=lhs, rhs=rhs, triple=(x, y, z))
 
 
-def _scaled_decider(ctx: _EvalContext, spec: ConditionSpec) -> Optional[Callable]:
-    """:func:`_eval_extension` on the scaled integer G of ``ctx``: a function
-    of (x, y, z, tx, ty, tz) giving (status, lhs, rhs, den), with the
-    verdict's sides lhs / den and rhs / den.  ``den`` > 0, one constant of
-    the run, multiplies both sides, so :meth:`Regime.status` decides the same
-    on the integers.  None where only the Fraction path applies: no
-    :class:`ScaledG`, a majorant condition, or a parameter that is no int or
-    Fraction.  (A majorant's M3 term would put M1 * lhs * scale^3 in the
+def _decider(ctx: _EvalContext, spec: ConditionSpec) -> tuple:
+    """``(decide, unit)``: how one verdict of ``spec`` is decided.
+
+    ``decide(x, y, z, tx, ty, tz)`` gives ``(status, excluded_terms, rank,
+    lhs, rhs)`` on a normalized triple (x != y for a majorant condition)
+    whose images are tx, ty and tz, and ``unit`` maps ``lhs`` or ``rhs`` to
+    the verdict's side.  ``rank`` is rhs - lhs, so (rank, triple) orders
+    fails as :func:`_triple_sort_key` orders their verdicts.
+
+    An extension condition whose parameter p/q is an int or Fraction, on a
+    :class:`ScaledG` space, is decided on the scaled integer G: both sides
+    are cross-multiplied by ``den`` > 0, one constant of the run, so
+    :meth:`Regime.status` decides the same on the integers, and ``unit`` is
+    ``Fraction(side, den)``.  Any other spec is decided by :func:`_eval_spec`,
+    the reference, ``unit`` is the identity and ``rank`` is None unless the
+    verdict fails.  (A majorant's M3 term would put M1 * lhs * scale^3 in the
     factor, whose products outgrow the Fraction path's on long denominators.)
     """
     factor = {"EXT-I": spec.alpha, "EXT-II": spec.beta, "EXT-III": spec.delta}.get(spec.id)
     if ctx.scaled is None or not isinstance(factor, (int, Fraction)):
-        return None
+        def decide(x, y, z, tx, ty, tz):
+            v = _eval_spec(ctx, spec, x, y, z, tx, ty, tz)
+            return (v.status, v.excluded_terms, v.rhs - v.lhs if v.status == FAILS else None,
+                    v.lhs, v.rhs)
+        return decide, lambda side: side
     g, status = ctx.scaled.ints, ctx.regime.status
     p, q = factor.as_integer_ratio()
     if spec.id == "EXT-III":
@@ -360,52 +372,15 @@ def _scaled_decider(ctx: _EvalContext, spec: ConditionSpec) -> Optional[Callable
             lhs = 4 * q * g(tx, ty, tz)
             rhs = p * max(4 * g(x, y, z), 4 * g(x, tx, tx), 4 * g(y, ty, ty), 4 * g(z, tz, tz),
                           g(tx, y, z) + g(x, ty, z) + g(x, y, tz))
-            return status(lhs, rhs, False), lhs, rhs, den
-        return decide
-    ext_i, den = spec.id == "EXT-I", q * ctx.scaled.scale
+            return status(lhs, rhs, False), (), rhs - lhs, lhs, rhs
+    else:
+        ext_i, den = spec.id == "EXT-I", q * ctx.scaled.scale
 
-    def decide(x, y, z, tx, ty, tz):  # q * lhs <= p * (G(x, y, z) or the cross sum)
-        lhs = q * (g(x, tx, tx) + g(y, ty, ty) + g(z, tz, tz))
-        rhs = p * (g(x, y, z) if ext_i else g(tx, y, z) + g(x, ty, z) + g(x, y, tz))
-        return status(lhs, rhs, False), lhs, rhs, den
-    return decide
-
-
-def _scaled_evaluator(ctx: _EvalContext, spec: ConditionSpec, size: int,
-                      worst_cap: int) -> Optional[Callable]:
-    """Chunks of a finite carrier's triples decided by :func:`_scaled_decider`
-    (None where it does not apply), the scalar path's result on each.
-
-    A chunk whose triples are not all tuples of three ``int`` points in
-    range(``size``) gives None.  Otherwise each distinct triple is decided
-    once (an LRU memo keeps ``BLOCK``), and the status counts, 0 excluded M3
-    terms and the chunk's ``worst_cap`` worst fails, the only verdicts
-    built, are returned.
-    """
-    decide = _scaled_decider(ctx, spec)
-    if decide is None:
-        return None
-    t = ctx.t
-    decided = lru_cache(maxsize=BLOCK)(lambda x, y, z: decide(x, y, z, t(x), t(y), t(z)))
-
-    def evaluate(chunk):
-        if set(map(type, chunk)) != {tuple} or set(map(len, chunk)) != {3}:
-            return None
-        flat = list(chain.from_iterable(chunk))
-        if set(map(type, flat)) != {int} or min(flat) < 0 or max(flat) >= size:
-            return None
-        counts, ranked = dict.fromkeys(ROW_STATUSES, 0), []
-        for triple, n in Counter(chunk).items():
-            status, lhs, rhs, den = decided(*triple)
-            counts[status] += n
-            if status == FAILS:  # rhs - lhs times den orders as the worst list does
-                ranked.append((rhs - lhs, triple, min(n, worst_cap), lhs, rhs, den))
-        worst = heapq.nsmallest(worst_cap, ranked, key=itemgetter(0, 1))
-        return list(counts.values()), 0, [  # a triple drawn n times is n entries
-            ConditionVerdict(FAILS, Fraction(lhs, den), Fraction(rhs, den), (), triple)
-            for _, triple, n, lhs, rhs, den in worst for _ in range(n)][:worst_cap]
-
-    return evaluate
+        def decide(x, y, z, tx, ty, tz):  # q * lhs <= p * (G(x, y, z) or the cross sum)
+            lhs = q * (g(x, tx, tx) + g(y, ty, ty) + g(z, tz, tz))
+            rhs = p * (g(x, y, z) if ext_i else g(tx, y, z) + g(x, ty, z) + g(x, y, tz))
+            return status(lhs, rhs, False), (), rhs - lhs, lhs, rhs
+    return decide, lambda side: Fraction(side, den)
 
 
 def _extension_specs(alpha=None, beta=None, delta=None) -> list:
@@ -696,56 +671,75 @@ def certify_on_samples(space: GMetricSpace, smap: SelfMap, spec: ConditionSpec,
     One loop reads the stream ``BLOCK`` triples at a time.  Where
     :func:`_batch_evaluator` applies (float G on a one-dimensional real
     carrier, with batch forms of G, the map and the gauge), a chunk is
-    evaluated with numpy, operation for operation as the scalar path does.
-    Any other chunk, or one the batch form refuses (a point or image
-    outside the carrier, x == y, a value that is not finite), takes the
-    scalar path, which raises at the offending triple.  Both give the chunk's
-    status counts, excluded-M3 count and failing verdicts, and the worst
-    list is cut per chunk.
+    evaluated with numpy, operation for operation as :func:`_eval_spec`
+    does.  Every other chunk, and one the batch form refuses (a point or
+    image outside the carrier, x == y, a value that is not finite), is
+    decided triple by triple through :func:`_decider`.  A finite chunk whose
+    points C builtins show to be ``int`` indices in range (and x != y for a
+    majorant condition on exact values) is taken as it is; any other chunk
+    is normalized triple by triple, which raises at the offending triple.
+    Every path gives the chunk's status counts, excluded-M3 count and its
+    ``worst_cap`` worst failing verdicts, the only ones built.
 
-    A finite carrier has at most m^3 triples, which a long stream repeats.
-    Where :func:`_scaled_evaluator` applies (an extension condition on a
-    :class:`ScaledG` space), a chunk of in-range ``int`` points is tallied
-    by distinct triple, each decided on scaled integers, and only its worst
-    fails get ``Fraction`` verdicts; any other chunk takes the scalar path.
-    Both keep the decisions of the last ``BLOCK`` distinct triples in an LRU
-    memo, and every drawn triple is still checked and counted.  At most
-    ``BLOCK`` memoized decisions, one chunk and ``worst_cap`` worst verdicts
-    are held at a time, whatever ``count`` is.
+    A finite carrier has at most m^3 triples, which a long stream repeats:
+    a finite chunk is tallied by distinct triple, and each is decided once
+    while it stays in an LRU memo of the last ``BLOCK`` decisions.  A real
+    chunk is decided as drawn (0.0 and -0.0 hash alike).  Every drawn
+    triple is still checked and counted.  At most ``BLOCK`` memoized
+    decisions, one chunk and ``worst_cap`` worst verdicts are held at a
+    time, whatever ``count`` is.
     """
     if worst_cap < 0:
         raise ParameterError("worst_cap must be nonnegative")
+    if count < 0:
+        raise ParameterError("count must be nonnegative")
     ctx = _EvalContext(space, smap, tol_base)
-    distinct = ctx.regime.distinct
+    decide, unit = _decider(ctx, spec)
+    distinct, t, c = ctx.regime.distinct, ctx.t, space.carrier
     majorant = spec.id in MAJORANT_IDS
-    finite = isinstance(space.carrier, FiniteCarrier)
-    t = ctx.t
-    verdict_of = (lru_cache(maxsize=BLOCK) if finite else (lambda f: f))(
-        lambda x, y, z: _eval_spec(ctx, spec, x, y, z, t(x), t(y), t(z)))
-    fast = (_scaled_evaluator(ctx, spec, space.carrier.size, worst_cap) if finite
-            else _batch_evaluator(space, smap, spec, ctx.regime, worst_cap))
+    finite = isinstance(c, FiniteCarrier)
+    # C builtins check x != y only where the regime compares points with !=
+    quick = finite and (ctx.regime.exact or not majorant)
+    batch = None if finite else _batch_evaluator(space, smap, spec, ctx.regime, worst_cap)
+    decided = (lru_cache(maxsize=BLOCK) if finite else (lambda f: f))(
+        lambda x, y, z: decide(x, y, z, t(x), t(y), t(z)))
 
-    def scalar(chunk):
-        counts, excluded, fails = dict.fromkeys(ROW_STATUSES, 0), 0, []
-        c = space.carrier
-        for (x, y, z) in chunk:
-            # normalized before the lookup: True and np.int64(1) hash like 1
-            xn, yn, zn = normalize_point(c, x), normalize_point(c, y), normalize_point(c, z)
-            if majorant and not distinct(xn, yn):
-                raise DomainError("sampler produced a triple with x == y")
-            verdict = verdict_of(xn, yn, zn)
-            counts[verdict.status] += 1
-            excluded += len(verdict.excluded_terms)
-            if verdict.status == FAILS:
-                fails.append(verdict)
-        return list(counts.values()), excluded, fails
+    def indices(chunk) -> bool:
+        if set(map(type, chunk)) != {tuple} or set(map(len, chunk)) != {3}:
+            return False
+        flat = list(chain.from_iterable(chunk))
+        return (set(map(type, flat)) == {int} and min(flat) >= 0 and max(flat) < c.size
+                and not (majorant and any(map(eq, flat[::3], flat[1::3]))))
+
+    def normalized(x, y, z):
+        # before the lookup: True and np.int64(1) hash like 1
+        xn, yn, zn = normalize_point(c, x), normalize_point(c, y), normalize_point(c, z)
+        if majorant and not distinct(xn, yn):
+            raise DomainError("sampler produced a triple with x == y")
+        return xn, yn, zn
+
+    def evaluate(chunk):
+        if not (quick and indices(chunk)):  # lazily: a real chunk raises at the same triple
+            chunk = (normalized(x, y, z) for x, y, z in chunk)
+        counts, excluded, ranked = dict.fromkeys(ROW_STATUSES, 0), 0, []
+        for triple, n in Counter(chunk).items() if finite else zip(chunk, repeat(1)):
+            status, terms, rank, lhs, rhs = decided(*triple)
+            counts[status] += n
+            if terms:
+                excluded += n * len(terms)
+            if status == FAILS:
+                ranked.append((rank, triple, min(n, worst_cap), terms, lhs, rhs))
+        worst = heapq.nsmallest(worst_cap, ranked, key=itemgetter(0, 1))
+        return list(counts.values()), excluded, [  # a triple drawn n times is n entries
+            ConditionVerdict(FAILS, unit(lhs), unit(rhs), terms, triple)
+            for _, triple, n, terms, lhs, rhs in worst for _ in range(n)][:worst_cap]
 
     tallies = dict.fromkeys(ROW_STATUSES, 0)
     worst = []
     excluded = 0
     triples = islice(sampler, count)
     for chunk in iter(lambda: list(islice(triples, BLOCK)), []):
-        counts, chunk_excluded, fails = (fast and fast(chunk)) or scalar(chunk)
+        counts, chunk_excluded, fails = (batch and batch(chunk)) or evaluate(chunk)
         for status, n in zip(ROW_STATUSES, counts):
             tallies[status] += n
         excluded += chunk_excluded
@@ -792,7 +786,7 @@ def _float_rows(chunk):
 def _batch_evaluator(space: GMetricSpace, smap: SelfMap, spec: ConditionSpec,
                      reg: Regime, worst_cap: int) -> Optional[Callable]:
     """The numpy form of :func:`_eval_spec` on chunks of triples, or None
-    where only the scalar path applies.
+    where it does not apply.
 
     It needs a float space on a one-dimensional real carrier, ``g_batch``,
     ``apply_batch`` and, for C-GAUGE, ``evaluate_batch``; a zero, constant
@@ -801,7 +795,7 @@ def _batch_evaluator(space: GMetricSpace, smap: SelfMap, spec: ConditionSpec,
     chunk, it returns the status counts in ``ROW_STATUSES`` order, the
     number of excluded M3 terms and the failing verdicts that can enter the
     worst list (the chunk's ``worst_cap`` smallest by ``_triple_sort_key``),
-    or None when the chunk must take the scalar path.
+    or None when the chunk must be decided triple by triple.
     """
     carrier, weight = space.carrier, spec.a
     factors = (spec.q, spec.alpha, spec.beta, spec.delta, weight.c if weight else None)

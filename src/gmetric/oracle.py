@@ -7,9 +7,9 @@ conclusion statement with exact arithmetic end to end.  Every theorem's
 hypothesis is decided by one search that assigns each map along orbit paths
 and cuts a partial map at its first failing triple.  No floating point
 enters this module; every comparison is exact.  A built space's G carries
-the metric table times the lcm of its denominators, on which the extension
-conditions of THM-2.12 are decided as cross-multiplied integers; the
-majorant conditions are decided on Fractions.
+the metric table times the lcm of its denominators, on which
+``conditions._decider`` decides the extension conditions of THM-2.12 as
+cross-multiplied integers; it decides the majorant conditions on Fractions.
 
 Theorem identifiers accepted by :func:`exhaustive_theorem_check`:
 
@@ -47,9 +47,8 @@ from .conditions import (
     GaugeFunction,
     _EvalContext,
     _aux_bound,
-    _eval_spec,
+    _decider,
     _extension_specs,
-    _scaled_decider,
 )
 from .dynamics import SelfMap
 from .spaces import EXACT, FAILS, AxiomReport, FiniteCarrier, GMetricSpace, ScaledG, check_axioms
@@ -292,24 +291,22 @@ def _hypothesis_tables(ctx: _EvalContext, specs, m: int, scope: str) -> Iterator
     after each assignment their triples are decided (with "carrier", the
     triples of assigned points that hold the new one), and a partial map is
     cut at its first failing triple.  A verdict reads only the triple and
-    its images, so it is memoized by those six points; it is decided on
-    scaled integers where :func:`_scaled_decider` applies.  The search keeps its
-    own stack, so Python's recursion limit does not bound m.
+    its images, so it is memoized by those six points; a memo miss asks
+    each spec's :func:`_decider`, on scaled integers or on Fractions.  The
+    search keeps its own stack, so Python's recursion limit does not bound m.
     """
     majorant = specs[0].id in MAJORANT_IDS
     table = [None] * m
     memo = {}
-    decide = [_scaled_decider(ctx, spec) for spec in specs]  # None: on Fractions
+    deciders = [_decider(ctx, spec)[0] for spec in specs]
 
     def holds(t):
         x, y, z = t
         key = (x, y, z, table[x], table[y], table[z])
         found = memo.get(key)
         if found is None:
-            found = memo[key] = (
-                (majorant and x == y)
-                or any(d(*key)[0] != FAILS if d else _eval_spec(ctx, spec, *key).holds
-                       for spec, d in zip(specs, decide)))
+            found = memo[key] = ((majorant and x == y)
+                                 or any(d(*key)[0] != FAILS for d in deciders))
         return found
 
     # stack[i] is a point whose image is set or tried, and paths[i] the index

@@ -374,6 +374,8 @@ class TestCertify:
             assert [w.triple for w in cert.worst] == [v.triple for v in fails[:cap]]
         with pytest.raises(gm.ParameterError):
             gm.certify_on_samples(absmax, ident, spec, iter(triples), 400, worst_cap=-1)
+        with pytest.raises(gm.ParameterError, match="count must be nonnegative"):
+            gm.certify_on_samples(absmax, ident, spec, iter(triples), -1)
 
     def test_memory_bounded_whatever_the_count(self, absmax):
         # identity under C-UNIT: every triple fails, so every verdict is a
@@ -515,16 +517,35 @@ class TestFiniteVerdictMemo:
 
     SPECS = (gm.ConditionSpec(id="EXT-III", delta=Fraction(9, 10)),
              gm.ConditionSpec(id="EXT-I", alpha=Fraction(3, 2)),
-             gm.ConditionSpec(id="C-Q", q=Fraction(9, 10)))
+             gm.ConditionSpec(id="C-Q", q=Fraction(9, 10)),
+             gm.ConditionSpec(id="C-UNIT"),
+             gm.ConditionSpec(id="C-GAUGE", h=catalog.get_gauge("ratio1")),
+             gm.ConditionSpec(id="C-Q", q=Fraction(9, 10), a=catalog.get_aux("constant-2")),
+             gm.ConditionSpec(id="C-Q", q=Fraction(9, 10),
+                              a=catalog.get_aux("reciprocal-cap-2")))
 
     @pytest.mark.parametrize("name", [
         "uniform-8", "uniform-11",  # 11 * 10 * 11 = 1210 distinct triples > BLOCK
-        "perimeter-8", "perimeter-11", "perimeter-13", "max-8", "max-11", "max-13"])
+        "perimeter-8", "perimeter-11", "perimeter-13", "max-8", "max-11", "max-13",
+        "zeropair-5", "float-7"])
     def test_equals_one_verdict_per_occurrence(self, name):
         kind, m = name.split("-")
         m = int(m)
         if kind == "uniform":
             space = catalog.space_finite_uniform(m)
+        elif kind == "zeropair":
+            # G is 0 on the triples over {0, 1}: M3 drops out of a majorant
+            # wherever such a triple's image has a positive G, so repeats
+            # count every excluded term
+            space = gm.GMetricSpace(
+                carrier=gm.FiniteCarrier(m), arithmetic="exact",
+                g=lambda *t: 0 if set(t) <= {0, 1} else Fraction(len(set(t)) + max(t), 3))
+        elif kind == "float":
+            # float fails ranked by their float rhs - lhs, as _triple_sort_key ranks them
+            def d(i, j):
+                return 0.0 if i == j else 1.0 + (i * j + i + j) % 7 / 9
+            space = gm.GMetricSpace(carrier=gm.FiniteCarrier(m),
+                                    g=lambda x, y, z: d(x, y) + d(y, z) + d(z, x))
         else:
             metric = gm.random_metric(np.random.default_rng(m), min_size=m, max_size=m)
             space = gm.build_gmetric(metric, kind)
@@ -574,11 +595,11 @@ class TestFiniteVerdictMemo:
         calls = []
 
         def spying(ctx, spec):
-            decide = scaled_decider(ctx, spec)
-            return lambda *key: calls.append(key[:3]) or decide(*key)
+            decide, unit = decider(ctx, spec)
+            return (lambda *key: calls.append(key[:3]) or decide(*key)), unit
 
-        scaled_decider = conditions._scaled_decider
-        monkeypatch.setattr(conditions, "_scaled_decider", spying)
+        decider = conditions._decider
+        monkeypatch.setattr(conditions, "_decider", spying)
         count = 3 * sampling.BLOCK
         cert = gm.certify_on_samples(space, ident, self.SPECS[0],
                                      sampling.triple_stream(space, seed=2), count)

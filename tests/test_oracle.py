@@ -313,7 +313,7 @@ class TestTheoremChecks:
         def decided(*args):
             raise AssertionError("a triple decided before the cap check")
 
-        monkeypatch.setattr("gmetric.oracle._eval_spec", decided)
+        monkeypatch.setattr("gmetric.oracle._decider", decided)
         for theorem, params in (("THM-2.2", {"q": "1/2"}), ("THM-2.12", {"delta": "9/10"})):
             with pytest.raises(gm.CapExceededError):
                 gm.exhaustive_theorem_check(catalog.space_finite_uniform(6), theorem, params)

@@ -14,8 +14,8 @@ from itertools import islice, product
 import pytest
 
 import gmetric as gm
-from gmetric import catalog, reports, sampling
-from gmetric.conditions import _EvalContext, _eval_spec, _scaled_decider
+from gmetric import catalog, conditions, reports, sampling
+from gmetric.conditions import _EvalContext, _decider, _eval_spec
 from gmetric.oracle import _hypothesis_tables
 from gmetric.spaces import HOLDS_WEAK, ScaledG, scaled_form
 
@@ -123,13 +123,15 @@ class TestDecisionsMatch:
             for value in _values(_ties(space, table, case), case):
                 values += 1
                 spec = _spec(case, value)
-                decide = _scaled_decider(_EvalContext(space), spec)
+                decide, unit = _decider(_EvalContext(space), spec)
                 ctx = _EvalContext(reference)
                 for t in _triples(m):
                     key = (*t, *(table[p] for p in t))
-                    status, lhs, rhs, den = decide(*key)
+                    status, terms, rank, lhs, rhs = decide(*key)
                     v = _eval_spec(ctx, spec, *key)
-                    assert (status, F(lhs, den), F(rhs, den)) == (v.status, v.lhs, v.rhs), key
+                    assert (status, terms, unit(lhs), unit(rhs)) == (
+                        v.status, v.excluded_terms, v.lhs, v.rhs), key
+                    assert rank == rhs - lhs
                     weak += status == HOLDS_WEAK
         assert weak or not values  # a tie holds weakly
 
@@ -174,18 +176,34 @@ def test_oracle_search_and_reports(name):
         assert run[0] == run[1]
 
 
-def test_only_extension_conditions_with_rational_parameters_take_scaled_integers():
+def test_only_extension_conditions_with_rational_parameters_take_scaled_integers(monkeypatch):
     space = catalog.space_finite_uniform(4)
+    key = (0, 1, 2, 1, 2, 3)
+    calls = []
+
+    def spy(*args):
+        calls.append(args[2:])
+        return _eval_spec(*args)
+
+    monkeypatch.setattr(conditions, "_eval_spec", spy)
+
+    def side(ctx, spec):  # which side decides key
+        decide, _ = _decider(ctx, spec)
+        del calls[:]
+        decide(*key)
+        return "Fractions" if calls == [key] else "integers"
+
     ctx = _EvalContext(space)
-    assert _scaled_decider(ctx, gm.ConditionSpec(id="EXT-III", delta=F(1, 2)))
-    assert _scaled_decider(ctx, gm.ConditionSpec(id="EXT-I", alpha=2))
+    assert side(ctx, gm.ConditionSpec(id="EXT-III", delta=F(1, 2))) == "integers"
+    assert side(ctx, gm.ConditionSpec(id="EXT-I", alpha=2)) == "integers"
     for spec in (gm.ConditionSpec(id="EXT-III", delta=0.5),
                  gm.ConditionSpec(id="C-Q", q=F(1, 2)),
                  gm.ConditionSpec(id="C-UNIT", a=gm.AuxWeight.constant(F(3))),
                  gm.ConditionSpec(id="C-GAUGE", h=catalog.get_gauge("half"))):
-        assert _scaled_decider(ctx, spec) is None
+        assert side(ctx, spec) == "Fractions"
+        assert _decider(ctx, spec)[1](EPS) is EPS  # the identity unit
     spec = gm.ConditionSpec(id="EXT-III", delta=F(1, 2))
-    assert _scaled_decider(_EvalContext(_fraction_only(space)), spec) is None
+    assert side(_EvalContext(_fraction_only(space)), spec) == "Fractions"
 
 
 class TestStaleForm:
