@@ -12,13 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from typing import TYPE_CHECKING
 
 from ._lazy import np
 from .errors import ConfigError
-from .conditions import AuxWeight, GaugeFunction
 from .dynamics import SelfMap
-from .oracle import FiniteMetric, build_gmetric, parse_rational
-from .spaces import FiniteCarrier, GMetricSpace, RealCarrier
+from .spaces import (FiniteCarrier, FiniteMetric, GMetricSpace, RealCarrier, build_gmetric,
+                     parse_rational)
+
+if TYPE_CHECKING:  # get_gauge and get_aux import them when called
+    from .conditions import AuxWeight, GaugeFunction
 
 # Largest m of ``finite-uniform-<m>``: building and validating its m x m table
 # takes about 0.13 s at m = 300 and grows as m^2 (a uniform table passes the
@@ -171,6 +174,7 @@ def _half_max_batch(t1, t2, t3):
 
 
 def get_gauge(name: str) -> GaugeFunction:
+    from .conditions import GaugeFunction
     if name == "ratio1":
         return GaugeFunction(evaluate=_ratio1, name="ratio1",
                              evaluate_batch=lambda t1, t2, t3: _moebius_batch(t1))
@@ -190,6 +194,7 @@ def get_gauge(name: str) -> GaugeFunction:
 
 
 def get_aux(name: str) -> AuxWeight:
+    from .conditions import AuxWeight
     if name == "zero":
         return AuxWeight.zero()
     if name.startswith("constant-"):

@@ -16,6 +16,7 @@ byte for byte.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import os
@@ -23,22 +24,41 @@ import sys
 from itertools import chain, islice
 
 from . import catalog, reports, sampling
-from .conditions import (
-    MAJORANT_IDS,
-    ConditionSpec,
-    certify_on_samples,
-    check_aux_bound,
-    check_gauge_admissible,
-    eval_condition,
-)
 # orbit and normalize_point are re-exported, not called: perfbench/tracer.py
 # wraps both names in gmetric.cli.
 from .dynamics import DEFAULT_TRACE_MAX, orbit, solve_picard, write_trace_csv  # noqa: F401
 from .errors import ConfigError, DomainError, GMetricError
-from .oracle import (DEFAULT_MAP_CAP, build_gmetric, exhaustive_theorem_check,
-                     load_metric_table, parse_rational)
-from .spaces import DEFAULT_TOL, FiniteCarrier, GMetricSpace, RealCarrier, check_axioms
+from .spaces import (DEFAULT_TOL, FiniteCarrier, GMetricSpace, RealCarrier, build_gmetric,
+                     check_axioms, load_metric_table, parse_rational)
 from .spaces import normalize_point  # noqa: F401
+
+# Names from the condition and oracle layers, bound in this module's globals
+# by _bind when main starts a command that runs them, so solve and axioms
+# never import those layers. The cmd_* handlers and resolve_condition_spec
+# read them, so they run under main.
+_DEFERRED = {
+    "MAJORANT_IDS": "conditions", "ConditionSpec": "conditions",
+    "certify_on_samples": "conditions", "check_aux_bound": "conditions",
+    "check_gauge_admissible": "conditions", "eval_condition": "conditions",
+    "DEFAULT_MAP_CAP": "oracle", "exhaustive_theorem_check": "oracle",
+}
+
+
+def _bind(layers) -> None:
+    """Bind the deferred names of ``layers``; a name already bound, such as
+    one a caller replaced before :func:`main`, is kept."""
+    names = globals()
+    for name, layer in _DEFERRED.items():
+        if layer in layers and name not in names:
+            names[name] = getattr(importlib.import_module(f".{layer}", __package__), name)
+
+
+def __getattr__(name: str):
+    """A deferred name read from outside before a command bound it."""
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind((_DEFERRED[name],))
+    return globals()[name]
 
 _TOP_KEYS = {"space", "map", "condition", "solver", "sampling", "gauge",
              "gauge_check", "theorem", "violate", "out"}
@@ -427,13 +447,16 @@ def cmd_violate(cfg: dict, out_dir: str, tol: float, seed_override=None) -> int:
     return 0 if all_found else 1
 
 
+# name -> (handler, help, the layers of _DEFERRED it runs)
 _COMMANDS = {
-    "axioms": (cmd_axioms, "check the distance axioms of a space"),
-    "condition": (cmd_condition, "certify a contractive condition on sampled triples"),
-    "solve": (cmd_solve, "run the fixed-point iteration with a certificate"),
-    "gauge": (cmd_gauge, "check gauge-function admissibility on a grid"),
-    "oracle": (cmd_oracle, "exhaustively check a theorem on a finite exact space"),
-    "violate": (cmd_violate, "search for a condition-violating triple"),
+    "axioms": (cmd_axioms, "check the distance axioms of a space", ()),
+    "condition": (cmd_condition, "certify a contractive condition on sampled triples",
+                  ("conditions",)),
+    "solve": (cmd_solve, "run the fixed-point iteration with a certificate", ()),
+    "gauge": (cmd_gauge, "check gauge-function admissibility on a grid", ("conditions",)),
+    "oracle": (cmd_oracle, "exhaustively check a theorem on a finite exact space",
+               ("conditions", "oracle")),
+    "violate": (cmd_violate, "search for a condition-violating triple", ("conditions",)),
 }
 
 
@@ -442,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gmetric",
         description="Fixed-point verification toolkit for ternary-distance spaces.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
+    for name, (_, help_text, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", default=None, help="output directory for report files")
@@ -462,7 +485,8 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         out_dir = args.out or cfg.get("out") or "."
         os.makedirs(out_dir, exist_ok=True)
-        handler, _ = _COMMANDS[args.command]
+        handler, _, layers = _COMMANDS[args.command]
+        _bind(layers)
         return handler(cfg, out_dir, args.tol, seed_override=args.seed)
     except (GMetricError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

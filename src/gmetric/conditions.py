@@ -34,17 +34,19 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from itertools import chain, islice, product, repeat
-from operator import eq, itemgetter
+from operator import eq, index, itemgetter
 from typing import Callable, Iterable, Optional
 
 from ._lazy import np
 from .errors import DomainError, ParameterError
 from .spaces import (
+    ConditionVerdict,
     DEFAULT_TOL,
     FAIL,
     FAILS,
@@ -202,28 +204,6 @@ class ConditionSpec:
             if v is not None:
                 parts.append(f"{nm}={v}")
         return ",".join(parts)
-
-
-@dataclass(frozen=True)
-class ConditionVerdict:
-    status: str
-    lhs: object
-    rhs: object
-    excluded_terms: tuple = ()
-    triple: tuple = ()
-
-    @property
-    def holds(self) -> bool:
-        return self.status in (HOLDS_STRICT, HOLDS_WEAK, VACUOUS)
-
-    @cached_property
-    def _sort_key(self):
-        # kept in the instance dict, outside the fields: equality, hash,
-        # replace and asdict do not see it. Built from a list: tuple() of a
-        # generator shrinks an over-allocated tuple, which then joins the
-        # 3-tuple free list and grows a long certificate's traced memory.
-        key_pts = tuple([p if isinstance(p, tuple) else (p,) for p in self.triple])
-        return (-(self.lhs - self.rhs), key_pts)
 
 
 class _EvalContext:
@@ -658,6 +638,19 @@ class Certificate:
         return self.holds_strict + self.holds_weak + self.vacuous
 
 
+def _size(value, name: str) -> int:
+    """``value`` as an int in 0..sys.maxsize, else a ParameterError."""
+    try:
+        value = index(value)
+    except TypeError:
+        raise ParameterError(f"malformed {name}: {value!r} is not an integer") from None
+    if value < 0:
+        raise ParameterError(f"{name} must be nonnegative")
+    if value > sys.maxsize:
+        raise ParameterError(f"malformed {name}: {value} is past {sys.maxsize}")
+    return value
+
+
 def certify_on_samples(space: GMetricSpace, smap: SelfMap, spec: ConditionSpec,
                        sampler: Iterable, count: int,
                        tol_base: float = DEFAULT_TOL, worst_cap: int = 10) -> Certificate:
@@ -689,10 +682,7 @@ def certify_on_samples(space: GMetricSpace, smap: SelfMap, spec: ConditionSpec,
     decisions, one chunk and ``worst_cap`` worst verdicts are held at a
     time, whatever ``count`` is.
     """
-    if worst_cap < 0:
-        raise ParameterError("worst_cap must be nonnegative")
-    if count < 0:
-        raise ParameterError("count must be nonnegative")
+    worst_cap, count = _size(worst_cap, "worst_cap"), _size(count, "count")
     ctx = _EvalContext(space, smap, tol_base)
     decide, unit = _decider(ctx, spec)
     distinct, t, c = ctx.regime.distinct, ctx.t, space.carrier

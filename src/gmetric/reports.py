@@ -11,12 +11,15 @@ import json
 import os
 import tempfile
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .conditions import Certificate, ConditionVerdict, GaugeReport
-from .dynamics import FixedPointCertificate
 from .errors import ParameterError
-from .oracle import TheoremCheckReport
-from .spaces import AxiomReport, ConvergenceDiagnosis, Verdict
+from .spaces import AxiomReport, ConditionVerdict, ConvergenceDiagnosis, Verdict
+
+if TYPE_CHECKING:  # annotations only: a command loads the layers it runs
+    from .conditions import Certificate, GaugeReport
+    from .dynamics import FixedPointCertificate
+    from .oracle import TheoremCheckReport
 
 
 def jsonable(obj):

@@ -2,7 +2,9 @@
 
 A G-metric assigns a nonnegative "perimeter-like" distance G(x, y, z) to
 every triple of points.  This module holds the carrier descriptors, the
-space record, sample-based and exhaustive axiom checking, the derived
+space record, finite rational metrics (read from a table file or drawn at
+random) and the max and perimeter G built on them as scaled integers, the
+verdict records, sample-based and exhaustive axiom checking, the derived
 ordinary metric d(x, y) = G(x, y, y) + G(x, x, y), and convergence
 diagnostics for point sequences.
 
@@ -16,13 +18,13 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, partial
-from itertools import chain, combinations, combinations_with_replacement, permutations
+from functools import cache, cached_property, partial
+from itertools import chain, combinations, combinations_with_replacement, islice, permutations
 from operator import add
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from ._lazy import np
-from .errors import DomainError, ParameterError
+from .errors import ConfigError, DomainError, ParameterError
 
 Point = Union[float, int, tuple]
 
@@ -183,6 +185,173 @@ def scaled_form(space: GMetricSpace) -> Optional[ScaledG]:
     return space.g if space.exact and isinstance(space.g, ScaledG) else None
 
 
+# Most digits a rational string may write in its numerator or denominator,
+# and largest magnitude of its decimal exponent. A parsed value then has at
+# most 2 * RATIONAL_MAX_DIGITS + 1 digits above and below the line, well under
+# the 4300 that Python prints, and the parse stays fast: Fraction("1e10000000")
+# alone takes seconds.
+RATIONAL_MAX_DIGITS = 1000
+
+
+def parse_rational(text: str) -> Fraction:
+    """``Fraction(text)``, or a ValueError before ``Fraction`` runs when the
+    string passes :data:`RATIONAL_MAX_DIGITS`."""
+    mantissa, _, exponent = text.lower().partition("e")
+    if (max(sum(map(str.isdigit, part)) for part in mantissa.split("/")) > RATIONAL_MAX_DIGITS
+            or abs(int(exponent or 0)) > RATIONAL_MAX_DIGITS):
+        raise ValueError(f"more than {RATIONAL_MAX_DIGITS} digits in a numerator, "
+                         f"denominator or exponent")
+    return Fraction(text)
+
+
+@dataclass(frozen=True)
+class FiniteMetric:
+    """A finite metric given by an m x m table of exact rationals; ``ints``
+    is the table times ``scale``, the lcm of its denominators."""
+
+    d: tuple
+    scale: int = field(init=False, repr=False, compare=False)
+    ints: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        m = len(self.d)
+        if m == 0:
+            raise ParameterError("metric table must be nonempty")
+        for row in self.d:
+            if len(row) != m:
+                raise ParameterError("metric table must be square")
+        for i in range(m):
+            if self.d[i][i] != 0:
+                raise ParameterError(f"diagonal entry d[{i}][{i}] must be 0")
+            for j in range(m):
+                v = self.d[i][j]
+                if not isinstance(v, Fraction):
+                    raise ParameterError("metric entries must be Fractions")
+                if i != j and v <= 0:
+                    raise ParameterError(f"off-diagonal entry d[{i}][{j}] must be positive")
+                if v != self.d[j][i]:
+                    raise ParameterError(f"metric table not symmetric at ({i},{j})")
+        scale = math.lcm(*(v.denominator for row in self.d for v in row))
+        ints = [v.numerator * (scale // v.denominator) for row in self.d for v in row]
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "ints", tuple(tuple(ints[i * m:(i + 1) * m]) for i in range(m)))
+        top = max(ints)
+        # No triple of distinct points when m < 3. Otherwise, when no off-diagonal
+        # entry exceeds twice the smallest, d[i][k] + d[k][j] >= 2 min >= max >=
+        # d[i][j] for distinct i, j, k; k = i or j is trivial. This covers tables
+        # with entries in [1, 2] without numpy.
+        if m < 3 or top <= 2 * min(filter(None, ints)):
+            return
+        # int64 when d[i][j] + d[j][k], the largest compared value, surely
+        # fits, exact Python ints otherwise
+        d = np.array(ints, dtype=np.int64 if 2 * top < 2 ** 63 else object).reshape(m, m)
+        for i in range(m):  # one row of (j, k) at a time; the first failure in C order
+            bad = np.flatnonzero(d[i, :, None] > d[i, None, :] + d.T)
+            if bad.size:
+                j, k = divmod(int(bad[0]), m)
+                raise ParameterError(f"triangle inequality fails at ({i},{j}) via {k}")
+
+    @property
+    def size(self) -> int:
+        return len(self.d)
+
+    @classmethod
+    def from_rows(cls, rows) -> "FiniteMetric":
+        table = tuple(tuple(Fraction(v) for v in row) for row in rows)
+        return cls(table)
+
+    @classmethod
+    def uniform(cls, m: int) -> "FiniteMetric":
+        if m < 1:
+            raise ParameterError("size must be at least 1")
+        one, zero = Fraction(1), Fraction(0)
+        return cls(tuple(tuple(zero if i == j else one for j in range(m))
+                         for i in range(m)))
+
+
+def random_metric(rng, min_size: int = 2, max_size: int = 6,
+                  max_denominator: int = 12) -> FiniteMetric:
+    """Seeded random rational metric with entries in [1, 2].
+
+    Keeping every off-diagonal distance in [1, 2] makes the triangle
+    inequality automatic, so any symmetric positive table qualifies.
+    """
+    m = int(rng.integers(min_size, max_size + 1))
+    rows = [[Fraction(0)] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            den = int(rng.integers(1, max_denominator + 1))
+            num = int(rng.integers(den, 2 * den + 1))
+            rows[i][j] = rows[j][i] = Fraction(num, den)
+    return FiniteMetric.from_rows(rows)
+
+
+def _words(fh, size: int = 1 << 16) -> Iterator[str]:
+    """``fh.read().split()``, read ``size`` characters at a time; a word
+    that spans chunks is joined once."""
+    parts = []  # the pieces of a word that may go on in the next chunk
+    for chunk in iter(partial(fh.read, size), ""):
+        words = chunk.split()
+        if parts and not chunk[0].isspace():
+            parts.append(words.pop(0))
+        if parts and (words or chunk[-1].isspace()):
+            yield "".join(parts)
+            parts = []
+        if words and not chunk[-1].isspace():
+            parts.append(words.pop())
+        yield from words
+    if parts:
+        yield "".join(parts)
+
+
+def load_metric_table(path) -> FiniteMetric:
+    """Read a metric from a plain-text table: first line m, then m rows of
+    whitespace-separated rationals ("p/q" or integers).  The file is read in
+    chunks and only its first m * m + 1 tokens are kept; the rest are counted."""
+    try:  # a ValueError also when the file is not UTF-8
+        with open(path) as fh:
+            words = _words(fh)
+            tokens = list(islice(words, 1))
+            try:  # an m that is no int is refused below, once the file is read
+                keep = min(int(tokens[0]) ** 2, sys.maxsize) if tokens else 0
+            except ValueError:
+                keep = 0
+            tokens += islice(words, keep)
+            found = len(tokens) - 1 + sum(1 for _ in words)
+        m = int(tokens[0]) if tokens else None
+        if m is not None and found == m * m:  # counted before any is parsed
+            vals = [parse_rational(v) for v in tokens[1:]]
+    except (ValueError, ZeroDivisionError) as e:
+        raise ConfigError(f"malformed metric table {path}: {e}") from None
+    if m is None:
+        raise ParameterError(f"empty metric table file {path}")
+    if found != m * m:
+        raise ParameterError(f"expected {m * m} entries, found {found}")
+    rows = [vals[i * m:(i + 1) * m] for i in range(m)]
+    return FiniteMetric.from_rows(rows)
+
+
+def build_gmetric(metric: FiniteMetric, construction: str) -> GMetricSpace:
+    """Exact ternary distance from a finite metric.
+
+    ``max``: G(x,y,z) = max of the three pairwise distances;
+    ``perimeter``: their sum.  Both are symmetric by construction.  G is a
+    :class:`ScaledG`: the same rule on ``metric.ints`` gives it as integers.
+    """
+    if construction == "max":
+        def on(d):
+            return lambda i, j, k: max(d[i][j], d[j][k], d[k][i])
+    elif construction == "perimeter":
+        def on(d):
+            return lambda i, j, k: d[i][j] + d[j][k] + d[k][i]
+    else:
+        raise ParameterError(f"unknown construction {construction!r}")
+    return GMetricSpace(carrier=FiniteCarrier(metric.size),
+                        g=ScaledG(on(metric.d), on(metric.ints), metric.scale),
+                        arithmetic=EXACT, symmetric_claimed=True,
+                        name=f"{construction}-m{metric.size}")
+
+
 def _validate_value(space: GMetricSpace, v):
     if space.exact:
         if isinstance(v, int):
@@ -329,6 +498,30 @@ class Verdict:
     @property
     def passed(self) -> bool:
         return self.status == PASS
+
+
+@dataclass(frozen=True)
+class ConditionVerdict:
+    """Outcome of a contractive condition on one triple."""
+
+    status: str
+    lhs: object
+    rhs: object
+    excluded_terms: tuple = ()
+    triple: tuple = ()
+
+    @property
+    def holds(self) -> bool:
+        return self.status in (HOLDS_STRICT, HOLDS_WEAK, VACUOUS)
+
+    @cached_property
+    def _sort_key(self):
+        # kept in the instance dict, outside the fields: equality, hash,
+        # replace and asdict do not see it. Built from a list: tuple() of a
+        # generator shrinks an over-allocated tuple, which then joins the
+        # 3-tuple free list and grows a long certificate's traced memory.
+        key_pts = tuple([p if isinstance(p, tuple) else (p,) for p in self.triple])
+        return (-(self.lhs - self.rhs), key_pts)
 
 
 @dataclass

@@ -10,7 +10,6 @@ import pytest
 
 import gmetric as gm
 from gmetric import catalog, sampling, spaces
-from gmetric.oracle import FiniteMetric, build_gmetric, random_metric
 from gmetric.spaces import (
     DEFAULT_TOL,
     FAIL,
@@ -18,10 +17,13 @@ from gmetric.spaces import (
     SKIPPED,
     AxiomReport,
     FiniteCarrier,
+    FiniteMetric,
     GMetricSpace,
     RealCarrier,
     Regime,
     Verdict,
+    build_gmetric,
+    random_metric,
     raw_g,
 )
 

@@ -168,7 +168,7 @@ class TestMalformedValues:
                      "condition": {"id": "C-Q", "q": 0.5}, "violate": {"scales": []}}),
         ("axioms", {"space": "finite-uniform-100000000"}),
         ("axioms", {"space": "finite-uniform-101"}),  # past spaces.AXIOM_POINTS_MAX
-        # rational strings past oracle.RATIONAL_MAX_DIGITS, refused before
+        # rational strings past spaces.RATIONAL_MAX_DIGITS, refused before
         # Fraction runs: Fraction("9e-100000001") alone would take minutes
         ("condition", {"space": "finite-uniform-4", "map": "identity",
                        "condition": {"id": "EXT-III", "delta": "9e-1000001"},
@@ -211,7 +211,7 @@ class TestMalformedValues:
     @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
                         reason="this interpreter prints ints of any length")
     def test_report_rational_past_the_digit_limit_exit_two(self, tmp_path, capsys):
-        # every input passes oracle.RATIONAL_MAX_DIGITS, but rhs = q * G(x, y, z)
+        # every input passes spaces.RATIONAL_MAX_DIGITS, but rhs = q * G(x, y, z)
         # on this perimeter table has more than 4300 digits
         rng = random.Random(33)
         den = [rng.randrange(10**998, 10**999) for _ in range(3)]
@@ -598,57 +598,141 @@ class TestDeterminism:
         assert blobs[0] == blobs[1]
 
 
-# Runs in a fresh interpreter, since this one has numpy loaded already:
-# reports, after the import and after each command, whether numpy is loaded.
+# Runs in a fresh interpreter, since this one has numpy and every gmetric
+# layer loaded already: reports, after the import and after each command,
+# whether numpy is loaded and which gmetric modules are.
 _STARTUP_SCRIPT = """
 import json, os, sys
 import gmetric, gmetric.cli
+
+def state(command, code):
+    return (command, code, "numpy" in sys.modules,
+            sorted(m for m in sys.modules if m.startswith("gmetric.")))
+
 work = sys.argv[1]
-seen = [("import", None, "numpy" in sys.modules)]
+seen = [state("import", None)]
 for command, config in json.loads(sys.argv[2]):
     path = os.path.join(work, command + ".json")
     with open(path, "w") as fh:
         json.dump(config, fh)
     code = gmetric.cli.main([command, "--config", path, "--out", os.path.join(work, command)])
-    seen.append((command, code, "numpy" in sys.modules))
+    seen.append(state(command, code))
 print(json.dumps(seen))
 """
+
+
+def _fresh_interpreter(script, *args):
+    """The last stdout line of ``script`` run in a new interpreter that
+    imports gmetric from the source tree under test, read as JSON."""
+    src = str(Path(gm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def test_numpy_loads_only_for_commands_that_use_it(tmp_path):
     # entries in [1, 2]: the triangle inequality holds without the numpy check
     table = tmp_path / "table.txt"
     table.write_text("4\n0 1 3/2 2\n1 0 2 3/2\n3/2 2 0 1\n2 3/2 1 0\n")
+    # modules stay loaded: the commands that load fewer layers run first
     commands = [
         ("solve", {"space": "absmax", "map": "moebius", "solver": {"x0": 1.0}}),
-        ("gauge", {"gauge": "ratio1"}),
-        ("violate", {"space": "absmax", "map": "moebius", "condition": {"id": "C-Q", "q": 0.5}}),
         ("axioms", {"space": "absmax"}),
         # 16 scalar uniform draws join the standard sample without numpy
         ("axioms", {"space": "absmax", "sampling": {"count": 16, "seed": 3}}),
-        ("oracle", {"space": "finite-uniform-5", "theorem": {"id": "THM-2.12", "delta": "9/10"}}),
-        ("oracle", {"space": {"metric_table": str(table)},
-                    "theorem": {"id": "THM-2.5", "scope": "orbit"}}),
         ("axioms", {"space": {"metric_table": str(table)}}),
+        ("gauge", {"gauge": "ratio1"}),
+        ("violate", {"space": "absmax", "map": "moebius", "condition": {"id": "C-Q", "q": 0.5}}),
         # finite indices are drawn without numpy; every triple fails (exit 1)
         ("condition", {"space": "finite-uniform-8", "map": "identity",
                        "condition": {"id": "EXT-III", "delta": "9/10"},
                        "sampling": {"count": 2000, "seed": 1}}),
         ("condition", {"space": {"metric_table": str(table)}, "map": "identity",
                        "condition": {"id": "C-Q", "q": "1/2"}, "sampling": {"count": 100}}),
+        ("oracle", {"space": "finite-uniform-5", "theorem": {"id": "THM-2.12", "delta": "9/10"}}),
+        ("oracle", {"space": {"metric_table": str(table)},
+                    "theorem": {"id": "THM-2.5", "scope": "orbit"}}),
         ("condition", {"space": "absmax", "map": "moebius",
                        "condition": {"id": "C-Q", "q": 0.5}, "sampling": {"count": 10}}),
     ]
-    src = str(Path(gm.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _STARTUP_SCRIPT, str(tmp_path),
-                           json.dumps(commands)],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    seen = json.loads(proc.stdout.splitlines()[-1])
-    assert seen == [["import", None, False], ["solve", 0, False], ["gauge", 0, False],
-                    ["violate", 0, False], ["axioms", 0, False], ["axioms", 0, False],
-                    ["oracle", 0, False],
-                    ["oracle", 0, False], ["axioms", 0, False], ["condition", 1, False],
-                    ["condition", 1, False], ["condition", 0, True]]
+    seen = _fresh_interpreter(_STARTUP_SCRIPT, str(tmp_path), json.dumps(commands))
+    assert [entry[:3] for entry in seen] == [
+        ["import", None, False], ["solve", 0, False], ["axioms", 0, False],
+        ["axioms", 0, False], ["axioms", 0, False], ["gauge", 0, False],
+        ["violate", 0, False], ["condition", 1, False], ["condition", 1, False],
+        ["oracle", 0, False], ["oracle", 0, False], ["condition", 0, True]]
+    conditions, oracle = "gmetric.conditions", "gmetric.oracle"
+    assert [(command, [m for m in modules if m in (conditions, oracle)])
+            for command, _, _, modules in seen] == [
+        ("import", []), ("solve", []), ("axioms", []), ("axioms", []), ("axioms", []),
+        ("gauge", [conditions]), ("violate", [conditions]), ("condition", [conditions]),
+        ("condition", [conditions]), ("oracle", [conditions, oracle]),
+        ("oracle", [conditions, oracle]), ("condition", [conditions, oracle])]
+
+
+# The names gmetric.cli takes from the condition and oracle layers, which it
+# binds only when a command that runs them starts; perfbench/tracer.py reads
+# and replaces them on gmetric.cli before main runs.
+_DEFERRED_NAMES = {
+    "conditions": ["MAJORANT_IDS", "ConditionSpec", "certify_on_samples", "check_aux_bound",
+                   "check_gauge_admissible", "eval_condition"],
+    "oracle": ["DEFAULT_MAP_CAP", "exhaustive_theorem_check"],
+}
+
+_READ_SCRIPT = """
+import importlib, json, sys
+import gmetric.cli as cli
+homes = json.loads(sys.argv[1])
+read = {name: getattr(cli, name) for names in homes.values() for name in names}
+print(json.dumps({name: read[name] is getattr(importlib.import_module("gmetric." + layer), name)
+                  for layer, names in homes.items() for name in names}))
+"""
+
+_REPLACE_SCRIPT = """
+import json, os, sys
+import gmetric.cli as cli
+work = sys.argv[1]
+calls = []
+
+def spy(name, fn):
+    def call(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+    return call
+
+# one name read and then replaced, as the tracer does, and one replaced unread
+certify = cli.certify_on_samples = spy("certify_on_samples", cli.certify_on_samples)
+import gmetric.oracle
+check = cli.exhaustive_theorem_check = spy("exhaustive_theorem_check",
+                                           gmetric.oracle.exhaustive_theorem_check)
+codes = []
+for command, config in json.loads(sys.argv[2]):
+    path = os.path.join(work, command + ".json")
+    with open(path, "w") as fh:
+        json.dump(config, fh)
+    codes.append(cli.main([command, "--config", path, "--out", os.path.join(work, command)]))
+print(json.dumps([codes, calls, cli.certify_on_samples is certify,
+                  cli.exhaustive_theorem_check is check]))
+"""
+
+
+def test_deferred_cli_names_are_their_home_objects():
+    same = _fresh_interpreter(_READ_SCRIPT, json.dumps(_DEFERRED_NAMES))
+    assert same == {name: True for names in _DEFERRED_NAMES.values() for name in names}
+
+
+def test_a_cli_name_replaced_before_main_is_the_one_main_calls(tmp_path):
+    commands = [
+        ("condition", {"space": "finite-uniform-4", "map": "identity",
+                       "condition": {"id": "EXT-III", "delta": "9/10"},
+                       "sampling": {"count": 10}}),
+        ("oracle", {"space": "finite-uniform-3", "theorem": {"id": "THM-2.12", "delta": "9/10"}}),
+    ]
+    codes, calls, certify_kept, check_kept = _fresh_interpreter(
+        _REPLACE_SCRIPT, str(tmp_path), json.dumps(commands))
+    assert codes == [1, 0]
+    assert calls == ["certify_on_samples", "exhaustive_theorem_check"]
+    assert certify_kept and check_kept

@@ -376,6 +376,12 @@ class TestCertify:
             gm.certify_on_samples(absmax, ident, spec, iter(triples), 400, worst_cap=-1)
         with pytest.raises(gm.ParameterError, match="count must be nonnegative"):
             gm.certify_on_samples(absmax, ident, spec, iter(triples), -1)
+        # what operator.index refuses, and past sys.maxsize, before any triple is read
+        for count, cap in ((2.5, 10), (10 ** 20, 10), (400, 2.5), (400, None), (400, 10 ** 20)):
+            stream = iter(triples)
+            with pytest.raises(gm.ParameterError, match="^malformed (count|worst_cap): "):
+                gm.certify_on_samples(absmax, ident, spec, stream, count, worst_cap=cap)
+            assert next(stream) == triples[0]
 
     def test_memory_bounded_whatever_the_count(self, absmax):
         # identity under C-UNIT: every triple fails, so every verdict is a

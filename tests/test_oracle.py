@@ -14,8 +14,8 @@ import pytest
 import gmetric as gm
 from gmetric import catalog
 from gmetric.conditions import MAJORANT_IDS, _EvalContext, _eval_spec, _extension_specs
-from gmetric.oracle import (DEFAULT_MAP_CAP, RATIONAL_MAX_DIGITS, _hypothesis_tables, _words,
-                            orbit_cycle, orbit_set, parse_rational)
+from gmetric.oracle import DEFAULT_MAP_CAP, _hypothesis_tables, orbit_cycle, orbit_set
+from gmetric.spaces import RATIONAL_MAX_DIGITS, _words, parse_rational
 
 
 def F(v):
@@ -74,7 +74,7 @@ class TestFiniteMetric:
 
     def test_loader_counts_entries_before_parsing_any(self, tmp_path, monkeypatch):
         calls = []
-        monkeypatch.setattr("gmetric.oracle.parse_rational", calls.append)
+        monkeypatch.setattr("gmetric.spaces.parse_rational", calls.append)
         p = tmp_path / "metric.txt"
         p.write_text("2\n" + "123456789/987654321 " * 10 ** 5)
         with pytest.raises(gm.ParameterError, match="^expected 4 entries, found 100000$"):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import gmetric as gm
-from gmetric import catalog, oracle, sampling
+from gmetric import catalog, sampling, spaces
 from gmetric.spaces import DEFAULT_TOL, Regime, raw_g
 
 finite_floats = st.floats(min_value=0.0, max_value=1e6, allow_nan=False,
@@ -511,6 +511,6 @@ class TestTriangleCheckReference:
         def array(*args, **kwargs):
             arrays.append(args)
             return np.array(*args, **kwargs)
-        monkeypatch.setattr(oracle.np, "array", array)
+        monkeypatch.setattr(spaces.np, "array", array)
         gm.FiniteMetric.from_rows(rows)
         assert bool(arrays) == numpy_check
