@@ -132,15 +132,18 @@ def resolve_map(cfg: dict, space: GMetricSpace):
 
 
 def _number(kind, value, what: str):
-    """``kind(value)`` for a config value; a boolean, a malformed value or a
-    float result that is not finite is a ConfigError."""
+    """``kind(value)`` for a config value; a boolean, a malformed value, a
+    float result that is not finite or a float that ``int`` would truncate
+    (2.5, but not 1e6) is a ConfigError."""
     if not isinstance(value, bool):
         try:
             v = kind(value)
         except (TypeError, ValueError, ZeroDivisionError, OverflowError):
             pass
         else:
-            if not isinstance(v, float) or math.isfinite(v):
+            finite = not isinstance(v, float) or math.isfinite(v)
+            truncated = kind is int and isinstance(value, float) and v != value
+            if finite and not truncated:
                 return v
     raise ConfigError(f"malformed {what}: {value!r}")
 

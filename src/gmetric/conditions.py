@@ -324,8 +324,8 @@ def _decider(ctx: _EvalContext, spec: ConditionSpec) -> tuple:
     ``decide(x, y, z, tx, ty, tz)`` gives ``(status, excluded_terms, rank,
     lhs, rhs)`` on a normalized triple (x != y for a majorant condition)
     whose images are tx, ty and tz, and ``unit`` maps ``lhs`` or ``rhs`` to
-    the verdict's side.  ``rank`` is rhs - lhs, so (rank, triple) orders
-    fails as :func:`_triple_sort_key` orders their verdicts.
+    the verdict's side.  ``rank`` is rhs - lhs (in units of 1/``den`` on the
+    integer path), so (rank, triple) orders fails by decreasing violation.
 
     An extension condition whose parameter p/q is an int or Fraction, on a
     :class:`ScaledG` space, is decided on the scaled integer G: both sides
@@ -613,12 +613,6 @@ def _aux_bound(ctx: _EvalContext, a: AuxWeight, triples, t) -> Verdict:
     return Verdict(PASS)
 
 
-def _triple_sort_key(verdict: ConditionVerdict):
-    """Worst-list order: decreasing violation, then triple; computed once
-    per verdict."""
-    return verdict._sort_key
-
-
 @dataclass
 class Certificate:
     """Aggregate outcome of evaluating a condition over sampled triples."""
@@ -672,15 +666,17 @@ def certify_on_samples(space: GMetricSpace, smap: SelfMap, spec: ConditionSpec,
     majorant condition on exact values) is taken as it is; any other chunk
     is normalized triple by triple, which raises at the offending triple.
     Every path gives the chunk's status counts, excluded-M3 count and its
-    ``worst_cap`` worst failing verdicts, the only ones built.
+    failing rows ``(rank, triple, n, excluded_terms, lhs, rhs)`` for a
+    triple drawn n times; the ``worst_cap`` smallest by (rank, triple) are
+    kept, and the worst list's verdicts are built from them at the end.
 
     A finite carrier has at most m^3 triples, which a long stream repeats:
     a finite chunk is tallied by distinct triple, and each is decided once
     while it stays in an LRU memo of the last ``BLOCK`` decisions.  A real
     chunk is decided as drawn (0.0 and -0.0 hash alike).  Every drawn
     triple is still checked and counted.  At most ``BLOCK`` memoized
-    decisions, one chunk and ``worst_cap`` worst verdicts are held at a
-    time, whatever ``count`` is.
+    decisions, one chunk and ``worst_cap`` worst rows are held at a time,
+    whatever ``count`` is.
     """
     worst_cap, count = _size(worst_cap, "worst_cap"), _size(count, "count")
     ctx = _EvalContext(space, smap, tol_base)
@@ -711,18 +707,15 @@ def certify_on_samples(space: GMetricSpace, smap: SelfMap, spec: ConditionSpec,
     def evaluate(chunk):
         if not (quick and indices(chunk)):  # lazily: a real chunk raises at the same triple
             chunk = (normalized(x, y, z) for x, y, z in chunk)
-        counts, excluded, ranked = dict.fromkeys(ROW_STATUSES, 0), 0, []
+        counts, excluded, fails = dict.fromkeys(ROW_STATUSES, 0), 0, []
         for triple, n in Counter(chunk).items() if finite else zip(chunk, repeat(1)):
             status, terms, rank, lhs, rhs = decided(*triple)
             counts[status] += n
             if terms:
                 excluded += n * len(terms)
             if status == FAILS:
-                ranked.append((rank, triple, min(n, worst_cap), terms, lhs, rhs))
-        worst = heapq.nsmallest(worst_cap, ranked, key=itemgetter(0, 1))
-        return list(counts.values()), excluded, [  # a triple drawn n times is n entries
-            ConditionVerdict(FAILS, unit(lhs), unit(rhs), terms, triple)
-            for _, triple, n, terms, lhs, rhs in worst for _ in range(n)][:worst_cap]
+                fails.append((rank, triple, n, terms, lhs, rhs))
+        return list(counts.values()), excluded, fails
 
     tallies = dict.fromkeys(ROW_STATUSES, 0)
     worst = []
@@ -734,9 +727,13 @@ def certify_on_samples(space: GMetricSpace, smap: SelfMap, spec: ConditionSpec,
             tallies[status] += n
         excluded += chunk_excluded
         # equal to sorted(worst + fails, key=...)[:worst_cap], ties included
-        worst = heapq.nsmallest(worst_cap, worst + fails, key=_triple_sort_key)
+        worst = heapq.nsmallest(worst_cap, worst + fails, key=itemgetter(0, 1))
         del chunk, fails  # else they live on while the next chunk is read
 
+    # n >= 1 in every row, so the worst_cap worst rows hold the worst_cap verdicts
+    worst = list(islice((ConditionVerdict(FAILS, unit(lhs), unit(rhs), terms, triple)
+                         for _, triple, n, terms, lhs, rhs in worst for _ in range(n)),
+                        worst_cap))
     return Certificate(
         condition_id=spec.id, params=spec.params_label(), checked=sum(tallies.values()),
         holds_strict=tallies[HOLDS_STRICT], holds_weak=tallies[HOLDS_WEAK],
@@ -783,9 +780,9 @@ def _batch_evaluator(space: GMetricSpace, smap: SelfMap, spec: ConditionSpec,
     or reciprocal-cap weight; and parameters that are ints, floats or
     Fractions, which multiply a float as their float value.  Called on a
     chunk, it returns the status counts in ``ROW_STATUSES`` order, the
-    number of excluded M3 terms and the failing verdicts that can enter the
-    worst list (the chunk's ``worst_cap`` smallest by ``_triple_sort_key``),
-    or None when the chunk must be decided triple by triple.
+    number of excluded M3 terms and the failing rows that can enter the
+    worst list (the chunk's ``worst_cap`` smallest by (rank, triple), with
+    n = 1), or None when the chunk must be decided triple by triple.
     """
     carrier, weight = space.carrier, spec.a
     factors = (spec.q, spec.alpha, spec.beta, spec.delta, weight.c if weight else None)
@@ -819,16 +816,16 @@ def _batch_evaluator(space: GMetricSpace, smap: SelfMap, spec: ConditionSpec,
             lhs, rhs, excluded = out
             code = reg.status_rows(lhs, rhs, strict)
         fails = np.flatnonzero(code == ROW_STATUSES.index(FAILS))
-        verdicts = []
+        ranked = []
         if worst_cap and fails.size:
-            key = -(lhs[fails] - rhs[fails])
-            sel = fails[np.lexsort((p[2][fails], p[1][fails], p[0][fails], key))[:worst_cap]]
-            verdicts = [ConditionVerdict(FAILS, left, right, ("M3",) if ex else (), (x, y, z))
-                        for left, right, ex, x, y, z in zip(
-                            lhs[sel].tolist(), rhs[sel].tolist(), excluded[sel].tolist(),
-                            *p[:, sel].tolist())]
+            rank = rhs[fails] - lhs[fails]
+            sel = fails[np.lexsort((p[2][fails], p[1][fails], p[0][fails], rank))[:worst_cap]]
+            ranked = [(right - left, (x, y, z), 1, ("M3",) if ex else (), left, right)
+                      for left, right, ex, x, y, z in zip(
+                          lhs[sel].tolist(), rhs[sel].tolist(), excluded[sel].tolist(),
+                          *p[:, sel].tolist())]
         counts = np.bincount(code, minlength=len(ROW_STATUSES)).tolist()
-        return counts, int(excluded.sum()), verdicts
+        return counts, int(excluded.sum()), ranked
 
     return evaluate
 

@@ -18,7 +18,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property, partial
+from functools import cache, partial
 from itertools import chain, combinations, combinations_with_replacement, islice, permutations
 from operator import add
 from typing import Callable, Iterator, Optional, Union
@@ -95,28 +95,30 @@ def normalize_point(carrier: Carrier, p) -> Point:
             p = p[0]
         if isinstance(p, bool) or not isinstance(p, (int, float, Fraction)):
             raise DomainError(f"expected a real scalar, got {p!r}")
-        v = float(p)
-        _check_coord(carrier, v)
-        return v
+        return _coord(carrier, p)
     if not isinstance(p, (tuple, list)) or len(p) != carrier.dim:
         raise DomainError(f"expected a {carrier.dim}-tuple, got {p!r}")
     coords = []
     for c in p:
         if isinstance(c, bool) or not isinstance(c, (int, float, Fraction)):
             raise DomainError(f"non-numeric coordinate {c!r}")
-        v = float(c)
-        _check_coord(carrier, v)
-        coords.append(v)
+        coords.append(_coord(carrier, c))
     return tuple(coords)
 
 
-def _check_coord(carrier: RealCarrier, v: float) -> None:
+def _coord(carrier: RealCarrier, c) -> float:
+    """The real number ``c`` as a float coordinate of the carrier, or DomainError."""
+    try:
+        v = float(c)
+    except OverflowError:  # an int or Fraction past the float range
+        raise DomainError("malformed coordinate: too large for a float") from None
     if not math.isfinite(v):
         raise DomainError(f"non-finite coordinate {v!r}")
     if carrier.lo is not None and v < carrier.lo:
         raise DomainError(f"coordinate {v} below carrier bound {carrier.lo}")
     if carrier.hi is not None and v > carrier.hi:
         raise DomainError(f"coordinate {v} above carrier bound {carrier.hi}")
+    return v
 
 
 def coord_distance(p: Point, q: Point) -> float:
@@ -513,15 +515,6 @@ class ConditionVerdict:
     @property
     def holds(self) -> bool:
         return self.status in (HOLDS_STRICT, HOLDS_WEAK, VACUOUS)
-
-    @cached_property
-    def _sort_key(self):
-        # kept in the instance dict, outside the fields: equality, hash,
-        # replace and asdict do not see it. Built from a list: tuple() of a
-        # generator shrinks an over-allocated tuple, which then joins the
-        # 3-tuple free list and grows a long certificate's traced memory.
-        key_pts = tuple([p if isinstance(p, tuple) else (p,) for p in self.triple])
-        return (-(self.lhs - self.rhs), key_pts)
 
 
 @dataclass

@@ -190,6 +190,12 @@ class TestMalformedValues:
         ("condition", {**_MOEBIUS_GAUGE, "sampling": {"count": 10 ** 7 + 1}}),
         ("solve", {"space": "absmax", "map": "moebius",
                    "solver": {"x0": 1.0, "max_iter": 10 ** 7 + 1}}),
+        # a 401-digit x0 is past the float range
+        ("solve", {"space": "absmax", "map": "moebius", "solver": {"x0": 10 ** 400}}),
+        # an int field refuses a float that int() would truncate
+        ("condition", {**_MOEBIUS_GAUGE, "sampling": {"count": 2.5}}),
+        ("solve", {"space": "absmax", "map": "moebius",
+                   "solver": {"x0": 1.0, "max_iter": 2.5}}),
     ], ids=["count", "eps_stop", "map-param", "weight-param", "table-entry", "q", "scales",
             "sampling-section", "gauge_check-section", "violate-section", "grid-scalar",
             "scales-scalar", "q_grid-scalar", "negative-seed", "grid-nan", "grid-inf",
@@ -198,7 +204,8 @@ class TestMalformedValues:
             "scales-nan", "weight-overflow", "scales-nonpositive", "scales-empty",
             "finite-uniform-size", "axioms-size", "condition-exponent", "theorem-exponent",
             "theorem-denominator", "weight-exponent", "gauge-exponent", "grid-size",
-            "n_max-size", "count-size", "max_iter-size"])
+            "n_max-size", "count-size", "max_iter-size", "x0-overflow", "count-fraction",
+            "max_iter-fraction"])
     def test_exit_two(self, tmp_path, capsys, command, config):
         table = tmp_path / "bad.txt"
         table.write_text("2\n0 x\nx 0\n")
@@ -225,6 +232,12 @@ class TestMalformedValues:
         assert code == 2
         assert "too many digits" in capsys.readouterr().err
         assert not (out / "condition.json").exists()
+
+    def test_integral_float_is_taken_as_an_int(self, tmp_path):
+        config = {**_MOEBIUS_GAUGE, "sampling": {"count": 1e1, "seed": 0.0}}
+        code, out = run(tmp_path, "condition", config)
+        assert code == 0
+        assert read_json(out / "condition.json")["certificate"]["checked"] == 10
 
     def test_negative_seed_flag_exit_two(self, tmp_path, capsys):
         config = {**_MOEBIUS_GAUGE, "sampling": {"count": 10}}

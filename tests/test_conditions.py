@@ -9,9 +9,13 @@ import pytest
 
 import gmetric as gm
 from gmetric import catalog, conditions, sampling
-from gmetric.conditions import (FAILS, HOLDS_STRICT, VACUOUS, _EvalContext, _eval_spec,
-                                _triple_sort_key)
+from gmetric.conditions import FAILS, HOLDS_STRICT, VACUOUS, _EvalContext, _eval_spec
 from gmetric.spaces import FAIL, HOLDS_WEAK, PASS, ROW_STATUSES, scaled_form
+
+
+def _worst_order(v):
+    """The worst list's order of a failing verdict: decreasing violation, then triple."""
+    return (-(v.lhs - v.rhs), tuple(p if isinstance(p, tuple) else (p,) for p in v.triple))
 
 
 @pytest.fixture
@@ -415,7 +419,7 @@ class TestScalarChunks:
         count = 2 * sampling.BLOCK + 123
         triples = list(islice(sampling.triple_stream(space, seed=1), count))
         fails = sorted((gm.eval_extension(space, ident, *t, delta=spec.delta).iii
-                        for t in triples), key=_triple_sort_key)
+                        for t in triples), key=_worst_order)
         tallies = set()
         for cap in (0, 1, 3, 10):
             cert = gm.certify_on_samples(space, ident, spec, iter(triples), count,
@@ -457,14 +461,22 @@ class TestScalarChunks:
         peak(100)  # first-call allocations
         assert peak(40_000) < 2 * peak(4_000)
 
-    def test_g_memo_bounded_on_a_large_finite_carrier(self):
-        # finite-uniform-300 has 2.7·10^7 G keys; under a cyclic shift EXT-III
-        # reads about five new ones per triple, so 2·10^4 triples already fill
-        # the G_MEMO_MAX LRU, and 2·10^5 must not hold more
+    def test_g_memo_bounded_on_a_large_finite_carrier(self, monkeypatch):
+        # finite-uniform-300 has 2.7·10^7 G keys; under a cyclic shift nearly
+        # every EXT-III triple is new, and each is decided on the table's
+        # scaled integers (ScaledG.ints), so no raw G call fills the G memo,
+        # and 2·10^5 triples must not hold more than 2·10^4
         space = catalog.space_finite_uniform(300)
         shift = gm.table_self_map(space, tuple((i + 1) % 300 for i in range(300)))
         spec = gm.ConditionSpec(id="EXT-III", delta=Fraction(9, 10))
-        assert _EvalContext(space, shift).g.cache_info().maxsize == conditions.G_MEMO_MAX >= 2**16
+        raw_g, raw_g_calls = conditions.raw_g, 0
+
+        def spy(*args):
+            nonlocal raw_g_calls
+            raw_g_calls += 1
+            return raw_g(*args)
+
+        monkeypatch.setattr(conditions, "raw_g", spy)
 
         def peak(count):
             tracemalloc.start()
@@ -481,6 +493,7 @@ class TestScalarChunks:
         # tuple free lists they fill are nearly half of a first run's peak
         peak(4 * sampling.BLOCK)
         assert peak(200_000) < 1.2 * peak(20_000)
+        assert raw_g_calls == 0
 
     def test_g_memo_bounded_without_an_integer_form(self):
         # the same G on Fractions alone takes the scalar path, whose G_MEMO_MAX
@@ -502,7 +515,7 @@ def _reference_certificates(spec, verdicts, counts, caps):
     """certify_on_samples on each prefix of ``verdicts``, one exact verdict
     per occurrence, all fails sorted: {(count, worst_cap): Certificate}."""
     ranked = sorted((i for i, v in enumerate(verdicts) if v.status == FAILS),
-                    key=lambda i: _triple_sort_key(verdicts[i]))
+                    key=lambda i: _worst_order(verdicts[i]))
     certs = {}
     for count in counts:
         head = verdicts[:count]
@@ -547,7 +560,7 @@ class TestFiniteVerdictMemo:
                 carrier=gm.FiniteCarrier(m), arithmetic="exact",
                 g=lambda *t: 0 if set(t) <= {0, 1} else Fraction(len(set(t)) + max(t), 3))
         elif kind == "float":
-            # float fails ranked by their float rhs - lhs, as _triple_sort_key ranks them
+            # float fails ranked by their float rhs - lhs, as _worst_order ranks them
             def d(i, j):
                 return 0.0 if i == j else 1.0 + (i * j + i + j) % 7 / 9
             space = gm.GMetricSpace(carrier=gm.FiniteCarrier(m),

@@ -197,12 +197,19 @@ class TestNormalization:
     def test_tuple_unwrap_dim1(self):
         c = gm.RealCarrier(1)
         assert normalize_point(c, (2.5,)) == 2.5
+        # an int or Fraction past the float range is refused, not an OverflowError
+        with pytest.raises(gm.DomainError, match="malformed"):
+            normalize_point(c, Fraction(10**400, 3))
+        with pytest.raises(gm.DomainError, match="malformed"):
+            gm.eval_g(catalog.space_absmax(), 10**400, 0, 0)
 
     def test_dim2_tuples(self):
         c = gm.RealCarrier(2)
         assert normalize_point(c, [1, 2]) == (1.0, 2.0)
         with pytest.raises(gm.DomainError):
             normalize_point(c, 1.0)
+        with pytest.raises(gm.DomainError, match="malformed"):
+            normalize_point(c, (1, 10**400))
 
     def test_finite_bounds(self):
         c = FiniteCarrier(3)
