@@ -39,8 +39,8 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import chain, islice, product, repeat
-from operator import eq, index, itemgetter
+from itertools import chain, combinations, islice, product, repeat, starmap
+from operator import eq, gt, index, itemgetter
 from typing import Callable, Iterable, Optional
 
 from ._lazy import np
@@ -73,7 +73,7 @@ from .sampling import BLOCK
 # G values and images one evaluation context keeps on a finite carrier: a
 # table with m^3 below it (m <= 40) reads each G value once
 G_MEMO_MAX = 1 << 16
-GAUGE_GRID_MAX = 32  # distinct grid values; n of them evaluate h 3 * n^3 * (n - 1) times
+GAUGE_GRID_MAX = 32  # distinct grid values; n of them tabulate h at n^3 arguments
 GAUGE_N_MAX = 10 ** 6  # diagonal steps per grid value: about 5 s at 32 values
 
 MAJORANT_IDS = ("C-Q", "C-UNIT", "C-GAUGE")
@@ -475,22 +475,22 @@ def check_gauge_admissible(h: GaugeFunction, ts, n_max: int = 500,
     exceeds = Regime(False, tol_base).exceeds
 
     def monotone_failures():  # each variable slot, all grid pairs, other slots on the grid
-        for slot in range(3):
-            for lo_i, lo_t in enumerate(ts):
-                for hi_t, u, v in product(ts[lo_i + 1:], ts, ts):
-                    a = h.evaluate(*(u, v)[:slot], lo_t, *(u, v)[slot:])
-                    b = h.evaluate(*(u, v)[:slot], hi_t, *(u, v)[slot:])
-                    if exceeds(a, b):
-                        yield (slot, lo_t, hi_t, u, v), (a, b)
+        args, uv = list(product(ts, repeat=3)), list(product(ts, ts))
+        cube = dict(zip(args, starmap(h.evaluate, args)))  # h once over the grid cube
+        # exceeds(a, b) implies a > b on floats: a pair of float rows with no a > b holds
+        floats = all(type(v) is float for v in cube.values())
+        for slot in range(3):  # rows[i]: h with ts[i] in the slot, the others over uv
+            rows = [[cube[(*(u, v)[:slot], t, *(u, v)[slot:])] for u, v in uv] for t in ts]
+            for (lo_t, lo), (hi_t, hi) in combinations(zip(ts, rows), 2):
+                if not floats or any(map(gt, lo, hi)):
+                    for (u, v), a, b in zip(uv, lo, hi):
+                        if exceeds(a, b):
+                            yield (slot, lo_t, hi_t, u, v), (a, b)
 
     monotone = _first_failure(monotone_failures())
 
-    diag = Verdict(PASS)
-    for t in ts:
-        gt = h.diagonal(t)
-        if not gt < t - scaled_tol(tol_base, t, gt):
-            diag = Verdict(FAIL, witness=(t,), values=(gt,))
-            break
+    diag = _first_failure(((t,), (g_t,)) for t, g_t in zip(ts, map(h.diagonal, ts))
+                          if not g_t < t - scaled_tol(tol_base, t, g_t))
 
     vanish = Verdict(PASS)
     iterate_details = {}
@@ -517,16 +517,16 @@ def check_gauge_admissible(h: GaugeFunction, ts, n_max: int = 500,
     # jump up at t, which upper semicontinuity forbids.
     def usc_failures():
         for t in ts:
-            gt = h.diagonal(t)
+            g_t = h.diagonal(t)
             for sign in (1.0, -1.0):
                 ladder = [t + sign * t * 1e-3 * (2.0 ** -j) for j in range(6)]
                 ladder = [p for p in ladder if p > 0]
                 if not ladder:
                     continue
-                excesses = [h.diagonal(p) - gt for p in ladder]
-                floor = 1e-9 * (1.0 + abs(gt))
+                excesses = [h.diagonal(p) - g_t for p in ladder]
+                floor = 1e-9 * (1.0 + abs(g_t))
                 if excesses[-1] > floor and excesses[-1] > 0.6 * excesses[0]:
-                    yield (t,), (gt, gt + excesses[-1])
+                    yield (t,), (g_t, g_t + excesses[-1])
 
     usc = replace(_first_failure(usc_failures()), note="heuristic")
 

@@ -2,13 +2,16 @@
 
 Provides orbit traces with successive-gap bookkeeping, a fixed-point
 solver with convergence-rate classification and an optional certified
-geometric error bound, cluster-point detection, and sampled probes for
-orbital continuity and injectivity.  The probes are finite evidence,
+geometric error bound, a trace CSV writer that can run in a forked
+process beside the solver, cluster-point detection, and sampled probes
+for orbital continuity and injectivity.  The probes are finite evidence,
 never proofs, and are labeled as such in their verdicts.
 """
 from __future__ import annotations
 
 import math
+import os
+import signal
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -179,7 +182,8 @@ def classify_gaps(gap_tail: Sequence[float], min_gap: float, eps_stop: float,
 
 def solve_picard(space: GMetricSpace, smap: SelfMap, x0, eps_stop: float,
                  max_iter: int, certified_q: Optional[float] = None,
-                 trace_max: int = DEFAULT_TRACE_MAX) -> FixedPointCertificate:
+                 trace_max: int = DEFAULT_TRACE_MAX, *,
+                 on_trace: Optional[Callable] = None) -> FixedPointCertificate:
     """Run Picard iteration until the successive gap falls to eps_stop, or
     until an iterate repeats exactly (``Tx == x``, bitwise for floats).
 
@@ -191,7 +195,11 @@ def solve_picard(space: GMetricSpace, smap: SelfMap, x0, eps_stop: float,
 
     The certificate's ``trace`` holds the first min(max(1, iterations),
     trace_max) steps, and at least one: with no iteration counted it is
-    the residual step from x0.
+    the residual step from x0.  ``on_trace``, when given, is called once
+    with that trace at the step that fills it to max(1, trace_max) steps,
+    if the loop goes on past that step; the trace takes no later step, so
+    the call sees the certificate's final trace.  A run that stops at or
+    before that step never calls it.
     """
     if eps_stop <= 0:
         raise ParameterError("eps_stop must be positive")
@@ -210,6 +218,8 @@ def solve_picard(space: GMetricSpace, smap: SelfMap, x0, eps_stop: float,
     x = normalize_point(space.carrier, x0)
     points, gaps = [x], []
     trace_steps = max(1, trace_max)
+    # the step that fills the trace, where the loop may go on past it
+    hook_at = trace_steps - 1 if on_trace is not None and trace_steps < max_iter else -1
 
     tail = deque(maxlen=11)
     g0 = None
@@ -230,6 +240,8 @@ def solve_picard(space: GMetricSpace, smap: SelfMap, x0, eps_stop: float,
         if k < trace_steps:
             points.append(x1)
             gaps.append(gap)
+            if k == hook_at and gap > eps_stop:
+                on_trace(OrbitTrace(points, gaps))
         iterations = k + 1
         x = x1
         if gap <= eps_stop:
@@ -358,7 +370,9 @@ def write_trace_csv(trace: OrbitTrace, path, certified_q: Optional[float] = None
     reprs.  One row loop serves every trace, 4096 rows joined per write,
     and gives the bytes of ``csv.writer``: rows end with ``\\r\\n``, and a
     field is quoted when it holds a comma, as the repr of a ``Fraction``
-    does (the text of a number holds no quote or line break).
+    does (the text of a number holds no quote or line break).  The
+    ``solve`` command runs it in a forked process through
+    :class:`TraceWriter` when the trace fills while the loop goes on.
     """
     gaps = trace.gaps
     bounds = repeat("")
@@ -373,6 +387,76 @@ def write_trace_csv(trace: OrbitTrace, path, certified_q: Optional[float] = None
         fh.write("n,x,gap,bound\r\n")
         while chunk := "".join(islice(rows, 4096)):
             fh.write(chunk)
+
+
+class TraceWriter:
+    """Writes a solve's trace CSV at ``path`` from a forked child while the
+    solve goes on.
+
+    Pass :meth:`fork` to :func:`solve_picard` as ``on_trace``: it forks a
+    child that runs :func:`write_trace_csv` into ``<path>.<pid>.part`` and
+    leaves through ``os._exit``, sending the text of any exception over a
+    pipe.  :meth:`join` waits for the child and renames the part file onto
+    ``path``; it raises OSError with the child's text when the child failed,
+    and returns False when no child was forked (no fork was asked for, or
+    none could be made), so that the caller writes the trace inline.
+    Leaving the ``with`` block, on an exception too, kills and reaps a child
+    not yet joined and removes the part file, so a failed solve leaves any
+    earlier file at ``path`` as it was.  The child only formats text and
+    writes one file, so it needs no lock that another thread of the parent
+    could hold at the fork.
+    """
+
+    def __init__(self, path, certified_q: Optional[float] = None):
+        self.path, self.certified_q = path, certified_q
+        self.part = f"{path}.{os.getpid()}.part"
+        self.pid = self.errors = None
+
+    def fork(self, trace: OrbitTrace) -> None:
+        errors, child_errors = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare: the trace is written inline
+            os.close(errors)
+            os.close(child_errors)
+            return
+        if pid == 0:
+            code = 1
+            try:
+                write_trace_csv(trace, self.part, self.certified_q)
+                code = 0
+            except Exception as e:
+                os.write(child_errors, str(e).encode())
+            finally:
+                os._exit(code)
+        os.close(child_errors)
+        self.pid, self.errors = pid, open(errors, "rb")
+
+    def join(self) -> bool:
+        if self.pid is None:
+            return False
+        with self.errors:
+            text = self.errors.read().decode(errors="replace")
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        if status:
+            raise OSError(text or f"trace writer ended with wait status {status}")
+        os.replace(self.part, self.path)
+        return True
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.errors.close()
+            self.pid = None
+        try:
+            os.unlink(self.part)
+        except FileNotFoundError:
+            pass
 
 
 def _exact_apriori_bounds(q: Fraction, g0):

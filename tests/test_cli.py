@@ -429,6 +429,111 @@ class TestSolveCommand:
         assert read_json(out / "solve.json")["certificate"]["stop_reason"] == "max-iter"
 
 
+def _children_left() -> bool:
+    """Whether this process has a child, running or not yet reaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return False
+    return True
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The number of ``os.fork`` calls in this test, as a one-item list."""
+    count, fork = [0], os.fork
+
+    def counted():
+        count[0] += 1
+        return fork()
+    monkeypatch.setattr(os, "fork", counted)
+    return count
+
+
+MOEBIUS_1000 = {"space": "absmax", "map": "moebius",
+                "solver": {"x0": 1.0, "eps_stop": 1e-12, "max_iter": 1000, "trace_max": 10}}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the forked writer needs os.fork")
+class TestForkedTraceWriter:
+    """A trace that fills while the loop goes on is written by a forked child."""
+
+    @pytest.mark.parametrize("config", [
+        MOEBIUS_1000,
+        {**MOEBIUS_1000, "solver": {**MOEBIUS_1000["solver"], "certified_q": 0.9}},
+        # fills at step 1 and stops at step 2; its gap field is "Fraction(1, 1)"
+        {"space": "finite-uniform-5", "map": "constant-2", "solver": {"x0": 0, "trace_max": 1}},
+    ])
+    def test_forked_bytes_are_the_inline_bytes(self, tmp_path, monkeypatch, forks, config):
+        for side in ("forked", "inline"):
+            (tmp_path / side).mkdir()
+        code, out = run(tmp_path / "forked", "solve", config)
+        assert forks == [1]
+        monkeypatch.delattr(os, "fork")
+        assert run(tmp_path / "inline", "solve", config)[0] == code
+        for name in ("trace.csv", "solve.json"):
+            assert (out / name).read_bytes() == (tmp_path / "inline" / "out" / name).read_bytes()
+        assert sorted(p.name for p in out.iterdir()) == ["solve.json", "trace.csv"]
+        assert not _children_left()
+
+    def test_stop_before_the_trace_fills_writes_inline(self, tmp_path, forks):
+        code, out = run(tmp_path, "solve", {**MOEBIUS_1000, "solver": {"x0": 1.0, "max_iter": 10,
+                                                                      "trace_max": 10}})
+        assert code == 1 and forks == [0]
+        assert len((out / "trace.csv").read_bytes().splitlines()) == 12
+
+    @pytest.mark.parametrize("earlier", [None, b"n,x,gap,bound\r\n0,1.0,,\r\n"])
+    def test_failure_after_the_fork_leaves_no_trace_and_no_child(self, tmp_path, capsys, forks,
+                                                                  earlier):
+        out = tmp_path / "out"
+        if earlier is not None:
+            out.mkdir()
+            (out / "trace.csv").write_bytes(earlier)
+        code, _ = run(tmp_path, "solve", {
+            "space": "absmax", "map": "scale-2",
+            "solver": {"x0": 1.0, "max_iter": 2000, "trace_max": 5}})
+        assert code == 2 and forks == [1]
+        assert "non-finite coordinate inf" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ([] if earlier is None else ["trace.csv"])
+        if earlier is not None:
+            assert (out / "trace.csv").read_bytes() == earlier
+        assert not _children_left()
+
+    def test_failed_writer_exits_two_with_its_text(self, tmp_path, capsys, monkeypatch, forks):
+        def full(trace, path, certified_q=None):
+            open(path, "w").close()
+            raise OSError("disk full")
+        monkeypatch.setattr(gm.dynamics, "write_trace_csv", full)
+        code, out = run(tmp_path, "solve", MOEBIUS_1000)
+        assert code == 2 and forks == [1]
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert list(out.iterdir()) == []
+        assert not _children_left()
+
+    def test_a_failed_fork_writes_inline(self, tmp_path, monkeypatch):
+        def no_fork():
+            raise BlockingIOError("Resource temporarily unavailable")
+        (tmp_path / "inline").mkdir()
+        code, out = run(tmp_path / "inline", "solve", MOEBIUS_1000)
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert run(tmp_path, "solve", MOEBIUS_1000)[0] == code
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["solve.json", "trace.csv"]
+        assert (tmp_path / "out" / "trace.csv").read_bytes() == (out / "trace.csv").read_bytes()
+
+    def test_an_interrupt_kills_and_reaps_a_running_writer(self, tmp_path):
+        # 10^5 rows take about 0.3 s to write, so the writer is still running
+        trace = gm.OrbitTrace(points=[1.0 / (k + 1) for k in range(10 ** 5)],
+                              gaps=[1.0 / (k + 1) ** 2 for k in range(10 ** 5 - 1)])
+        (tmp_path / "trace.csv").write_bytes(b"earlier")
+        with pytest.raises(KeyboardInterrupt):
+            with gm.dynamics.TraceWriter(tmp_path / "trace.csv") as writer:
+                writer.fork(trace)
+                raise KeyboardInterrupt
+        assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
+        assert (tmp_path / "trace.csv").read_bytes() == b"earlier"
+        assert not _children_left()
+
+
 class TestGaugeCommand:
     def test_shrinking_gauge_exit_zero(self, tmp_path):
         code, out = run(tmp_path, "gauge", {"gauge": "ratio1"})

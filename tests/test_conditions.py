@@ -1,8 +1,9 @@
 """Contractive-condition evaluators, gauges, factors, and certificates."""
 import dataclasses
+import random
 import tracemalloc
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ import pytest
 import gmetric as gm
 from gmetric import catalog, conditions, sampling
 from gmetric.conditions import FAILS, HOLDS_STRICT, VACUOUS, _EvalContext, _eval_spec
-from gmetric.spaces import FAIL, HOLDS_WEAK, PASS, ROW_STATUSES, scaled_form
+from gmetric.spaces import (DEFAULT_TOL, FAIL, HOLDS_WEAK, PASS, ROW_STATUSES, Regime,
+                            _first_failure, scaled_form)
 
 
 def _worst_order(v):
@@ -268,6 +270,68 @@ class TestGaugeAdmissibility:
         assert calls == []
         gm.check_gauge_admissible(counting, [1.0], n_max=conditions.GAUGE_N_MAX)
         assert len(calls) > 1
+
+
+def _monotone_reference(h, grid, tol):
+    """The monotone verdict of a scalar scan: every (slot, lo, hi, u, v) in
+    order, with h evaluated at both ends of each comparison."""
+    ts, exceeds = sorted(set(map(float, grid))), Regime(False, tol).exceeds
+
+    def failures():
+        for slot in range(3):
+            for lo_i, lo_t in enumerate(ts):
+                for hi_t, u, v in product(ts[lo_i + 1:], ts, ts):
+                    a = h.evaluate(*(u, v)[:slot], lo_t, *(u, v)[slot:])
+                    b = h.evaluate(*(u, v)[:slot], hi_t, *(u, v)[slot:])
+                    if exceeds(a, b):
+                        yield (slot, lo_t, hi_t, u, v), (a, b)
+    return _first_failure(failures())
+
+
+NON_MONOTONE_GAUGES = [
+    # decreasing in its second argument only
+    gm.GaugeFunction(evaluate=lambda a, b, c: a + 1.0 / (1.0 + b) + c, name="falls-in-b"),
+    # falls by 1e-14 * a, inside the default tolerance but not inside tol 0,
+    # and by a full unit where c passes 5
+    gm.GaugeFunction(evaluate=lambda a, b, c: max(a, b) - 1e-14 * a - (c > 5.0),
+                     name="near-tie"),
+    # exact values, which the float screen does not read
+    gm.GaugeFunction(evaluate=lambda a, b, c: Fraction(a) / (1 + Fraction(b)),
+                     name="exact-falls-in-b"),
+]
+
+
+class TestGaugeMonotoneScreen:
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, 0.0])
+    @pytest.mark.parametrize("gauge", ["ratio1", "half", "identity-diag", "linear-0.9",
+                                       "linear-1/2"] + NON_MONOTONE_GAUGES,
+                             ids=lambda g: getattr(g, "name", g))
+    def test_verdict_and_witness_match_the_scalar_scan(self, gauge, tol):
+        h = catalog.get_gauge(gauge) if isinstance(gauge, str) else gauge
+        for seed in range(6):
+            rng = random.Random(seed)
+            grid = [rng.choice((rng.randint(1, 9), 10 ** rng.uniform(-3, 3)))
+                    for _ in range(rng.randint(1, 8))]
+            rep = gm.check_gauge_admissible(h, grid, n_max=50, tol_base=tol)
+            assert rep.monotone == _monotone_reference(h, grid, tol), (seed, grid)
+
+    def test_the_non_monotone_gauges_fail_somewhere(self):
+        grid = [0.5, 1.0, 2.0, 6.0]
+        assert [_monotone_reference(h, grid, DEFAULT_TOL).status
+                for h in NON_MONOTONE_GAUGES] == [FAIL, FAIL, FAIL]
+        assert _monotone_reference(NON_MONOTONE_GAUGES[1], grid[:3], DEFAULT_TOL).passed
+        assert not _monotone_reference(NON_MONOTONE_GAUGES[1], grid[:3], 0.0).passed
+
+    def test_h_is_evaluated_once_per_off_diagonal_grid_argument(self):
+        calls = []
+        ratio1 = catalog.get_gauge("ratio1")
+        counting = gm.GaugeFunction(evaluate=lambda *args: calls.append(args)
+                                    or ratio1.evaluate(*args), name="counting")
+        grid = [1.0 + i for i in range(conditions.GAUGE_GRID_MAX)]
+        gm.check_gauge_admissible(counting, grid, n_max=5)
+        off_diagonal = [args for args in calls if len(set(args)) > 1]
+        assert sorted(off_diagonal) == [args for args in product(grid, repeat=3)
+                                        if len(set(args)) > 1]
 
 
 class TestUniqueness:

@@ -518,3 +518,44 @@ def _writer_peak(tmp_path, trace) -> int:
 def test_trace_writer_memory_is_one_chunk(tmp_path):
     small, large = _moebius_rows(10 ** 4), _moebius_rows(10 ** 5)
     assert _writer_peak(tmp_path, large) < 2 * _writer_peak(tmp_path, small)
+
+
+class TestTraceHook:
+    @pytest.mark.parametrize("trace_max", [0, 1, 10])
+    @pytest.mark.parametrize("certified_q", [None, 0.9])
+    def test_called_once_with_the_full_trace_when_the_run_goes_on(self, absmax, moebius,
+                                                                  trace_max, certified_q):
+        seen = []
+        cert = gm.solve_picard(absmax, moebius, 1.0, 1e-12, 100, certified_q, trace_max,
+                               on_trace=lambda t: seen.append((list(t.points), list(t.gaps))))
+        assert cert.iterations == 100
+        assert seen == [(cert.trace.points, cert.trace.gaps)]
+        assert len(cert.trace.gaps) == max(1, trace_max)
+        assert cert == gm.solve_picard(absmax, moebius, 1.0, 1e-12, 100, certified_q, trace_max)
+
+    @pytest.mark.parametrize("map_name, x0, eps_stop, max_iter, trace_max", [
+        ("moebius", 1.0, 1e-12, 10, 10),     # the last of max_iter fills the trace
+        ("moebius", 1.0, 1e-12, 5, 10),      # max_iter ends before the trace fills
+        ("moebius", 1.0, 1e-12, 0, 10),      # no step: the trace is the residual step
+        ("scale-0.5", 1.0, 0.125, 100, 3),   # the gap threshold at the step that fills it
+        ("scale-0.5", 1.0, 0.25, 100, 3),    # the gap threshold before it
+        ("constant-3", 0.0, 1e-12, 100, 5),  # an exact fixed point before it
+        ("constant-3", 3.0, 1e-12, 100, 1),  # an exact fixed point at the first step
+    ])
+    def test_never_called_when_the_run_stops_by_the_fill_step(self, absmax, map_name, x0,
+                                                              eps_stop, max_iter, trace_max):
+        seen = []
+        smap = catalog.get_map(map_name, absmax)
+        cert = gm.solve_picard(absmax, smap, x0, eps_stop, max_iter, trace_max=trace_max,
+                               on_trace=seen.append)
+        assert seen == []
+        assert cert == gm.solve_picard(absmax, smap, x0, eps_stop, max_iter, trace_max=trace_max)
+
+    def test_exact_run_that_stops_right_after_the_fill(self):
+        space = catalog.space_finite_uniform(5)
+        smap = catalog.get_map("constant-2", space)
+        seen = []
+        cert = gm.solve_picard(space, smap, 0, 1e-6, 100, trace_max=1, on_trace=seen.append)
+        assert cert.stop_reason == "exact-fixed" and cert.iterations == 1
+        assert [(t.points, t.gaps) for t in seen] == [([0, 2], [Fraction(1)])]
+
