@@ -175,17 +175,18 @@ def resolve_condition_spec(cfg: dict, space: GMetricSpace) -> ConditionSpec:
     if cid is None:
         raise ConfigError("condition section is missing an id")
     exact = space.exact
-    a_name = section.get("a", "zero")
-    aux = _catalog_entry(catalog.get_aux, a_name, "condition.a")
+    # a weight given to an extension condition is refused by ConditionSpec
+    aux = (_catalog_entry(catalog.get_aux, section["a"], "condition.a")
+           if "a" in section else None)
     # the float regime multiplies G values by float(c), so c must fit a float
-    if cid in MAJORANT_IDS and not exact and aux.kind == "constant":
-        _number(lambda _: float(aux.c), a_name, "condition.a")
+    if cid in MAJORANT_IDS and not exact and aux is not None and aux.kind == "constant":
+        _number(lambda _: float(aux.c), section["a"], "condition.a")
     gauge = (_catalog_entry(catalog.get_gauge, section["gauge"], "condition.gauge")
              if "gauge" in section else None)
     return ConditionSpec(
         id=cid,
         q=_param(section.get("q"), exact, "condition.q"),
-        a=aux if cid in MAJORANT_IDS else None,
+        a=aux,
         h=gauge,
         alpha=_param(section.get("alpha"), exact, "condition.alpha"),
         beta=_param(section.get("beta"), exact, "condition.beta"),

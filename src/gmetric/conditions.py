@@ -38,10 +38,10 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from itertools import chain, combinations, islice, product, repeat, starmap
-from operator import eq, gt, index, itemgetter
-from typing import Callable, Iterable, Optional
+from operator import attrgetter, eq, gt, index, itemgetter, mul, truediv, truth
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from ._lazy import np
 from .errors import DomainError, ParameterError
@@ -100,13 +100,13 @@ class AuxWeight:
 
     @classmethod
     def constant(cls, c) -> "AuxWeight":
-        if c < 0:
+        if not c >= 0:  # nan too
             raise ParameterError("constant weight must be nonnegative")
         return cls("constant", c=c)
 
     @classmethod
     def reciprocal_cap(cls, c) -> "AuxWeight":
-        if c < 0:
+        if not c >= 0:
             raise ParameterError("cap must be nonnegative")
         return cls("reciprocal-cap", c=c)
 
@@ -126,8 +126,8 @@ class AuxWeight:
                 return 0
             return min(self.c, 1 / denom)
         v = self.fn(x, y, z)
-        if v < 0:
-            raise DomainError("custom weight returned a negative value")
+        if not v >= 0:
+            raise DomainError(f"custom weight returned {v!r}, not a nonnegative value")
         return v
 
     def label(self) -> str:
@@ -243,51 +243,97 @@ def eval_condition(space: GMetricSpace, smap: SelfMap, spec: ConditionSpec,
     if not points_distinct(space, xn, yn, tol_base):
         raise DomainError("condition requires x != y")
     ctx = _EvalContext(space, smap, tol_base)
-    return _eval_majorant(ctx, spec, xn, yn, zn, ctx.t(xn), ctx.t(yn), ctx.t(zn))
+    return _eval_spec(ctx, spec, xn, yn, zn, ctx.t(xn), ctx.t(yn), ctx.t(zn))
+
+
+class _Ops(NamedTuple):
+    """The arithmetic a condition's formula runs on: Python scalars (the
+    reference) or float rows (the numpy kernel)."""
+
+    every: Callable  # every(mask): the mask holds in every row
+    maximum: Callable
+    select: Callable  # select(mask, a, b): a where the mask holds, else b
+    div: Callable  # div(num, den): num / den where den != 0, else 0
+    scale: Callable  # scale(p, v): a condition parameter p times a side v
+    weight: Callable  # weight(a, x, y, z, M1, lhs): the weight a's value
+    gauge: Callable  # gauge(h): h's form on these values
+
+
+def _masked_div(num, den):
+    """num / den where den != 0, and 0.0 where it vanishes."""
+    return np.divide(num, den, out=np.zeros_like(den), where=den != 0)
+
+
+def _row_weight(a: AuxWeight, x, y, z, m1, lhs):
+    """:meth:`AuxWeight.value` on rows, for a zero, constant or reciprocal-cap weight."""
+    if a.kind == "zero":
+        return 0.0
+    if a.kind == "constant":
+        return float(a.c)
+    return np.minimum(float(a.c), _masked_div(1.0, m1 * lhs))  # 0 where M1 * lhs vanishes
+
+
+# The scalar div runs only where ``every`` fails, so den != 0; the row ops
+# touch np only when called, so importing this module does not load numpy.
+_SCALAR = _Ops(truth, max, lambda mask, a, b: a if mask else b, truediv, mul,
+               AuxWeight.value, attrgetter("evaluate"))
+_ROWS = _Ops(lambda mask: bool(np.all(mask)), lambda *v: reduce(np.maximum, v),
+             lambda mask, a, b: np.where(mask, a, b), _masked_div,
+             lambda p, v: float(p) * v, _row_weight, attrgetter("evaluate_batch"))
+
+
+def _majorant_sides(ops: _Ops, spec: ConditionSpec, g, zero, x, y, z, tx, ty, tz) -> tuple:
+    """``(lhs, rhs, M2, M3, dropped)`` of a majorant condition, where M3 is
+    dropped where M1 * lhs vanishes, and ``zero`` stands for a vanishing M2
+    or a dropped M3.
+
+    A cross term is read only where some weight is nonzero, and M3's terms
+    only where some M1 * lhs is, so on scalars every G value is read in the
+    order the formula names it, and no further."""
+    every, maximum, select, div, scale, weight, gauge = ops  # locals: the scalar path is hot
+    lhs = g(tx, ty, tz)
+    m1 = g(x, y, z)
+    w = weight(spec.a, x, y, z, m1, lhs)
+    unweighted = w == 0
+    m2 = (zero if every(unweighted)
+          else select(unweighted, zero, w * g(tx, y, z) * g(x, ty, z) * g(x, y, tz)))
+    denom = m1 * lhs
+    dropped = denom == 0
+    m3 = zero if every(dropped) else div(g(x, tx, tx) * g(y, ty, ty) * g(z, tz, tz), denom)
+    if spec.id == "C-GAUGE":
+        rhs = gauge(spec.h)(m1, m3, m2)  # a dropped M3 enters as 0
+    else:  # a dropped M3 repeats M1, which leaves the max as it is
+        rhs = scale(spec.q if spec.id == "C-Q" else 1, maximum(m1, m2, select(dropped, m1, m3)))
+    return lhs, rhs, m2, m3, dropped
+
+
+def _extension_sides(ops: _Ops, spec: ConditionSpec, g, x, y, z, tx, ty, tz) -> tuple:
+    """``(lhs, rhs)`` of an extension condition."""
+    gx, gy, gz = g(x, tx, tx), g(y, ty, ty), g(z, tz, tz)
+    if spec.id == "EXT-I":
+        return gx + gy + gz, ops.scale(spec.alpha, g(x, y, z))
+    cross = g(tx, y, z) + g(x, ty, z) + g(x, y, tz)
+    if spec.id == "EXT-II":
+        return gx + gy + gz, ops.scale(spec.beta, cross)
+    lhs = g(tx, ty, tz)
+    return lhs, ops.scale(spec.delta, ops.maximum(g(x, y, z), gx, gy, gz, cross / 4))
 
 
 def _eval_spec(ctx: _EvalContext, spec: ConditionSpec,
                x, y, z, tx, ty, tz) -> ConditionVerdict:
     """Verdict of any condition on a normalized triple (x != y for a majorant
-    one) whose images are tx, ty and tz; it reads nothing else of the map."""
+    one) whose images are tx, ty and tz; it reads nothing else of the map.
+    Where M1 * lhs vanishes while lhs is not vacuous, M3 is excluded."""
+    reg, excluded = ctx.regime, ()
     if spec.id in MAJORANT_IDS:
-        return _eval_majorant(ctx, spec, x, y, z, tx, ty, tz)
-    return _eval_extension(ctx, spec, x, y, z, tx, ty, tz)
-
-
-def _eval_majorant(ctx: _EvalContext, spec: ConditionSpec,
-                   x, y, z, tx, ty, tz) -> ConditionVerdict:
-    reg, g = ctx.regime, ctx.g
-    lhs = g(tx, ty, tz)
-    m1 = g(x, y, z)
-
-    a_val = spec.a.value(x, y, z, m1, lhs)
-    if a_val == 0:
-        m2 = reg.zero
-    else:
-        m2 = a_val * g(tx, y, z) * g(x, ty, z) * g(x, y, tz)
-
-    excluded = ()
-    denom = m1 * lhs
-    if denom == 0:
-        m3 = None
-        if not reg.vacuous(lhs):
+        lhs, rhs, _, _, dropped = _majorant_sides(_SCALAR, spec, ctx.g, reg.zero,
+                                                  x, y, z, tx, ty, tz)
+        if dropped and not reg.vacuous(lhs):
             excluded = ("M3",)
     else:
-        m3 = g(x, tx, tx) * g(y, ty, ty) * g(z, tz, tz) / denom
-
-    if spec.id == "C-GAUGE":
-        m3_arg = m3 if m3 is not None else reg.zero
-        rhs = spec.h.evaluate(m1, m3_arg, m2)
-        strict = False
-    else:
-        cands = [m1, m2] if m3 is None else [m1, m2, m3]
-        q = spec.q if spec.id == "C-Q" else 1
-        rhs = q * max(cands)
-        strict = True
-
-    return ConditionVerdict(status=reg.status(lhs, rhs, strict), lhs=lhs, rhs=rhs,
-                            excluded_terms=excluded, triple=(x, y, z))
+        lhs, rhs = _extension_sides(_SCALAR, spec, ctx.g, x, y, z, tx, ty, tz)
+    return ConditionVerdict(reg.status(lhs, rhs, spec.id in ("C-Q", "C-UNIT")), lhs, rhs,
+                            excluded, (x, y, z))
 
 
 @dataclass
@@ -296,26 +342,6 @@ class ExtensionVerdicts:
     ii: Optional[ConditionVerdict]
     iii: Optional[ConditionVerdict]
     any_holds: bool
-
-
-def _eval_extension(ctx: _EvalContext, spec: ConditionSpec,
-                    x, y, z, tx, ty, tz) -> ConditionVerdict:
-    g = ctx.g
-    gx = g(x, tx, tx)
-    gy = g(y, ty, ty)
-    gz = g(z, tz, tz)
-    if spec.id == "EXT-I":
-        lhs = gx + gy + gz
-        rhs = spec.alpha * g(x, y, z)
-    elif spec.id == "EXT-II":
-        lhs = gx + gy + gz
-        rhs = spec.beta * (g(tx, y, z) + g(x, ty, z) + g(x, y, tz))
-    else:
-        cross = g(tx, y, z) + g(x, ty, z) + g(x, y, tz)
-        lhs = g(tx, ty, tz)
-        rhs = spec.delta * max(g(x, y, z), gx, gy, gz, cross / 4)
-    return ConditionVerdict(status=ctx.regime.status(lhs, rhs, strict=False),
-                            lhs=lhs, rhs=rhs, triple=(x, y, z))
 
 
 def _decider(ctx: _EvalContext, spec: ConditionSpec) -> tuple:
@@ -388,7 +414,7 @@ def eval_extension(space: GMetricSpace, smap: SelfMap, x, y, z,
     xn, yn, zn = normalize_point(c, x), normalize_point(c, y), normalize_point(c, z)
     ctx = _EvalContext(space, smap, tol_base)
     images = ctx.t(xn), ctx.t(yn), ctx.t(zn)
-    verdicts = {s.id: _eval_extension(ctx, s, xn, yn, zn, *images) for s in specs}
+    verdicts = {s.id: _eval_spec(ctx, s, xn, yn, zn, *images) for s in specs}
     return ExtensionVerdicts(i=verdicts.get("EXT-I"), ii=verdicts.get("EXT-II"),
                              iii=verdicts.get("EXT-III"),
                              any_holds=any(v.holds for v in verdicts.values()))
@@ -457,7 +483,10 @@ def check_gauge_admissible(h: GaugeFunction, ts, n_max: int = 500,
     Past ``GAUGE_GRID_MAX`` distinct grid values or ``GAUGE_N_MAX`` steps:
     ParameterError, before h runs.
     """
-    ts = sorted(set(float(t) for t in ts))
+    try:
+        ts = sorted(set(float(t) for t in ts))
+    except OverflowError:
+        raise ParameterError("malformed gauge grid: a value is too large for a float") from None
     if not ts:
         raise ParameterError("gauge check requires a nonempty grid")
     if not all(math.isfinite(t) for t in ts):
@@ -658,8 +687,8 @@ def certify_on_samples(space: GMetricSpace, smap: SelfMap, spec: ConditionSpec,
     One loop reads the stream ``BLOCK`` triples at a time.  Where
     :func:`_batch_evaluator` applies (float G on a one-dimensional real
     carrier, with batch forms of G, the map and the gauge), a chunk is
-    evaluated with numpy, operation for operation as :func:`_eval_spec`
-    does.  Every other chunk, and one the batch form refuses (a point or
+    evaluated with numpy, by the formula :func:`_eval_spec` runs on
+    scalars.  Every other chunk, and one the batch form refuses (a point or
     image outside the carrier, x == y, a value that is not finite), is
     decided triple by triple through :func:`_decider`.  A finite chunk whose
     points C builtins show to be ``int`` indices in range (and x != y for a
@@ -752,11 +781,6 @@ def _float_factor(v) -> bool:
     return True
 
 
-def _masked_div(num, den):
-    """num / den where den != 0, and 0.0 where it vanishes."""
-    return np.divide(num, den, out=np.zeros_like(den), where=den != 0)
-
-
 def _float_rows(chunk):
     """The chunk as a (3, n) float array when each triple is three floats, else None."""
     try:
@@ -768,6 +792,10 @@ def _float_rows(chunk):
     if set(map(type, flat)) != {float}:
         return None
     return np.array(flat).reshape(-1, 3).T.copy()
+
+
+class _NotFinite(Exception):
+    """A row value is not finite: the chunk is decided triple by triple."""
 
 
 def _batch_evaluator(space: GMetricSpace, smap: SelfMap, spec: ConditionSpec,
@@ -782,7 +810,8 @@ def _batch_evaluator(space: GMetricSpace, smap: SelfMap, spec: ConditionSpec,
     chunk, it returns the status counts in ``ROW_STATUSES`` order, the
     number of excluded M3 terms and the failing rows that can enter the
     worst list (the chunk's ``worst_cap`` smallest by (rank, triple), with
-    n = 1), or None when the chunk must be decided triple by triple.
+    n = 1), or None when the chunk must be decided triple by triple: where
+    a G value, lhs, rhs, M2 or M3 is not finite.
     """
     carrier, weight = space.carrier, spec.a
     factors = (spec.q, spec.alpha, spec.beta, spec.delta, weight.c if weight else None)
@@ -792,10 +821,14 @@ def _batch_evaluator(space: GMetricSpace, smap: SelfMap, spec: ConditionSpec,
             or (weight is not None and weight.kind == "custom")
             or not all(_float_factor(v) for v in factors if v is not None)):
         return None
-    g, t = space.g_batch, smap.apply_batch
-    rows = _majorant_rows if spec.id in MAJORANT_IDS else _extension_rows
-    strict = spec.id in ("C-Q", "C-UNIT")
+    t, majorant = smap.apply_batch, spec.id in MAJORANT_IDS
     lo, hi = carrier.span
+
+    def g(x, y, z):
+        v = space.g_batch(x, y, z)
+        if not np.isfinite(v).all():
+            raise _NotFinite
+        return v
 
     def in_carrier(a) -> bool:
         return bool(((a >= lo) & (a <= hi)).all())
@@ -806,15 +839,25 @@ def _batch_evaluator(space: GMetricSpace, smap: SelfMap, spec: ConditionSpec,
             return None
         # Python floats overflow to inf and give nan silently; every division is masked.
         with np.errstate(over="ignore", invalid="ignore"):
-            if not in_carrier(p) or (spec.id in MAJORANT_IDS
-                                     and not reg.distinct_rows(p[0], p[1]).all()):
+            if not in_carrier(p) or (majorant and not reg.distinct_rows(p[0], p[1]).all()):
                 return None
             tp = t(p)
-            out = rows(g, spec, reg, p, tp) if in_carrier(tp) else None
-            if out is None:
+            if not in_carrier(tp):
                 return None
-            lhs, rhs, excluded = out
-            code = reg.status_rows(lhs, rhs, strict)
+            n = p.shape[1]
+            excluded, terms = np.zeros(n, dtype=bool), ()
+            try:
+                if majorant:
+                    lhs, rhs, *terms, dropped = _majorant_sides(_ROWS, spec, g, np.zeros(n),
+                                                                *p, *tp)
+                    excluded = dropped & ~reg.vacuous(lhs)
+                else:
+                    lhs, rhs = _extension_sides(_ROWS, spec, g, *p, *tp)
+            except _NotFinite:
+                return None
+            if not all(np.isfinite(v).all() for v in (lhs, rhs, *terms)):
+                return None
+            code = reg.status_rows(lhs, rhs, spec.id in ("C-Q", "C-UNIT"))
         fails = np.flatnonzero(code == ROW_STATUSES.index(FAILS))
         ranked = []
         if worst_cap and fails.size:
@@ -828,67 +871,3 @@ def _batch_evaluator(space: GMetricSpace, smap: SelfMap, spec: ConditionSpec,
         return counts, int(excluded.sum()), ranked
 
     return evaluate
-
-
-def _all_finite(arrays) -> bool:
-    return all(np.isfinite(a).all() for a in arrays)
-
-
-def _majorant_rows(g, spec: ConditionSpec, reg: Regime, p, tp):
-    """lhs, rhs and the excluded-M3 mask of :func:`_eval_majorant` on
-    arrays, or None when a value is not finite."""
-    (x, y, z), (tx, ty, tz) = p, tp
-    lhs, m1 = g(tx, ty, tz), g(x, y, z)
-    gx, gy, gz = g(x, tx, tx), g(y, ty, ty), g(z, tz, tz)
-    denom = m1 * lhs
-    m3 = _masked_div(gx * gy * gz, denom)
-    values = [lhs, m1, gx, gy, gz, m3]
-    a = spec.a
-    if a.kind == "zero" or a.c == 0:
-        m2 = np.zeros_like(m1)
-    else:
-        cross = [g(tx, y, z), g(x, ty, z), g(x, y, tz)]
-        w = float(a.c)
-        if a.kind == "reciprocal-cap":
-            w = np.where(denom == 0, 0.0, np.minimum(w, _masked_div(1.0, denom)))
-        m2 = np.where(w == 0, 0.0, w * cross[0] * cross[1] * cross[2])
-        values += cross + [m2]
-    has_m3 = denom != 0
-    if spec.id == "C-GAUGE":
-        rhs = spec.h.evaluate_batch(m1, m3, m2)  # m3 is 0 where it is dropped
-    else:
-        top = np.maximum(m1, m2)
-        top = np.where(has_m3, np.maximum(top, m3), top)
-        rhs = (float(spec.q) if spec.id == "C-Q" else 1.0) * top
-    values.append(rhs)
-    if not _all_finite(values):
-        return None
-    return lhs, rhs, ~has_m3 & ~reg.vacuous(lhs)
-
-
-def _extension_rows(g, spec: ConditionSpec, reg: Regime, p, tp):
-    """lhs, rhs and an all-False excluded mask of :func:`_eval_extension`
-    on arrays, or None when a value is not finite."""
-    (x, y, z), (tx, ty, tz) = p, tp
-    gx, gy, gz = g(x, tx, tx), g(y, ty, ty), g(z, tz, tz)
-    values = [gx, gy, gz]
-    if spec.id == "EXT-I":
-        lhs = gx + gy + gz
-        m1 = g(x, y, z)
-        rhs = float(spec.alpha) * m1
-        values += [m1]
-    else:
-        cross = [g(tx, y, z), g(x, ty, z), g(x, y, tz)]
-        values += cross
-        if spec.id == "EXT-II":
-            lhs = gx + gy + gz
-            rhs = float(spec.beta) * (cross[0] + cross[1] + cross[2])
-        else:
-            m1, lhs = g(x, y, z), g(tx, ty, tz)
-            top = np.maximum.reduce([m1, gx, gy, gz, (cross[0] + cross[1] + cross[2]) / 4])
-            rhs = float(spec.delta) * top
-            values += [m1]
-    values += [lhs, rhs]
-    if not _all_finite(values):
-        return None
-    return lhs, rhs, np.zeros(lhs.shape, dtype=bool)

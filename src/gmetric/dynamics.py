@@ -201,7 +201,7 @@ def solve_picard(space: GMetricSpace, smap: SelfMap, x0, eps_stop: float,
     the call sees the certificate's final trace.  A run that stops at or
     before that step never calls it.
     """
-    if eps_stop <= 0:
+    if not eps_stop > 0:  # nan too
         raise ParameterError("eps_stop must be positive")
     if max_iter < 0:
         raise ParameterError("max_iter must be nonnegative")

@@ -399,6 +399,9 @@ class Regime:
                                          (conditions, uniqueness, weight bound)
 
     ``tol`` must be finite and nonnegative; 0 compares floats literally.
+    Where tau is not finite (a side is infinite, or their sum overflows),
+    :meth:`status`, :meth:`strictly_below` and :meth:`status_rows` compare
+    the sides literally: lhs < rhs holds strictly, and anything else fails.
     The ``*_rows`` methods apply the same formulas elementwise to numpy
     arrays; they serve the float regime only, as row arrays exist only for
     real carriers and exact spaces are finite.
@@ -458,15 +461,16 @@ class Regime:
             return FAILS
         if self.exact:
             return HOLDS_WEAK if lhs == rhs else FAILS
-        return HOLDS_WEAK if abs(lhs - rhs) <= self._tau(lhs, rhs) else FAILS
+        return HOLDS_WEAK if abs(lhs - rhs) <= self._tau(lhs, rhs) < math.inf else FAILS
 
     def status_rows(self, lhs, rhs, strict: bool):
         """:meth:`status` of float arrays (float regime only), as indices
         into ``ROW_STATUSES``."""
         tau = self.tol * (1.0 + np.abs(lhs) + np.abs(rhs))
-        code = np.where(lhs < rhs - tau, 0, 3)  # HOLDS_STRICT, else FAILS
+        finite = tau < np.inf
+        code = np.where(lhs < rhs - np.where(finite, tau, 0.0), 0, 3)  # HOLDS_STRICT, else FAILS
         if not strict:
-            code[(code == 3) & (np.abs(lhs - rhs) <= tau)] = 1  # HOLDS_WEAK
+            code[(code == 3) & finite & (np.abs(lhs - rhs) <= tau)] = 1  # HOLDS_WEAK
         code[lhs <= self.tol] = 2  # VACUOUS
         return code
 
@@ -474,7 +478,8 @@ class Regime:
         """lhs < rhs, by more than the tau slack."""
         if self.exact:
             return lhs < rhs
-        return lhs < rhs - self._tau(lhs, rhs)
+        tau = self._tau(lhs, rhs)
+        return lhs < (rhs - tau if tau < math.inf else rhs)
 
     def above(self, lhs, rhs) -> bool:
         """lhs > rhs, by more than the tau slack."""

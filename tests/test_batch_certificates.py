@@ -126,6 +126,44 @@ class TestBatchEqualsScalar:
             assert batch == scalar
 
 
+def _nan_batch_gauge():
+    """t1 / 2, but a batch form that gives nan where t1 > 1."""
+    return gm.GaugeFunction(evaluate=lambda t1, t2, t3: t1 / 2, name="nan-batch",
+                            evaluate_batch=lambda t1, t2, t3: np.where(t1 > 1.0, np.nan, t1 / 2))
+
+
+class TestNonFiniteIntermediates:
+    """Where an intermediate value is not finite the kernel refuses the
+    chunk, and the certificate is the scalar path's."""
+
+    @pytest.mark.parametrize("map_name, spec, lo, hi", [
+        ("scale-0.5", gm.ConditionSpec(id="C-Q", q=0.9), 1e103, 2e103),
+        ("scale-0.5", gm.ConditionSpec(id="C-GAUGE", h=catalog.get_gauge("identity-diag")),
+         1e103, 2e103),
+        ("moebius", gm.ConditionSpec(id="C-UNIT", a=catalog.get_aux("reciprocal-cap-2")),
+         1e-160, 3e-160),
+        ("moebius", gm.ConditionSpec(id="C-GAUGE", h=catalog.get_gauge("half"),
+                                     a=catalog.get_aux("reciprocal-cap-2")), 1e-160, 3e-160),
+        ("moebius", gm.ConditionSpec(id="C-GAUGE", h=_nan_batch_gauge()), 0.0, 3.0),
+    ], ids=["m3-overflow-q", "m3-overflow-gauge", "inf-reciprocal-unit",
+            "inf-reciprocal-gauge", "nan-batch-gauge"])
+    @pytest.mark.parametrize("tol", [0.0, 1e-12])
+    def test_batch_equals_scalar(self, map_name, spec, lo, hi, tol):
+        # M3's numerator overflows on [1e103, 2e103], and 1 / (G * G') = inf
+        # on [1e-160, 3e-160], where at the default tol no x and y are distinct
+        space = catalog.space_absmax()
+        smap = catalog.get_map(map_name, space)
+        outcomes = []
+        for m in (smap, dataclasses.replace(smap, apply_batch=None)):
+            stream = sampling.triple_stream(space, seed=0, lo=lo, hi=hi, tol=0.0)
+            try:
+                outcomes.append(gm.certify_on_samples(space, m, spec, stream, 1500, tol_base=tol))
+            except gm.DomainError as err:
+                outcomes.append(str(err))
+        assert outcomes[0] == outcomes[1]
+        assert isinstance(outcomes[0], gm.Certificate) or lo == 1e-160 and tol > 0
+
+
 def _leaves_carrier_late(space):
     """A map whose image leaves the half-line, at -x, for x < 0.005 only:
     about once in 7000 triples on [0, 100]."""

@@ -360,6 +360,20 @@ class TestConditionCommand:
         assert code == 0
         assert read_json(out / "condition.json")["sampling"]["seed"] == 9
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("a", "constant-5", "does not take a weight function"),
+        ("gauge", "half", "does not take a gauge"),
+    ], ids=["weight", "gauge"])
+    def test_extension_condition_refuses_majorant_keys_exit_two(self, tmp_path, capsys,
+                                                                key, value, message):
+        code, out = run(tmp_path, "condition", {
+            "space": "absmax", "map": "moebius",
+            "condition": {"id": "EXT-III", "delta": 0.9, key: value},
+        })
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "condition.json").exists()
+
 
 class TestSolveCommand:
     def test_moebius_sublinear(self, tmp_path):

@@ -241,7 +241,7 @@ class TestGaugeAdmissibility:
         with pytest.raises(gm.ParameterError):
             gm.check_gauge_admissible(catalog.get_gauge("half"), [])
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "nan", 1e400])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "nan", 1e400, 10 ** 400])
     def test_non_finite_grid_rejected(self, bad):
         with pytest.raises(gm.ParameterError, match="malformed"):
             gm.check_gauge_admissible(catalog.get_gauge("half"), [1.0, bad])
@@ -768,3 +768,60 @@ class TestAuxWeights:
         spec = gm.ConditionSpec(id="C-UNIT", a=gm.AuxWeight.custom(lambda x, y, z: -1.0))
         with pytest.raises(gm.DomainError):
             gm.eval_condition(absmax, halving, spec, 1.0, 2.0, 3.0)
+
+    @pytest.mark.parametrize("make", [gm.AuxWeight.constant, gm.AuxWeight.reciprocal_cap],
+                             ids=["constant", "reciprocal-cap"])
+    def test_nan_parameter_rejected(self, make):
+        with pytest.raises(gm.ParameterError, match="nonnegative"):
+            make(float("nan"))
+
+    def test_nan_custom_weight_raises(self, absmax, moebius):
+        # nan passes v < 0, and max() would then drop the nan M2 silently
+        spec = gm.ConditionSpec(id="C-Q", q=0.9,
+                                a=gm.AuxWeight.custom(lambda x, y, z: float("nan")))
+        with pytest.raises(gm.DomainError, match="nan"):
+            gm.eval_condition(absmax, moebius, spec, 0.1, 0.7, 0.3)
+
+
+class TestNonFiniteTau:
+    """Where tau = tol * (1 + |lhs| + |rhs|) is not finite, the sides are
+    compared literally: lhs < rhs holds strictly, and anything else fails."""
+
+    def test_infinite_left_side_fails(self, absmax, halving):
+        v = gm.eval_extension(absmax, halving, 1.7e308, 1.6e308, 1.5e308, alpha=2).i
+        assert v.lhs == float("inf") and v.rhs < 1e308
+        assert v.status == FAILS  # it was HOLDS_WEAK, as tau was inf
+
+    def test_infinite_right_side_holds(self, absmax, halving):
+        # M3's numerator overflows, so rhs = inf; exactly, 3.5e102 < 1.57e103
+        v = gm.eval_condition(absmax, halving, gm.ConditionSpec(id="C-Q", q=0.9),
+                              1.2e103, 1.9e103, 1.5e103)
+        assert v.rhs == float("inf") and v.lhs < 1e103
+        assert v.status == HOLDS_STRICT  # it was FAILS
+
+    def test_overflow_scale_certificate(self, absmax, halving):
+        # 903 triples have lhs = inf and 93 finite sides whose sum overflows;
+        # each used to read HOLDS_WEAK
+        spec = gm.ConditionSpec(id="EXT-I", alpha=2)
+        certs = [gm.certify_on_samples(absmax, m, spec, sampling.triple_stream(
+                     absmax, seed=0, lo=1e308, hi=1.7e308), 1000)
+                 for m in (halving, dataclasses.replace(halving, apply_batch=None))]
+        assert certs[0] == certs[1]
+        assert certs[0].fails == 1000 and certs[0].holds == 0
+
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, 0.0])
+    def test_status_strictly_below_and_rows_agree(self, tol):
+        big, inf = 1.7e308, float("inf")
+        pairs = [(big, 1.6e308, FAILS, FAILS), (1.6e308, big, HOLDS_STRICT, HOLDS_STRICT),
+                 (big, big, FAILS, FAILS), (inf, 1.0, FAILS, FAILS),
+                 (1.0, inf, HOLDS_STRICT, HOLDS_STRICT), (inf, inf, FAILS, FAILS),
+                 (1.0, 1.0, HOLDS_WEAK, FAILS), (0.5, 1.0, HOLDS_STRICT, HOLDS_STRICT)]
+        reg = Regime(False, tol)
+        lhs, rhs = (np.array(side) for side in zip(*[p[:2] for p in pairs]))
+        for strict, want in ((False, [p[2] for p in pairs]), (True, [p[3] for p in pairs])):
+            assert [reg.status(a, b, strict) for a, b, *_ in pairs] == want
+            with np.errstate(over="ignore", invalid="ignore"):
+                rows = reg.status_rows(lhs, rhs, strict)
+            assert [ROW_STATUSES[i] for i in rows] == want
+        assert [reg.strictly_below(a, b) for a, b, *_ in pairs] == [
+            p[3] == HOLDS_STRICT for p in pairs]

@@ -120,6 +120,8 @@ class TestSolvePicard:
     def test_bad_parameters(self, absmax, halving):
         with pytest.raises(gm.ParameterError):
             gm.solve_picard(absmax, halving, 1.0, 0.0, 10)
+        with pytest.raises(gm.ParameterError, match="eps_stop"):  # not 1000 steps
+            gm.solve_picard(absmax, halving, 1.0, float("nan"), 1000)
         with pytest.raises(gm.ParameterError):
             gm.solve_picard(absmax, halving, 1.0, 1e-6, 10, certified_q=1.0)
         with pytest.raises(gm.ParameterError, match="trace_max"):
