@@ -637,6 +637,8 @@ def _aux_bound(ctx: _EvalContext, a: AuxWeight, triples, t) -> Verdict:
             continue
         bound = ctx.regime.one / denom
         a_val = a.value(x, y, z, g_xyz, g_image)
+        if bound == math.inf and a_val < bound:
+            continue  # 1/denom overflowed: the exact bound is past every float
         if ctx.regime.above(a_val, bound):
             return Verdict(FAIL, witness=(x, y, z), values=(a_val, bound))
     return Verdict(PASS)

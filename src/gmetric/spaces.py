@@ -399,9 +399,12 @@ class Regime:
                                          (conditions, uniqueness, weight bound)
 
     ``tol`` must be finite and nonnegative; 0 compares floats literally.
-    Where tau is not finite (a side is infinite, or their sum overflows),
-    :meth:`status`, :meth:`strictly_below` and :meth:`status_rows` compare
-    the sides literally: lhs < rhs holds strictly, and anything else fails.
+    Where tau is not finite (a side is not finite, or their sum overflows),
+    every comparison fails closed: :meth:`status` and :meth:`status_rows`
+    read FAILS (or VACUOUS), :meth:`strictly_below` is false and
+    :meth:`above` is true.  An infinite side often comes from an overflow
+    inside the formula rather than from a side that large, so no literal
+    comparison of such sides is trusted.
     The ``*_rows`` methods apply the same formulas elementwise to numpy
     arrays; they serve the float regime only, as row arrays exist only for
     real carriers and exact spaces are finite.
@@ -449,7 +452,10 @@ class Regime:
         return lhs <= self.tol
 
     def _tau(self, lhs, rhs) -> float:
-        return self.tol * (1.0 + abs(float(lhs)) + abs(float(rhs)))
+        """The tau slack, or nan where it is not finite: every comparison
+        with nan is false, and each caller is written so that false fails."""
+        tau = self.tol * (1.0 + abs(float(lhs)) + abs(float(rhs)))
+        return tau if tau < math.inf else math.nan
 
     def status(self, lhs, rhs, strict: bool) -> str:
         """Verdict status of ``lhs < rhs`` (strict) or ``lhs <= rhs``."""
@@ -461,16 +467,16 @@ class Regime:
             return FAILS
         if self.exact:
             return HOLDS_WEAK if lhs == rhs else FAILS
-        return HOLDS_WEAK if abs(lhs - rhs) <= self._tau(lhs, rhs) < math.inf else FAILS
+        return HOLDS_WEAK if abs(lhs - rhs) <= self._tau(lhs, rhs) else FAILS
 
     def status_rows(self, lhs, rhs, strict: bool):
         """:meth:`status` of float arrays (float regime only), as indices
         into ``ROW_STATUSES``."""
         tau = self.tol * (1.0 + np.abs(lhs) + np.abs(rhs))
-        finite = tau < np.inf
-        code = np.where(lhs < rhs - np.where(finite, tau, 0.0), 0, 3)  # HOLDS_STRICT, else FAILS
+        tau[~(tau < np.inf)] = np.nan  # as in _tau
+        code = np.where(lhs < rhs - tau, 0, 3)  # HOLDS_STRICT, else FAILS
         if not strict:
-            code[(code == 3) & finite & (np.abs(lhs - rhs) <= tau)] = 1  # HOLDS_WEAK
+            code[(code == 3) & (np.abs(lhs - rhs) <= tau)] = 1  # HOLDS_WEAK
         code[lhs <= self.tol] = 2  # VACUOUS
         return code
 
@@ -478,14 +484,13 @@ class Regime:
         """lhs < rhs, by more than the tau slack."""
         if self.exact:
             return lhs < rhs
-        tau = self._tau(lhs, rhs)
-        return lhs < (rhs - tau if tau < math.inf else rhs)
+        return lhs < rhs - self._tau(lhs, rhs)
 
     def above(self, lhs, rhs) -> bool:
         """lhs > rhs, by more than the tau slack."""
         if self.exact:
             return lhs > rhs
-        return lhs > rhs + self._tau(lhs, rhs)
+        return not lhs <= rhs + self._tau(lhs, rhs)
 
 
 def points_distinct(space: GMetricSpace, p: Point, q: Point, tol: float = DEFAULT_TOL) -> bool:

@@ -784,20 +784,37 @@ class TestAuxWeights:
 
 
 class TestNonFiniteTau:
-    """Where tau = tol * (1 + |lhs| + |rhs|) is not finite, the sides are
-    compared literally: lhs < rhs holds strictly, and anything else fails."""
+    """Where tau = tol * (1 + |lhs| + |rhs|) is not finite, every float
+    comparison fails closed: an infinite side is often an overflow inside
+    the formula, not a side that large."""
 
     def test_infinite_left_side_fails(self, absmax, halving):
         v = gm.eval_extension(absmax, halving, 1.7e308, 1.6e308, 1.5e308, alpha=2).i
         assert v.lhs == float("inf") and v.rhs < 1e308
         assert v.status == FAILS  # it was HOLDS_WEAK, as tau was inf
 
-    def test_infinite_right_side_holds(self, absmax, halving):
+    def test_infinite_right_side_fails_closed(self, absmax, halving):
         # M3's numerator overflows, so rhs = inf; exactly, 3.5e102 < 1.57e103
+        # holds, but inf cannot tell that case from the one below
         v = gm.eval_condition(absmax, halving, gm.ConditionSpec(id="C-Q", q=0.9),
                               1.2e103, 1.9e103, 1.5e103)
         assert v.rhs == float("inf") and v.lhs < 1e103
-        assert v.status == HOLDS_STRICT  # it was FAILS
+        assert v.status == FAILS
+
+    @pytest.mark.parametrize("spec", [gm.ConditionSpec(id="C-Q", q=0.9),
+                                      gm.ConditionSpec(id="C-UNIT")], ids=["C-Q", "C-UNIT"])
+    def test_overflowed_right_side_of_expanding_map_fails(self, absmax, spec):
+        # M3's numerator 1.875e309 overflows, so rhs = inf; exactly,
+        # M3 = 2.3e102 and rhs <= 2e103 < lhs = 4e103, so it fails
+        doubling = catalog.get_map("scale-2", absmax)
+        v = gm.eval_condition(absmax, doubling, spec, 5e102, 1.5e103, 2.5e103)
+        assert v.rhs == float("inf") and v.lhs == 4e103
+        assert v.status == FAILS
+        certs = [gm.certify_on_samples(absmax, m, spec, sampling.triple_stream(
+                     absmax, seed=0, lo=1e103, hi=3e103), 1500)
+                 for m in (doubling, dataclasses.replace(doubling, apply_batch=None))]
+        assert certs[0] == certs[1]
+        assert certs[0].holds == 0 and certs[0].fails > 0
 
     def test_overflow_scale_certificate(self, absmax, halving):
         # 903 triples have lhs = inf and 93 finite sides whose sum overflows;
@@ -809,13 +826,29 @@ class TestNonFiniteTau:
         assert certs[0] == certs[1]
         assert certs[0].fails == 1000 and certs[0].holds == 0
 
+    def test_infinite_weight_fails_bound(self, absmax, halving):
+        # an infinite weight used to pass, as lhs > rhs + inf is false
+        for w in (float("inf"), 1e300):
+            a = gm.AuxWeight.custom(lambda x, y, z, w=w: w)
+            assert gm.check_aux_bound(absmax, halving, a, [(1.0, 2.0, 3.0)]).status == FAIL
+
+    def test_overflowed_bound_passes_finite_weight_only(self, absmax, halving):
+        # G * G' = 2e-320, so 1 / (G * G') = inf: exactly, past every float
+        tiny = [(1e-160, 2e-160, 3e-160)]
+        for a, status in ((gm.AuxWeight.reciprocal_cap(2.0), PASS),
+                          (gm.AuxWeight.constant(1e308), PASS),
+                          (gm.AuxWeight.custom(lambda x, y, z: float("inf")), FAIL)):
+            assert gm.check_aux_bound(absmax, halving, a, tiny, tol_base=0.0).status == status
+
     @pytest.mark.parametrize("tol", [DEFAULT_TOL, 0.0])
-    def test_status_strictly_below_and_rows_agree(self, tol):
+    def test_status_strictly_below_above_and_rows_agree(self, tol):
         big, inf = 1.7e308, float("inf")
-        pairs = [(big, 1.6e308, FAILS, FAILS), (1.6e308, big, HOLDS_STRICT, HOLDS_STRICT),
-                 (big, big, FAILS, FAILS), (inf, 1.0, FAILS, FAILS),
-                 (1.0, inf, HOLDS_STRICT, HOLDS_STRICT), (inf, inf, FAILS, FAILS),
-                 (1.0, 1.0, HOLDS_WEAK, FAILS), (0.5, 1.0, HOLDS_STRICT, HOLDS_STRICT)]
+        # (lhs, rhs, non-strict status, strict status, above)
+        pairs = [(big, 1.6e308, FAILS, FAILS, True), (1.6e308, big, FAILS, FAILS, True),
+                 (big, big, FAILS, FAILS, True), (inf, 1.0, FAILS, FAILS, True),
+                 (1.0, inf, FAILS, FAILS, True), (inf, inf, FAILS, FAILS, True),
+                 (1.0, 1.0, HOLDS_WEAK, FAILS, False), (0.5, 1.0, HOLDS_STRICT, HOLDS_STRICT, False),
+                 (1.0, 0.5, FAILS, FAILS, True)]
         reg = Regime(False, tol)
         lhs, rhs = (np.array(side) for side in zip(*[p[:2] for p in pairs]))
         for strict, want in ((False, [p[2] for p in pairs]), (True, [p[3] for p in pairs])):
@@ -825,3 +858,4 @@ class TestNonFiniteTau:
             assert [ROW_STATUSES[i] for i in rows] == want
         assert [reg.strictly_below(a, b) for a, b, *_ in pairs] == [
             p[3] == HOLDS_STRICT for p in pairs]
+        assert [reg.above(a, b) for a, b, *_ in pairs] == [p[4] for p in pairs]
