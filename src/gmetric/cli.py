@@ -24,8 +24,8 @@ import sys
 from itertools import chain, islice
 
 from . import catalog, reports, sampling
-# orbit and normalize_point are re-exported, not called: perfbench/tracer.py
-# wraps both names in gmetric.cli.
+# orbit, write_trace_csv and normalize_point are re-exported, not called:
+# perfbench/tracer.py wraps these names in gmetric.cli.
 from .dynamics import (DEFAULT_TRACE_MAX, TraceWriter, orbit, solve_picard,  # noqa: F401
                        write_trace_csv)
 from .errors import ConfigError, DomainError, GMetricError
@@ -283,13 +283,11 @@ def cmd_solve(cfg: dict, out_dir: str, tol: float, seed_override=None) -> int:
     trace_max = _number(int, section.get("trace_max", DEFAULT_TRACE_MAX), "solver.trace_max")
 
     # A trace that fills while the loop goes on is written by a forked child
-    # meanwhile, and joined here; any other is written inline once the loop ends.
-    trace_path = os.path.join(out_dir, "trace.csv")
-    with TraceWriter(trace_path, certified_q) as writer:
+    # meanwhile; join writes any other inline, then publishes the file.
+    with TraceWriter(os.path.join(out_dir, "trace.csv"), certified_q) as writer:
         cert = solve_picard(space, smap, x0, eps_stop, max_iter, certified_q, trace_max=trace_max,
-                            on_trace=writer.fork if hasattr(os, "fork") else None)
-        if not writer.join():
-            write_trace_csv(cert.trace, trace_path, certified_q)
+                            on_trace=writer.fork)
+        writer.join(cert.trace)
     payload = {
         "space": _space_label(cfg),
         "map": smap.name,

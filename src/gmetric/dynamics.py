@@ -371,8 +371,8 @@ def write_trace_csv(trace: OrbitTrace, path, certified_q: Optional[float] = None
     and gives the bytes of ``csv.writer``: rows end with ``\\r\\n``, and a
     field is quoted when it holds a comma, as the repr of a ``Fraction``
     does (the text of a number holds no quote or line break).  The
-    ``solve`` command runs it in a forked process through
-    :class:`TraceWriter` when the trace fills while the loop goes on.
+    ``solve`` command runs it through :class:`TraceWriter`, in a forked
+    process when the trace fills while the loop goes on.
     """
     gaps = trace.gaps
     bounds = repeat("")
@@ -390,59 +390,50 @@ def write_trace_csv(trace: OrbitTrace, path, certified_q: Optional[float] = None
 
 
 class TraceWriter:
-    """Writes a solve's trace CSV at ``path`` from a forked child while the
-    solve goes on.
+    """Publishes a solve's trace CSV at ``path``, from a forked child while
+    the solve goes on where it can, and inline otherwise.
 
     Pass :meth:`fork` to :func:`solve_picard` as ``on_trace``: it forks a
     child that runs :func:`write_trace_csv` into ``<path>.<pid>.part`` and
-    leaves through ``os._exit``, sending the text of any exception over a
-    pipe.  :meth:`join` waits for the child and renames the part file onto
-    ``path``; it raises OSError with the child's text when the child failed,
-    and returns False when no child was forked (no fork was asked for, or
-    none could be made), so that the caller writes the trace inline.
-    Leaving the ``with`` block, on an exception too, kills and reaps a child
-    not yet joined and removes the part file, so a failed solve leaves any
-    earlier file at ``path`` as it was.  The child only formats text and
-    writes one file, so it needs no lock that another thread of the parent
-    could hold at the fork.
+    leaves through ``os._exit``, with status 0 only when the file is
+    written; it forks nothing where ``os.fork`` is missing or fails.
+    :meth:`join` waits for the child, writes the trace inline into the same
+    part file when no child wrote it (none was forked, or it failed or was
+    killed), and renames the part file onto ``path``.  Either way the trace
+    reaches ``path`` whole or not at all.  Leaving the ``with`` block, on an
+    exception too, kills and reaps a child not yet joined and removes the
+    part file, so a failed solve leaves any earlier file at ``path`` as it
+    was.  The child only formats text and writes one file, so it needs no
+    lock that another thread of the parent could hold at the fork.
     """
 
     def __init__(self, path, certified_q: Optional[float] = None):
         self.path, self.certified_q = path, certified_q
         self.part = f"{path}.{os.getpid()}.part"
-        self.pid = self.errors = None
+        self.pid = None
 
     def fork(self, trace: OrbitTrace) -> None:
-        errors, child_errors = os.pipe()
         try:
             pid = os.fork()
-        except OSError:  # no process to spare: the trace is written inline
-            os.close(errors)
-            os.close(child_errors)
+        except (AttributeError, OSError):  # no os.fork, or no process to spare
             return
         if pid == 0:
             code = 1
             try:
                 write_trace_csv(trace, self.part, self.certified_q)
                 code = 0
-            except Exception as e:
-                os.write(child_errors, str(e).encode())
             finally:
                 os._exit(code)
-        os.close(child_errors)
-        self.pid, self.errors = pid, open(errors, "rb")
+        self.pid = pid
 
-    def join(self) -> bool:
-        if self.pid is None:
-            return False
-        with self.errors:
-            text = self.errors.read().decode(errors="replace")
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        if status:
-            raise OSError(text or f"trace writer ended with wait status {status}")
+    def join(self, trace: OrbitTrace) -> None:
+        written = False
+        if self.pid is not None:
+            written = os.waitpid(self.pid, 0)[1] == 0
+            self.pid = None
+        if not written:
+            write_trace_csv(trace, self.part, self.certified_q)
         os.replace(self.part, self.path)
-        return True
 
     def __enter__(self):
         return self
@@ -451,7 +442,6 @@ class TraceWriter:
         if self.pid is not None:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
-            self.errors.close()
             self.pid = None
         try:
             os.unlink(self.part)

@@ -3,13 +3,13 @@
 Reports are canonical JSON: sorted keys, two-space indent, a trailing
 newline, rationals rendered as "p/q" strings, and no timestamps or
 environment-dependent content, so identical runs produce byte-identical
-files.  Files are written atomically (temp file + rename).
+files.  A report is published as every output file is: written into
+``<path>.<pid>.part``, then renamed onto ``<path>`` (mode per the umask).
 """
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -147,15 +147,15 @@ def render_report(payload: dict) -> str:
 
 
 def write_report(path, payload: dict) -> None:
-    """Atomically write a canonical JSON report."""
+    """Atomically write a canonical JSON report through ``<path>.<pid>.part``;
+    on any exception the part file is removed and an earlier report stays."""
     text = render_report(payload)
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-")
+    part = f"{path}.{os.getpid()}.part"
     try:
-        with os.fdopen(fd, "w") as fh:
+        with open(part, "w") as fh:
             fh.write(text)
-        os.replace(tmp, path)
+        os.replace(part, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        if os.path.exists(part):
+            os.unlink(part)
         raise

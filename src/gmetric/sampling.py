@@ -199,7 +199,8 @@ def triple_stream(space: GMetricSpace, seed: int = DEFAULT_SEED,
     without numpy (see :class:`DefaultRng`), and redraws such a triple, so
     Generator calls per triple (perfbench's ``sampling.draws_per_triple``)
     still count its redraws.  Points are Python values: ``int`` indices, ``float`` scalars
-    or tuples of floats.
+    or tuples of floats.  A real range in which no two points are distinct
+    raises ParameterError at the first ``next``, since no triple could be kept.
     """
     lo, hi = _clip_range(space, lo, hi)
     rng = make_rng(seed)
@@ -213,6 +214,12 @@ def triple_stream(space: GMetricSpace, seed: int = DEFAULT_SEED,
             x, y, z = rng.integers(0, m), rng.integers(0, m), rng.integers(0, m)
             if regime.distinct(x, y):
                 yield (x, y, z)
+    # the pair farthest past the slack: the ends or, for tol >= 1, the pair
+    # symmetric about 0 (tuple points do no better than repeated coordinates)
+    c = min(-lo, hi)
+    if not (regime.distinct(lo, hi) or c > 0 and regime.distinct(-c, c)):
+        raise ParameterError(f"malformed sampling.range [{lo}, {hi}]: no two points in it "
+                             f"are distinct at tol {tol}")
     distinct = regime.distinct_rows
     tuple_points = carrier.dim > 1
     shape = (BLOCK, 3, carrier.dim) if tuple_points else (BLOCK, 3)

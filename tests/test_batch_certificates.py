@@ -371,6 +371,24 @@ class TestBlockSampler:
         with pytest.raises(gm.ParameterError, match="malformed sampling.range"):
             sampling.sample_points(space, 3, lo=lo, hi=hi)
 
+    @pytest.mark.parametrize("space, lo, hi, tol", [
+        (catalog.space_absmax(), 1e-160, 3e-160, 1e-12),
+        (catalog.space_absmax(), 5.0, 5.000000000001, 1e-12),
+        (_plane(), 5.0, 5.000000000001, 1e-12),
+        (catalog.space_perimeter(), -4.0, 10.0, 2.0),  # tol >= 2: no pair anywhere
+    ], ids=["tiny", "narrow", "plane-narrow", "tol-2"])
+    def test_range_without_a_distinct_pair_rejected(self, space, lo, hi, tol):
+        # every draw would be redrawn, so the stream would never yield
+        with pytest.raises(gm.ParameterError, match="no two points in it are distinct"):
+            next(sampling.triple_stream(space, lo=lo, hi=hi, tol=tol))
+
+    def test_a_pair_symmetric_about_zero_is_enough(self):
+        # at tol 1.5 the ends of [-4, 10] are not distinct (14 <= 1.5 * 11),
+        # but -4 and 4 are (8 > 1.5 * 5)
+        space, tol = catalog.space_perimeter(), 1.5
+        triples = list(islice(sampling.triple_stream(space, lo=-4.0, hi=10.0, tol=tol), 10))
+        assert all(Regime(space.exact, tol).distinct(x, y) for x, y, _ in triples)
+
 
 class TestTolerance:
     @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0])

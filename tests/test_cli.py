@@ -2,6 +2,7 @@
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -196,6 +197,13 @@ class TestMalformedValues:
         ("condition", {**_MOEBIUS_GAUGE, "sampling": {"count": 2.5}}),
         ("solve", {"space": "absmax", "map": "moebius",
                    "solver": {"x0": 1.0, "max_iter": 2.5}}),
+        # no two points of the range are distinct at the default tol, so no
+        # triple could ever be drawn
+        ("condition", {"space": "absmax", "map": "moebius", "condition": {"id": "C-UNIT"},
+                       "sampling": {"count": 10, "range": [1e-160, 3e-160]}}),
+        ("condition", {"space": "absmax", "map": "moebius",
+                       "condition": {"id": "EXT-III", "delta": 0.5},
+                       "sampling": {"count": 5, "range": [5, 5.000000000001]}}),
     ], ids=["count", "eps_stop", "map-param", "weight-param", "table-entry", "q", "scales",
             "sampling-section", "gauge_check-section", "violate-section", "grid-scalar",
             "scales-scalar", "q_grid-scalar", "negative-seed", "grid-nan", "grid-inf",
@@ -205,7 +213,7 @@ class TestMalformedValues:
             "finite-uniform-size", "axioms-size", "condition-exponent", "theorem-exponent",
             "theorem-denominator", "weight-exponent", "gauge-exponent", "grid-size",
             "n_max-size", "count-size", "max_iter-size", "x0-overflow", "count-fraction",
-            "max_iter-fraction"])
+            "max_iter-fraction", "range-tiny", "range-narrow"])
     def test_exit_two(self, tmp_path, capsys, command, config):
         table = tmp_path / "bad.txt"
         table.write_text("2\n0 x\nx 0\n")
@@ -522,6 +530,42 @@ class TestForkedTraceWriter:
         assert code == 2 and forks == [1]
         assert capsys.readouterr().err == "error: disk full\n"
         assert list(out.iterdir()) == []
+        assert not _children_left()
+
+    def test_a_failed_inline_write_keeps_the_earlier_trace(self, tmp_path, capsys, monkeypatch):
+        def partial(trace, path, certified_q=None):
+            with open(path, "w", newline="") as fh:
+                fh.write("n,x,gap,bound\r\n0,1.0")
+            raise OSError("disk full")
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(gm.dynamics, "write_trace_csv", partial)
+        monkeypatch.setattr(gm.cli, "write_trace_csv", partial)
+        earlier = b"n,x,gap,bound\r\n0,1.0,,\r\n"
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "trace.csv").write_bytes(earlier)
+        code, _ = run(tmp_path, "solve", MOEBIUS_1000)
+        assert code == 2
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert [p.name for p in out.iterdir()] == ["trace.csv"]
+        assert (out / "trace.csv").read_bytes() == earlier
+
+    def test_a_killed_writer_is_replaced_by_an_inline_write(self, tmp_path, monkeypatch, forks):
+        parent, write = os.getpid(), gm.dynamics.write_trace_csv
+
+        def killed_in_the_child(trace, path, certified_q=None):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            write(trace, path, certified_q)
+        (tmp_path / "inline").mkdir()
+        monkeypatch.setattr(gm.dynamics, "write_trace_csv", killed_in_the_child)
+        code, out = run(tmp_path, "solve", MOEBIUS_1000)
+        assert forks == [1]
+        monkeypatch.delattr(os, "fork")
+        assert run(tmp_path / "inline", "solve", MOEBIUS_1000)[0] == code
+        for name in ("trace.csv", "solve.json"):
+            assert (out / name).read_bytes() == (tmp_path / "inline" / "out" / name).read_bytes()
+        assert sorted(p.name for p in out.iterdir()) == ["solve.json", "trace.csv"]
         assert not _children_left()
 
     def test_a_failed_fork_writes_inline(self, tmp_path, monkeypatch):

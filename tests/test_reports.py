@@ -1,5 +1,7 @@
 """Report serialization: canonical JSON, rational rendering, atomic writes."""
 import json
+import os
+import stat
 from fractions import Fraction
 
 import pytest
@@ -30,8 +32,30 @@ def test_write_report_atomic(tmp_path):
     path = tmp_path / "r.json"
     reports.write_report(path, {"k": 1})
     assert json.loads(path.read_text()) == {"k": 1}
-    leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".report-")]
-    assert leftovers == []
+    assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+
+
+def test_write_report_takes_the_umask_mode(tmp_path):
+    umask = os.umask(0o022)
+    try:
+        reports.write_report(tmp_path / "r.json", {"k": 1})
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE((tmp_path / "r.json").stat().st_mode) == 0o644
+
+
+def test_failed_write_report_keeps_the_earlier_report(tmp_path, monkeypatch):
+    path = tmp_path / "r.json"
+    reports.write_report(path, {"k": 1})
+    earlier = path.read_bytes()
+
+    def no_room(src, dst):
+        raise OSError("disk full")
+    monkeypatch.setattr(os, "replace", no_room)
+    with pytest.raises(OSError, match="disk full"):
+        reports.write_report(path, {"k": 2})
+    assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+    assert path.read_bytes() == earlier
 
 
 def test_axiom_report_roundtrip():
