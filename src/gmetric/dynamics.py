@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import os
 import signal
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -38,9 +39,9 @@ from .spaces import (
 
 DEFAULT_TRACE_MAX = 100_000
 # Largest trace_max: the trace is held in memory until it is written, and at
-# this size its points and gaps take about 64 MB.
+# this size a float trace's points and gaps take about 16 MB.
 TRACE_MAX_LIMIT = 1_000_000
-MAX_ITER_LIMIT = 10 ** 7  # largest max_iter: 12 s of moebius steps on a 2-core VM
+MAX_ITER_LIMIT = 10 ** 7  # largest max_iter: about 7 s of moebius steps on a 2-core VM
 
 
 @dataclass(frozen=True)
@@ -64,10 +65,18 @@ class SelfMap:
 
 @dataclass
 class OrbitTrace:
-    """The prefix x0, Tx0, ..., Tnx0 with gaps G(x_k, x_{k+1}, x_{k+1})."""
+    """The prefix x0, Tx0, ..., Tnx0 with gaps G(x_k, x_{k+1}, x_{k+1}).
 
-    points: list
-    gaps: list
+    :func:`orbit` and :func:`solve_picard` hold a float column as an
+    ``array('d')``, 8 bytes a value: the points of a one-dimensional real
+    carrier and the gaps of a float space.  Any other column (finite
+    indices, tuple points, the ``Fraction`` gaps of an exact space) is a
+    list.  An array compares unequal to a list, so compare a column with
+    ``list(...)``.
+    """
+
+    points: Sequence
+    gaps: Sequence
     exact_fixed: bool = False
 
     def __len__(self) -> int:
@@ -130,18 +139,26 @@ def _validated_step(space: GMetricSpace, smap: SelfMap) -> Callable:
     return step
 
 
+def _trace_columns(space: GMetricSpace, x) -> tuple:
+    """The ``(points, gaps)`` columns of a trace that starts at the
+    normalized point ``x``: ``array('d')`` for float points and for the
+    gaps of a float space, lists otherwise.  :func:`_validated_step` makes
+    every later value the same type as its column's first."""
+    return (array("d", [x]) if type(x) is float else [x]), ([] if space.exact else array("d"))
+
+
 def orbit(space: GMetricSpace, smap: SelfMap, x0, n: int) -> OrbitTrace:
     """Iterate the map n times from x0, recording points and successive gaps.
 
     Stops early, flagged ``exact_fixed``, when an iterate repeats exactly:
-    ``Tx == x``, which is bitwise for floats.
+    ``Tx == x``, which is bitwise for floats.  Float columns are
+    ``array('d')`` (see :class:`OrbitTrace`).
     """
     if n < 1:
         raise ParameterError("orbit length must be at least 1")
     step = _validated_step(space, smap)
     x = normalize_point(space.carrier, x0)
-    points = [x]
-    gaps = []
+    points, gaps = _trace_columns(space, x)
     fixed = False
     for _ in range(n):
         x1, gap = step(x)
@@ -195,7 +212,9 @@ def solve_picard(space: GMetricSpace, smap: SelfMap, x0, eps_stop: float,
 
     The certificate's ``trace`` holds the first min(max(1, iterations),
     trace_max) steps, and at least one: with no iteration counted it is
-    the residual step from x0.  ``on_trace``, when given, is called once
+    the residual step from x0, and its float columns are ``array('d')``
+    (see :class:`OrbitTrace`): n steps on a one-dimensional real carrier
+    take 16n bytes.  ``on_trace``, when given, is called once
     with that trace at the step that fills it to max(1, trace_max) steps,
     if the loop goes on past that step; the trace takes no later step, so
     the call sees the certificate's final trace.  A run that stops at or
@@ -216,7 +235,7 @@ def solve_picard(space: GMetricSpace, smap: SelfMap, x0, eps_stop: float,
 
     step = _validated_step(space, smap)
     x = normalize_point(space.carrier, x0)
-    points, gaps = [x], []
+    points, gaps = _trace_columns(space, x)
     trace_steps = max(1, trace_max)
     # the step that fills the trace, where the loop may go on past it
     hook_at = trace_steps - 1 if on_trace is not None and trace_steps < max_iter else -1

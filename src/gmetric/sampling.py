@@ -200,7 +200,8 @@ def triple_stream(space: GMetricSpace, seed: int = DEFAULT_SEED,
     Generator calls per triple (perfbench's ``sampling.draws_per_triple``)
     still count its redraws.  Points are Python values: ``int`` indices, ``float`` scalars
     or tuples of floats.  A real range in which no two points are distinct
-    raises ParameterError at the first ``next``, since no triple could be kept.
+    raises ParameterError at the first ``next``, since no triple could be kept;
+    a real stream raises it too once ``BLOCK`` blocks in a row keep no triple.
     """
     lo, hi = _clip_range(space, lo, hi)
     rng = make_rng(seed)
@@ -223,9 +224,14 @@ def triple_stream(space: GMetricSpace, seed: int = DEFAULT_SEED,
     distinct = regime.distinct_rows
     tuple_points = carrier.dim > 1
     shape = (BLOCK, 3, carrier.dim) if tuple_points else (BLOCK, 3)
+    empty = 0  # consecutive blocks that kept no triple
     while True:
         block = rng.uniform(lo, hi, size=shape)
         kept = block[distinct(block[:, 0], block[:, 1])]
+        empty = 0 if len(kept) else empty + 1
+        if empty == BLOCK:
+            raise ParameterError(f"malformed sampling.range [{lo}, {hi}]: no distinct pair in "
+                                 f"{BLOCK * BLOCK} draws at tol {tol}")
         if tuple_points:
             yield from ((tuple(x), tuple(y), tuple(z)) for x, y, z in kept.tolist())
         else:

@@ -389,6 +389,29 @@ class TestBlockSampler:
         triples = list(islice(sampling.triple_stream(space, lo=-4.0, hi=10.0, tol=tol), 10))
         assert all(Regime(space.exact, tol).distinct(x, y) for x, y, _ in triples)
 
+    def test_a_range_whose_blocks_keep_no_triple_rejected(self):
+        # the ends are distinct, but a drawn pair is distinct about once in
+        # 10^10 draws: the stream gives up after BLOCK empty blocks in a row
+        with pytest.raises(gm.ParameterError,
+                           match=r"malformed sampling.range .*no distinct pair in 1048576 draws"):
+            next(sampling.triple_stream(catalog.space_absmax(), lo=0.0, hi=1.00001e-12))
+
+    @pytest.mark.parametrize("space, lo, hi, tol, mean, empty", [
+        (catalog.space_absmax(), 0.0, 1.05e-12, 1e-12, 2.6, 1),
+        (catalog.space_perimeter(), -4.0, 10.0, 1.5, 8.7, 0),
+    ], ids=["sparse", "symmetric-pair"])
+    def test_a_sparse_live_range_still_yields(self, space, lo, hi, tol, mean, empty):
+        rng, regime = sampling.make_rng(0), Regime(space.exact, tol)
+        kept = []
+        for _ in range(50):
+            block = rng.uniform(lo, hi, size=(sampling.BLOCK, 3))
+            kept.append(int(regime.distinct_rows(block[:, 0], block[:, 1]).sum()))
+        assert sum(kept) / 50 == pytest.approx(mean, abs=0.05)
+        assert kept.count(0) == empty and (empty or min(kept) >= 3)
+        triples = list(islice(sampling.triple_stream(space, 0, lo, hi, tol), sum(kept)))
+        assert len(triples) == sum(kept)
+        assert all(regime.distinct(x, y) for x, y, _ in triples)
+
 
 class TestTolerance:
     @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0])

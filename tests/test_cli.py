@@ -204,6 +204,11 @@ class TestMalformedValues:
         ("condition", {"space": "absmax", "map": "moebius",
                        "condition": {"id": "EXT-III", "delta": 0.5},
                        "sampling": {"count": 5, "range": [5, 5.000000000001]}}),
+        # its ends are distinct, but a drawn pair is distinct about once in
+        # 10^10 draws, so it is refused after a run of blocks that keep none
+        ("condition", {"space": "absmax", "map": "moebius",
+                       "condition": {"id": "C-Q", "q": 0.5},
+                       "sampling": {"count": 10, "range": [0, 1.00001e-12]}}),
     ], ids=["count", "eps_stop", "map-param", "weight-param", "table-entry", "q", "scales",
             "sampling-section", "gauge_check-section", "violate-section", "grid-scalar",
             "scales-scalar", "q_grid-scalar", "negative-seed", "grid-nan", "grid-inf",
@@ -213,7 +218,7 @@ class TestMalformedValues:
             "finite-uniform-size", "axioms-size", "condition-exponent", "theorem-exponent",
             "theorem-denominator", "weight-exponent", "gauge-exponent", "grid-size",
             "n_max-size", "count-size", "max_iter-size", "x0-overflow", "count-fraction",
-            "max_iter-fraction", "range-tiny", "range-narrow"])
+            "max_iter-fraction", "range-tiny", "range-narrow", "range-sparse"])
     def test_exit_two(self, tmp_path, capsys, command, config):
         table = tmp_path / "bad.txt"
         table.write_text("2\n0 x\nx 0\n")

@@ -1,7 +1,9 @@
 """Orbits, the Picard solver, error bounds, and the sampled probes."""
 import csv
+import dataclasses
 import time
 import tracemalloc
+from array import array
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,8 +35,8 @@ def moebius(absmax):
 class TestOrbit:
     def test_halving_orbit(self, absmax, halving):
         tr = gm.orbit(absmax, halving, 1.0, 3)
-        assert tr.points == [1.0, 0.5, 0.25, 0.125]
-        assert tr.gaps == [0.5, 0.25, 0.125]
+        assert list(tr.points) == [1.0, 0.5, 0.25, 0.125]
+        assert list(tr.gaps) == [0.5, 0.25, 0.125]
         assert not tr.exact_fixed
 
     def test_identity_stops_immediately(self, absmax):
@@ -42,7 +44,7 @@ class TestOrbit:
         tr = gm.orbit(absmax, ident, 3.7, 100)
         assert tr.exact_fixed
         assert len(tr.points) == 2
-        assert tr.gaps == [0.0]
+        assert list(tr.gaps) == [0.0]
 
     def test_moebius_closed_form(self, absmax, moebius):
         tr = gm.orbit(absmax, moebius, 1.0, 4)
@@ -522,6 +524,67 @@ def test_trace_writer_memory_is_one_chunk(tmp_path):
     assert _writer_peak(tmp_path, large) < 2 * _writer_peak(tmp_path, small)
 
 
+def _plane_halving():
+    plane = gm.GMetricSpace(carrier=gm.RealCarrier(dim=2),
+                            g=lambda p, q, r: max(abs(a - b) for a, b in zip(p, q)))
+    halve = gm.SelfMap(domain=plane.carrier, apply=lambda p: (0.5 * p[0], 0.5 * p[1]))
+    return plane, halve, (1.0, -2.0)
+
+
+def _finite_cycle(arithmetic):
+    space = dataclasses.replace(catalog.space_finite_uniform(3), arithmetic=arithmetic)
+    return space, gm.table_self_map(space, (1, 2, 0)), 0
+
+
+# (space, map, x0), then the container and value types of the points and
+# of the gaps of its trace
+COLUMN_CASES = {
+    "absmax": (lambda: (catalog.space_absmax(),
+                        catalog.get_map("moebius", catalog.space_absmax()), 1.0),
+               array, float, array, float),
+    "finite-float": (lambda: _finite_cycle("float"), list, int, array, float),
+    "finite-exact": (lambda: _finite_cycle("exact"), list, int, list, Fraction),
+    "plane": (_plane_halving, list, tuple, array, float),
+}
+
+
+class TestTraceColumns:
+    """A float column is an ``array('d')``, 8 bytes a value; any other is a list."""
+
+    @pytest.mark.parametrize("run", ["orbit", "solve_picard"])
+    @pytest.mark.parametrize("case", list(COLUMN_CASES))
+    def test_column_types(self, case, run):
+        build, points_type, point_kind, gaps_type, gap_kind = COLUMN_CASES[case]
+        space, smap, x0 = build()
+        if run == "orbit":
+            trace = gm.orbit(space, smap, x0, 5)
+        else:
+            trace = gm.solve_picard(space, smap, x0, 1e-12, 5).trace
+        assert len(trace.gaps) == 5
+        assert (type(trace.points), type(trace.gaps)) == (points_type, gaps_type)
+        assert all(c.typecode == "d" for c in (trace.points, trace.gaps) if type(c) is array)
+        assert {type(p) for p in trace.points} == {point_kind}
+        assert {type(g) for g in trace.gaps} == {gap_kind}
+
+    def test_a_float_trace_holds_under_3_mb_for_10_5_steps(self, absmax, moebius):
+        # lists of float objects held about 6.1 MB; two arrays hold 1.6 MB
+        tracemalloc.start()
+        try:
+            cert = gm.solve_picard(absmax, moebius, 1.0, 1e-12, 10 ** 5, trace_max=10 ** 5)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert cert.iterations == len(cert.trace.gaps) == 10 ** 5
+        assert held < 3_000_000
+
+    @pytest.mark.parametrize("certified_q", [None, 0.5, Fraction(1, 3)])
+    def test_array_and_list_columns_write_the_same_bytes(self, tmp_path, certified_q):
+        trace = _solved("moebius", 3, max_iter=5000)
+        assert type(trace.points) is type(trace.gaps) is array
+        as_lists = gm.OrbitTrace(list(trace.points), list(trace.gaps), trace.exact_fixed)
+        assert _written(tmp_path, trace, certified_q) == _written(tmp_path, as_lists, certified_q)
+
+
 class TestTraceHook:
     @pytest.mark.parametrize("trace_max", [0, 1, 10])
     @pytest.mark.parametrize("certified_q", [None, 0.9])
@@ -531,7 +594,7 @@ class TestTraceHook:
         cert = gm.solve_picard(absmax, moebius, 1.0, 1e-12, 100, certified_q, trace_max,
                                on_trace=lambda t: seen.append((list(t.points), list(t.gaps))))
         assert cert.iterations == 100
-        assert seen == [(cert.trace.points, cert.trace.gaps)]
+        assert seen == [(list(cert.trace.points), list(cert.trace.gaps))]
         assert len(cert.trace.gaps) == max(1, trace_max)
         assert cert == gm.solve_picard(absmax, moebius, 1.0, 1e-12, 100, certified_q, trace_max)
 
