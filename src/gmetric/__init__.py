@@ -18,13 +18,12 @@ _HOMES = {
     "errors": ("CapExceededError", "ConfigError", "DomainError", "GMetricError",
                "ParameterError"),
     "spaces": ("AxiomReport", "ConditionVerdict", "ConvergenceDiagnosis", "FiniteCarrier",
-               "FiniteMetric", "GMetricSpace", "RealCarrier", "Verdict", "build_gmetric",
-               "check_axioms", "check_symmetry", "derived_metric", "diagnose_sequence",
-               "eval_g", "load_metric_table", "random_metric"),
-    "dynamics": ("ConvergenceClass", "FixedPointCertificate", "OrbitTrace", "SelfMap",
-                 "apriori_bound", "detect_cluster_point", "iterations_needed", "orbit",
-                 "probe_injectivity", "probe_orbital_continuity", "solve_picard",
-                 "write_trace_csv"),
+               "FiniteMetric", "GMetricSpace", "RealCarrier", "SelfMap", "Verdict",
+               "build_gmetric", "check_axioms", "check_symmetry", "derived_metric",
+               "diagnose_sequence", "eval_g", "load_metric_table", "random_metric"),
+    "dynamics": ("ConvergenceClass", "FixedPointCertificate", "OrbitTrace", "apriori_bound",
+                 "detect_cluster_point", "iterations_needed", "orbit", "probe_injectivity",
+                 "probe_orbital_continuity", "solve_picard", "write_trace_csv"),
     "conditions": ("AuxWeight", "Certificate", "ConditionSpec", "ExtensionVerdicts",
                    "GaugeFunction", "GaugeReport", "UniquenessReport", "certify_on_samples",
                    "check_aux_bound", "check_gauge_admissible", "check_uniqueness_conditions",

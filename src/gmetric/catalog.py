@@ -16,9 +16,8 @@ from typing import TYPE_CHECKING
 
 from ._lazy import np
 from .errors import ConfigError
-from .dynamics import SelfMap
-from .spaces import (FiniteCarrier, FiniteMetric, GMetricSpace, RealCarrier, build_gmetric,
-                     parse_rational)
+from .spaces import (FiniteCarrier, FiniteMetric, GMetricSpace, RealCarrier, SelfMap,
+                     build_gmetric, parse_rational)
 
 if TYPE_CHECKING:  # get_gauge and get_aux import them when called
     from .conditions import AuxWeight, GaugeFunction

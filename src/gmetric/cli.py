@@ -23,21 +23,22 @@ import os
 import sys
 from itertools import chain, islice
 
-from . import catalog, reports, sampling
-# orbit, write_trace_csv and normalize_point are re-exported, not called:
-# perfbench/tracer.py wraps these names in gmetric.cli.
-from .dynamics import (DEFAULT_TRACE_MAX, TraceWriter, orbit, solve_picard,  # noqa: F401
-                       write_trace_csv)
+from . import catalog, reports
 from .errors import ConfigError, DomainError, GMetricError
 from .spaces import (DEFAULT_TOL, FiniteCarrier, GMetricSpace, RealCarrier, build_gmetric,
                      check_axioms, load_metric_table, parse_rational)
+# re-exported, not called: perfbench/tracer.py wraps this name in gmetric.cli
 from .spaces import normalize_point  # noqa: F401
 
-# Names from the condition and oracle layers, bound in this module's globals
-# by _bind when main starts a command that runs them, so solve and axioms
-# never import those layers. The cmd_* handlers and resolve_condition_spec
-# read them, so they run under main.
+# Names from the dynamics, condition and oracle layers, bound in this
+# module's globals by _bind when main starts a command that runs them, so a
+# command imports only its own layers. The cmd_* handlers and
+# resolve_condition_spec read them, so they run under main. orbit and
+# write_trace_csv are never called here: perfbench/tracer.py wraps them in
+# gmetric.cli.
 _DEFERRED = {
+    "DEFAULT_TRACE_MAX": "dynamics", "TraceWriter": "dynamics", "orbit": "dynamics",
+    "solve_picard": "dynamics", "write_trace_csv": "dynamics",
     "MAJORANT_IDS": "conditions", "ConditionSpec": "conditions",
     "certify_on_samples": "conditions", "check_aux_bound": "conditions",
     "check_gauge_admissible": "conditions", "eval_condition": "conditions",
@@ -195,6 +196,7 @@ def resolve_condition_spec(cfg: dict, space: GMetricSpace) -> ConditionSpec:
 
 
 def sampling_settings(cfg: dict, seed_override=None):
+    from . import sampling
     section = _shaped(cfg.get("sampling"), dict, {}, "sampling")
     count = _number(int, section.get("count", sampling.DEFAULT_COUNT), "sampling.count")
     rng_range = section.get("range", list(sampling.DEFAULT_RANGE))
@@ -229,6 +231,7 @@ def cmd_axioms(cfg: dict, out_dir: str, tol: float, seed_override=None) -> int:
         mode = "sampled"
         sample = catalog.standard_sample(space)
         if "sampling" in cfg:
+            from . import sampling
             count, lo, hi, seed = sampling_settings(cfg, seed_override)
             sample = sample + sampling.sample_points(space, min(count, 16), seed, lo, hi)
     report = check_axioms(space, sample, tol=tol, mode=mode)
@@ -247,6 +250,7 @@ def cmd_condition(cfg: dict, out_dir: str, tol: float, seed_override=None) -> in
     smap = resolve_map(cfg, space)
     spec = resolve_condition_spec(cfg, space)
     count, lo, hi, seed = sampling_settings(cfg, seed_override)
+    from . import sampling
     stream = sampling.triple_stream(space, seed=seed, lo=lo, hi=hi, tol=tol)
     head = list(islice(stream, min(count, 1000)))  # also the weight bound's triples
     cert = certify_on_samples(space, smap, spec, chain(head, stream), count, tol_base=tol)
@@ -461,7 +465,7 @@ _COMMANDS = {
     "axioms": (cmd_axioms, "check the distance axioms of a space", ()),
     "condition": (cmd_condition, "certify a contractive condition on sampled triples",
                   ("conditions",)),
-    "solve": (cmd_solve, "run the fixed-point iteration with a certificate", ()),
+    "solve": (cmd_solve, "run the fixed-point iteration with a certificate", ("dynamics",)),
     "gauge": (cmd_gauge, "check gauge-function admissibility on a grid", ("conditions",)),
     "oracle": (cmd_oracle, "exhaustively check a theorem on a finite exact space",
                ("conditions", "oracle")),
@@ -503,6 +507,9 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    # before numpy loads: gmetric calls no BLAS routine, and the OpenBLAS
+    # threads numpy's import starts slow a short command; a user's value wins
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(main(sys.argv[1:]))
 
 

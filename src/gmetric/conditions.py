@@ -58,6 +58,7 @@ from .spaces import (
     ROW_STATUSES,
     RealCarrier,
     Regime,
+    SelfMap,
     VACUOUS,
     Verdict,
     _first_failure,
@@ -67,7 +68,6 @@ from .spaces import (
     scaled_form,
     scaled_tol,
 )
-from .dynamics import SelfMap
 from .sampling import BLOCK
 
 # G values and images one evaluation context keeps on a finite carrier: a
@@ -226,7 +226,9 @@ class _EvalContext:
         memo = (lru_cache(maxsize=G_MEMO_MAX) if isinstance(space.carrier, FiniteCarrier)
                 else (lambda f: f))
         self.g = memo(partial(raw_g, space))
-        self.t = None if smap is None else memo(smap.step)
+        # SelfMap.step, with this module's normalize_point, which perfbench wraps
+        self.t = None if smap is None else memo(
+            lambda p: normalize_point(smap.domain, smap.apply(p)))
 
 
 def eval_condition(space: GMetricSpace, smap: SelfMap, spec: ConditionSpec,

@@ -5,7 +5,8 @@ solver with convergence-rate classification and an optional certified
 geometric error bound, a trace CSV writer that can run in a forked
 process beside the solver, cluster-point detection, and sampled probes
 for orbital continuity and injectivity.  The probes are finite evidence,
-never proofs, and are labeled as such in their verdicts.
+never proofs, and are labeled as such in their verdicts.  ``SelfMap``
+is defined in :mod:`gmetric.spaces` and re-exported here.
 """
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ from typing import Callable, Optional, Sequence
 
 from .errors import DomainError, ParameterError
 from .spaces import (
-    Carrier,
     DEFAULT_TOL,
     FAIL,
     FiniteCarrier,
@@ -30,6 +30,7 @@ from .spaces import (
     Point,
     RealCarrier,
     Regime,
+    SelfMap,
     Verdict,
     _FLOAT_MAX,
     _validate_value,
@@ -42,25 +43,6 @@ DEFAULT_TRACE_MAX = 100_000
 # this size a float trace's points and gaps take about 16 MB.
 TRACE_MAX_LIMIT = 1_000_000
 MAX_ITER_LIMIT = 10 ** 7  # largest max_iter: about 7 s of moebius steps on a 2-core VM
-
-
-@dataclass(frozen=True)
-class SelfMap:
-    """A self-map of a carrier.  ``apply`` must be total and deterministic.
-
-    ``apply_batch``, when given, maps a float array of scalar points
-    elementwise to the floats ``apply`` gives one by one; where ``apply``
-    would raise, it yields a non-finite value instead.
-    """
-
-    domain: Carrier
-    apply: Callable[[Point], Point]
-    name: str = ""
-    apply_batch: Optional[Callable] = None
-
-    def step(self, p: Point) -> Point:
-        """Apply the map to an already-normalized point, validating the image."""
-        return normalize_point(self.domain, self.apply(p))
 
 
 @dataclass

@@ -45,8 +45,8 @@ from .conditions import (
     _decider,
     _extension_specs,
 )
-from .dynamics import SelfMap
-from .spaces import FAILS, AxiomReport, GMetricSpace, check_axioms, parse_rational
+from .spaces import (FAILS, AxiomReport, GMetricSpace, SelfMap, check_axioms,
+                     parse_rational)
 
 DEFAULT_MAP_CAP = 5
 

@@ -2,11 +2,11 @@
 
 A G-metric assigns a nonnegative "perimeter-like" distance G(x, y, z) to
 every triple of points.  This module holds the carrier descriptors, the
-space record, finite rational metrics (read from a table file or drawn at
-random) and the max and perimeter G built on them as scaled integers, the
-verdict records, sample-based and exhaustive axiom checking, the derived
-ordinary metric d(x, y) = G(x, y, y) + G(x, x, y), and convergence
-diagnostics for point sequences.
+self-map and space records, finite rational metrics (read from a table
+file or drawn at random) and the max and perimeter G built on them as
+scaled integers, the verdict records, sample-based and exhaustive axiom
+checking, the derived ordinary metric d(x, y) = G(x, y, y) + G(x, x, y),
+and convergence diagnostics for point sequences.
 
 Two arithmetic regimes are supported: plain floats (with scale-aware
 tolerances) and exact rationals on finite carriers (strict comparisons,
@@ -104,6 +104,25 @@ def normalize_point(carrier: Carrier, p) -> Point:
             raise DomainError(f"non-numeric coordinate {c!r}")
         coords.append(_coord(carrier, c))
     return tuple(coords)
+
+
+@dataclass(frozen=True)
+class SelfMap:
+    """A self-map of a carrier.  ``apply`` must be total and deterministic.
+
+    ``apply_batch``, when given, maps a float array of scalar points
+    elementwise to the floats ``apply`` gives one by one; where ``apply``
+    would raise, it yields a non-finite value instead.
+    """
+
+    domain: Carrier
+    apply: Callable[[Point], Point]
+    name: str = ""
+    apply_batch: Optional[Callable] = None
+
+    def step(self, p: Point) -> Point:
+        """Apply the map to an already-normalized point, validating the image."""
+        return normalize_point(self.domain, self.apply(p))
 
 
 def _coord(carrier: RealCarrier, c) -> float:

@@ -802,14 +802,19 @@ print(json.dumps(seen))
 """
 
 
+def _source_env(**extra):
+    """This environment, ``extra`` added, for a new interpreter that imports
+    gmetric from the source tree under test."""
+    src = str(Path(gm.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])), **extra)
+
+
 def _fresh_interpreter(script, *args):
     """The last stdout line of ``script`` run in a new interpreter that
     imports gmetric from the source tree under test, read as JSON."""
-    src = str(Path(gm.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script, *args],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=_source_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -822,9 +827,9 @@ def test_numpy_loads_only_for_commands_that_use_it(tmp_path):
     commands = [
         ("solve", {"space": "absmax", "map": "moebius", "solver": {"x0": 1.0}}),
         ("axioms", {"space": "absmax"}),
+        ("axioms", {"space": {"metric_table": str(table)}}),
         # 16 scalar uniform draws join the standard sample without numpy
         ("axioms", {"space": "absmax", "sampling": {"count": 16, "seed": 3}}),
-        ("axioms", {"space": {"metric_table": str(table)}}),
         ("gauge", {"gauge": "ratio1"}),
         ("violate", {"space": "absmax", "map": "moebius", "condition": {"id": "C-Q", "q": 0.5}}),
         # finite indices are drawn without numpy; every triple fails (exit 1)
@@ -852,12 +857,25 @@ def test_numpy_loads_only_for_commands_that_use_it(tmp_path):
         ("gauge", [conditions]), ("violate", [conditions]), ("condition", [conditions]),
         ("condition", [conditions]), ("oracle", [conditions, oracle]),
         ("oracle", [conditions, oracle]), ("condition", [conditions, oracle])]
+    # sampling loads with the first command that draws points
+    assert [(command, "gmetric.sampling" in modules) for command, _, _, modules in seen] == [
+        ("import", False), ("solve", False), ("axioms", False), ("axioms", False),
+        ("axioms", True), ("gauge", True), ("violate", True), ("condition", True),
+        ("condition", True), ("oracle", True), ("oracle", True), ("condition", True)]
+    dynamics = "gmetric.dynamics"
+    assert [dynamics in modules for _, _, _, modules in seen] == [False] + [True] * 11
+    # run last, solve is still the only command that loads dynamics
+    last = commands[1:] + commands[:1]
+    seen = _fresh_interpreter(_STARTUP_SCRIPT, str(tmp_path), json.dumps(last))
+    assert [dynamics in modules for _, _, _, modules in seen] == [False] * 11 + [True]
+    assert seen[-1][:2] == ["solve", 0]
 
 
-# The names gmetric.cli takes from the condition and oracle layers, which it
-# binds only when a command that runs them starts; perfbench/tracer.py reads
-# and replaces them on gmetric.cli before main runs.
+# The names gmetric.cli takes from the dynamics, condition and oracle layers,
+# which it binds only when a command that runs them starts;
+# perfbench/tracer.py reads and replaces them on gmetric.cli before main runs.
 _DEFERRED_NAMES = {
+    "dynamics": ["DEFAULT_TRACE_MAX", "TraceWriter", "orbit", "solve_picard", "write_trace_csv"],
     "conditions": ["MAJORANT_IDS", "ConditionSpec", "certify_on_samples", "check_aux_bound",
                    "check_gauge_admissible", "eval_condition"],
     "oracle": ["DEFAULT_MAP_CAP", "exhaustive_theorem_check"],
@@ -917,3 +935,69 @@ def test_a_cli_name_replaced_before_main_is_the_one_main_calls(tmp_path):
     assert codes == [1, 0]
     assert calls == ["certify_on_samples", "exhaustive_theorem_check"]
     assert certify_kept and check_kept
+
+
+# Reports whether reading gmetric.SelfMap loaded gmetric.dynamics, and
+# whether the package, spaces and dynamics name one SelfMap object.
+_SELFMAP_SCRIPT = """
+import json, sys
+import gmetric as gm
+read = gm.SelfMap
+loaded = "gmetric.dynamics" in sys.modules
+import gmetric.dynamics, gmetric.spaces
+print(json.dumps([loaded, read is gmetric.spaces.SelfMap is gmetric.dynamics.SelfMap]))
+"""
+
+
+def test_selfmap_is_one_object_and_reading_it_loads_no_dynamics():
+    assert _fresh_interpreter(_SELFMAP_SCRIPT) == [False, True]
+
+
+# Runs main and then entry twice, with OPENBLAS_NUM_THREADS unset and then
+# set to 3; reports main's exit code, whether main left os.environ as it
+# was, and each entry's exit code and the variable's value after it.
+_ENVIRON_SCRIPT = """
+import json, os, sys
+import gmetric.cli as cli
+os.environ.pop("OPENBLAS_NUM_THREADS", None)
+before = dict(os.environ)
+seen = [cli.main(sys.argv[1:]), dict(os.environ) == before]
+for preset in (None, "3"):
+    if preset is not None:
+        os.environ["OPENBLAS_NUM_THREADS"] = preset
+    try:
+        cli.entry()
+    except SystemExit as stop:
+        seen.append([stop.code, os.environ.get("OPENBLAS_NUM_THREADS")])
+print(json.dumps(seen))
+"""
+
+
+def test_entry_defaults_openblas_to_one_thread_and_main_leaves_the_environment(tmp_path):
+    cfg = tmp_path / "a.json"
+    cfg.write_text(json.dumps({"space": "absmax"}))
+    seen = _fresh_interpreter(_ENVIRON_SCRIPT, "axioms", "--config", str(cfg),
+                              "--out", str(tmp_path / "out"))
+    assert seen == [0, True, [0, "1"], [0, "3"]]
+
+
+@pytest.mark.parametrize("condition, rng", [
+    ({"id": "C-Q", "q": 0.9}, [0, 1]),
+    ({"id": "C-GAUGE", "gauge": "half", "a": "reciprocal-cap-2"}, [0, 100]),
+])
+def test_numpy_kernel_certificates_do_not_depend_on_openblas_threads(tmp_path, condition, rng):
+    # 3 BLOCK chunks and part of a fourth, decided by the numpy kernel
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"space": "absmax", "map": "moebius", "condition": condition,
+                               "sampling": {"count": 3 * gm.sampling.BLOCK + 5, "range": rng,
+                                            "seed": 1}}))
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        proc = subprocess.run([sys.executable, "-m", "gmetric.cli", "condition", "--config",
+                               str(cfg), "--out", str(out)],
+                              env=_source_env(OPENBLAS_NUM_THREADS=threads),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode in (0, 1), proc.stderr
+        runs.append((proc.returncode, (out / "condition.json").read_bytes()))
+    assert runs[0] == runs[1]
