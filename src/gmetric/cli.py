@@ -96,6 +96,8 @@ def load_config(path) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     _check_keys(cfg, _TOP_KEYS, "config")
+    if "\0" in _shaped(cfg.get("out"), str, "", "out"):  # os.makedirs raises ValueError
+        raise ConfigError(f"malformed out: {cfg['out']!r} holds a NUL character")
     for section, allowed in _SECTION_KEYS.items():
         sub = cfg.get(section)
         if isinstance(sub, dict):
@@ -151,8 +153,8 @@ def _number(kind, value, what: str):
 
 
 def _shaped(value, kind, default, what: str):
-    """A config object or list: ``default`` when ``value`` is absent (None),
-    and a ConfigError when it is not of ``kind``."""
+    """A config object, list or string: ``default`` when ``value`` is absent
+    (None), and a ConfigError when it is not of ``kind``."""
     if value is None:
         return default
     if not isinstance(value, kind):
@@ -225,16 +227,14 @@ def _space_label(cfg: dict) -> str:
 
 def cmd_axioms(cfg: dict, out_dir: str, tol: float, seed_override=None) -> int:
     space = resolve_space(cfg)
-    if isinstance(space.carrier, FiniteCarrier):
-        mode, sample = "exhaustive", None
-    else:
-        mode = "sampled"
+    sample = None  # the whole of a finite carrier
+    if not isinstance(space.carrier, FiniteCarrier):
         sample = catalog.standard_sample(space)
         if "sampling" in cfg:
             from . import sampling
             count, lo, hi, seed = sampling_settings(cfg, seed_override)
             sample = sample + sampling.sample_points(space, min(count, 16), seed, lo, hi)
-    report = check_axioms(space, sample, tol=tol, mode=mode)
+    report = check_axioms(space, sample, tol=tol)
     payload = {"space": _space_label(cfg), "report": reports.axiom_report_dict(report)}
     reports.write_report(os.path.join(out_dir, "axioms.json"), payload)
     for key, verdict in report.verdicts.items():

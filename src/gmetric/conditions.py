@@ -208,7 +208,7 @@ class ConditionSpec:
 
 class _EvalContext:
     """G values ``g(a, b, c)`` and map images ``t(p)`` on normalized points,
-    with the arithmetic regime of one call.
+    with the arithmetic regime and the point rule ``distinct`` of one call.
 
     A finite carrier has at most m^3 G keys and m image keys, so both are
     kept in an LRU memo of ``G_MEMO_MAX`` entries; on a real carrier keys
@@ -222,6 +222,7 @@ class _EvalContext:
         if smap is not None and smap.domain != space.carrier:
             raise DomainError("map domain does not match the space carrier")
         self.regime = Regime(space.exact, tol_base)
+        self.distinct = points_distinct(space.carrier, tol_base)
         self.scaled = scaled_form(space)
         memo = (lru_cache(maxsize=G_MEMO_MAX) if isinstance(space.carrier, FiniteCarrier)
                 else (lambda f: f))
@@ -242,9 +243,9 @@ def eval_condition(space: GMetricSpace, smap: SelfMap, spec: ConditionSpec,
         raise ParameterError(f"eval_condition does not handle {spec.id}; see eval_extension")
     c = space.carrier
     xn, yn, zn = normalize_point(c, x), normalize_point(c, y), normalize_point(c, z)
-    if not points_distinct(space, xn, yn, tol_base):
-        raise DomainError("condition requires x != y")
     ctx = _EvalContext(space, smap, tol_base)
+    if not ctx.distinct(xn, yn):
+        raise DomainError("condition requires x != y")
     return _eval_spec(ctx, spec, xn, yn, zn, ctx.t(xn), ctx.t(yn), ctx.t(zn))
 
 
@@ -594,7 +595,7 @@ def check_uniqueness_conditions(space: GMetricSpace, smap: SelfMap, xi,
     residual = ctx.g(xin, txi, txi)
     if residual > tol:
         raise DomainError(f"xi is not approximately fixed (residual {residual})")
-    distinct, strictly_below = ctx.regime.distinct, ctx.regime.strictly_below
+    distinct, strictly_below = ctx.distinct, ctx.regime.strictly_below
 
     v_verdict = Verdict(PASS)
     vi_verdict = Verdict(PASS)
@@ -696,8 +697,8 @@ def certify_on_samples(space: GMetricSpace, smap: SelfMap, spec: ConditionSpec,
     image outside the carrier, x == y, a value that is not finite), is
     decided triple by triple through :func:`_decider`.  A finite chunk whose
     points C builtins show to be ``int`` indices in range (and x != y for a
-    majorant condition on exact values) is taken as it is; any other chunk
-    is normalized triple by triple, which raises at the offending triple.
+    majorant condition) is taken as it is; any other chunk is normalized
+    triple by triple, which raises at the offending triple.
     Every path gives the chunk's status counts, excluded-M3 count and its
     failing rows ``(rank, triple, n, excluded_terms, lhs, rhs)`` for a
     triple drawn n times; the ``worst_cap`` smallest by (rank, triple) are
@@ -714,11 +715,9 @@ def certify_on_samples(space: GMetricSpace, smap: SelfMap, spec: ConditionSpec,
     worst_cap, count = _size(worst_cap, "worst_cap"), _size(count, "count")
     ctx = _EvalContext(space, smap, tol_base)
     decide, unit = _decider(ctx, spec)
-    distinct, t, c = ctx.regime.distinct, ctx.t, space.carrier
+    distinct, t, c = ctx.distinct, ctx.t, space.carrier
     majorant = spec.id in MAJORANT_IDS
     finite = isinstance(c, FiniteCarrier)
-    # C builtins check x != y only where the regime compares points with !=
-    quick = finite and (ctx.regime.exact or not majorant)
     batch = None if finite else _batch_evaluator(space, smap, spec, ctx.regime, worst_cap)
     decided = (lru_cache(maxsize=BLOCK) if finite else (lambda f: f))(
         lambda x, y, z: decide(x, y, z, t(x), t(y), t(z)))
@@ -738,7 +737,7 @@ def certify_on_samples(space: GMetricSpace, smap: SelfMap, spec: ConditionSpec,
         return xn, yn, zn
 
     def evaluate(chunk):
-        if not (quick and indices(chunk)):  # lazily: a real chunk raises at the same triple
+        if not (finite and indices(chunk)):  # lazily: a real chunk raises at the same triple
             chunk = (normalized(x, y, z) for x, y, z in chunk)
         counts, excluded, fails = dict.fromkeys(ROW_STATUSES, 0), 0, []
         for triple, n in Counter(chunk).items() if finite else zip(chunk, repeat(1)):

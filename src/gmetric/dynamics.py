@@ -24,17 +24,16 @@ from .errors import DomainError, ParameterError
 from .spaces import (
     DEFAULT_TOL,
     FAIL,
-    FiniteCarrier,
     GMetricSpace,
     PASS,
     Point,
     RealCarrier,
-    Regime,
     SelfMap,
     Verdict,
     _FLOAT_MAX,
     _validate_value,
     normalize_point,
+    points_distinct,
     raw_g,
 )
 
@@ -275,7 +274,7 @@ def apriori_bound(q, g0, n: int):
     n-th iterate to every later iterate (hence to the limit)."""
     if not 0 < q < 1:
         raise ParameterError("q must lie in (0, 1)")
-    if g0 < 0:
+    if not g0 >= 0:  # nan too
         raise ParameterError("initial gap must be nonnegative")
     if n < 0:
         raise ParameterError("iteration count must be nonnegative")
@@ -286,9 +285,9 @@ def iterations_needed(q: float, g0: float, eps: float) -> int:
     """Smallest n with q^n * g0 / (1 - q) <= eps, verified by direct evaluation."""
     if not 0 < q < 1:
         raise ParameterError("q must lie in (0, 1)")
-    if g0 <= 0:
-        raise ParameterError("initial gap must be positive")
-    if eps <= 0:
+    if not 0 < g0 < math.inf:  # nan too
+        raise ParameterError("initial gap must be positive and finite")
+    if not eps > 0:
         raise ParameterError("eps must be positive")
     if apriori_bound(q, g0, 0) <= eps:
         return 0
@@ -345,11 +344,11 @@ def probe_orbital_continuity(space: GMetricSpace, smap: SelfMap, trace,
 
 
 def probe_injectivity(smap: SelfMap, sample, tol: float = DEFAULT_TOL) -> Verdict:
-    """Look for two distinct sample points with (numerically) equal images.
-    Finite evidence only, not a proof."""
+    """Look for two distinct sample points with equal images, per the point
+    rule :func:`points_distinct`.  Finite evidence only, not a proof."""
     if not sample:
         raise ParameterError("injectivity probe requires a nonempty sample")
-    distinct = Regime(isinstance(smap.domain, FiniteCarrier), tol).distinct
+    distinct = points_distinct(smap.domain, tol)
     pts = [normalize_point(smap.domain, p) for p in sample]
     images = [smap.step(p) for p in pts]
     for i in range(len(pts)):

@@ -287,4 +287,4 @@ def exhaustive_axiom_check(space: GMetricSpace) -> AxiomReport:
     """All-triples, all-quadruples axiom check with exact comparisons."""
     if not space.exact:
         raise ParameterError("exhaustive exact checking requires an exact space")
-    return check_axioms(space, mode="exhaustive", tol=0.0)
+    return check_axioms(space, tol=0.0)

@@ -23,6 +23,7 @@ from .spaces import (
     GMetricSpace,
     RealCarrier,
     Regime,
+    points_distinct,
 )
 
 DEFAULT_RANGE = (0.0, 100.0)
@@ -192,8 +193,8 @@ def triple_stream(space: GMetricSpace, seed: int = DEFAULT_SEED,
     """Endless stream of point triples (x, y, z) with x != y.
 
     On a real carrier triples are drawn ``BLOCK`` at a time; a triple whose
-    first two points coincide, per the arithmetic regime's guard with
-    ``tol``, is dropped, which is what redrawing it one point at a time
+    first two points coincide, per the point rule :func:`points_distinct`
+    with ``tol``, is dropped, which is what redrawing it one point at a time
     would give.  A finite carrier, whose certificates tally each chunk by
     distinct triple, draws one index per ``integers`` call, in Python and
     without numpy (see :class:`DefaultRng`), and redraws such a triple, so
@@ -208,26 +209,26 @@ def triple_stream(space: GMetricSpace, seed: int = DEFAULT_SEED,
     carrier = space.carrier
     if isinstance(carrier, FiniteCarrier) and carrier.size < 2:
         raise ParameterError("cannot draw distinct pairs from a 1-point carrier")
-    regime = Regime(space.exact, tol)
+    distinct = points_distinct(carrier, tol)
     if isinstance(carrier, FiniteCarrier):
         m = carrier.size
         while True:
             x, y, z = rng.integers(0, m), rng.integers(0, m), rng.integers(0, m)
-            if regime.distinct(x, y):
+            if distinct(x, y):
                 yield (x, y, z)
     # the pair farthest past the slack: the ends or, for tol >= 1, the pair
     # symmetric about 0 (tuple points do no better than repeated coordinates)
     c = min(-lo, hi)
-    if not (regime.distinct(lo, hi) or c > 0 and regime.distinct(-c, c)):
+    if not (distinct(lo, hi) or c > 0 and distinct(-c, c)):
         raise ParameterError(f"malformed sampling.range [{lo}, {hi}]: no two points in it "
                              f"are distinct at tol {tol}")
-    distinct = regime.distinct_rows
+    distinct_rows = Regime(space.exact, tol).distinct_rows
     tuple_points = carrier.dim > 1
     shape = (BLOCK, 3, carrier.dim) if tuple_points else (BLOCK, 3)
     empty = 0  # consecutive blocks that kept no triple
     while True:
         block = rng.uniform(lo, hi, size=shape)
-        kept = block[distinct(block[:, 0], block[:, 1])]
+        kept = block[distinct_rows(block[:, 0], block[:, 1])]
         empty = 0 if len(kept) else empty + 1
         if empty == BLOCK:
             raise ParameterError(f"malformed sampling.range [{lo}, {hi}]: no distinct pair in "

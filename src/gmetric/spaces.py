@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
 from itertools import chain, combinations, combinations_with_replacement, islice, permutations
-from operator import add
+from operator import add, ne
 from typing import Callable, Iterator, Optional, Union
 
 from ._lazy import np
@@ -407,13 +407,12 @@ def derived_metric(space: GMetricSpace, x, y):
 class Regime:
     """The arithmetic-regime policy: every exact-or-float comparison lives here.
 
-    Built from the arithmetic flag (``space.exact``, or whether a map's
-    domain is finite) and the tolerance of one call.  The exact regime
-    compares literally and never touches floats; the float regime adds slack
-    built from ``tol`` by one of two formulas, kept apart because merging
-    them would change verdicts:
+    Built from ``space.exact`` and the tolerance of one call.  The exact
+    regime compares literally and never touches floats; the float regime
+    adds slack built from ``tol`` by one of two formulas, kept apart because
+    merging them would change verdicts:
 
-      scaled_tol = tol * (1 + max |v|)   distinct, exceeds (axioms, distinctness)
+      scaled_tol = tol * (1 + max |v|)   distinct, exceeds (axioms, real points)
       tau = tol * (1 + |lhs| + |rhs|)    status, strictly_below, above
                                          (conditions, uniqueness, weight bound)
 
@@ -440,7 +439,8 @@ class Regime:
         self.one = Fraction(1) if self.exact else 1.0
 
     def distinct(self, p, q) -> bool:
-        """p != q: for points, or for values (tuples compare coordinate-wise)."""
+        """p != q: for values, or for real points (tuples compare
+        coordinate-wise); :func:`points_distinct` is the rule for points."""
         if self.exact:
             return p != q
         if isinstance(p, tuple):
@@ -512,9 +512,12 @@ class Regime:
         return not lhs <= rhs + self._tau(lhs, rhs)
 
 
-def points_distinct(space: GMetricSpace, p: Point, q: Point, tol: float = DEFAULT_TOL) -> bool:
-    """Distinctness guard of the space's arithmetic regime (:meth:`Regime.distinct`)."""
-    return Regime(space.exact, tol).distinct(p, q)
+def points_distinct(carrier: Carrier, tol: float = DEFAULT_TOL) -> Callable:
+    """The point rule ``distinct(p, q)`` on normalized points of ``carrier``, in
+    either regime: two indices of a finite carrier are distinct exactly when
+    unequal, and real points past the float slack of :meth:`Regime.distinct`."""
+    distinct = Regime(False, tol).distinct  # checks tol on either carrier
+    return ne if isinstance(carrier, FiniteCarrier) else distinct
 
 
 @dataclass(frozen=True)
@@ -560,28 +563,15 @@ class AxiomReport:
         return {k: v for k, v in self.verdicts.items() if v.status == FAIL}
 
 
-def _axiom_points(space, sample, mode):
-    if mode == "exhaustive":
-        if not isinstance(space.carrier, FiniteCarrier):
-            raise ParameterError("exhaustive axiom checking requires a finite carrier")
-        return list(range(space.carrier.size))
-    if mode != "sampled":
-        raise ParameterError(f"unknown mode {mode!r}")
-    if not sample:
-        raise ParameterError("sampled mode requires a nonempty sample")
-    pts = [normalize_point(space.carrier, p) for p in sample]
-    return list(dict.fromkeys(pts))  # drop exact duplicates, keep order
-
-
-def check_axioms(space: GMetricSpace, sample=None, tol: float = DEFAULT_TOL,
-                 mode: str = "sampled") -> AxiomReport:
+def check_axioms(space: GMetricSpace, sample=None, tol: float = DEFAULT_TOL) -> AxiomReport:
     """Check the five G-metric axioms (and the symmetry property) on a point set.
 
-    Sampled mode draws all triples/quadruples from the given sample;
-    exhaustive mode (finite carriers only) uses the whole carrier.  In the
-    float regime, strict inequalities are tested against a scale-aware
-    tolerance so rounding noise cannot fabricate a failure; exact spaces
-    use true comparisons.
+    With no sample the check is exhaustive over a finite carrier; otherwise
+    all triples/quadruples come from the nonempty sample.  Points are told
+    apart by :func:`points_distinct`.  In the float regime, strict
+    inequalities between values are tested against a scale-aware tolerance
+    so rounding noise cannot fabricate a failure; exact spaces use true
+    comparisons.
 
     Axioms, for all points drawn from the set:
       G1: G(x, x, x) = 0
@@ -597,12 +587,20 @@ def check_axioms(space: GMetricSpace, sample=None, tol: float = DEFAULT_TOL,
     G5 walk only a row whose min fails :meth:`Regime.may_exceed`.  Past
     ``AXIOM_POINTS_MAX`` points: ParameterError.
     """
-    pts = _axiom_points(space, sample, mode)
+    if sample is None:
+        if not isinstance(space.carrier, FiniteCarrier):
+            raise ParameterError("exhaustive axiom checking requires a finite carrier")
+        pts = list(range(space.carrier.size))
+    elif not sample:
+        raise ParameterError("a sampled axiom check requires a nonempty sample")
+    else:  # drop exact duplicates, keep order
+        pts = list(dict.fromkeys(normalize_point(space.carrier, p) for p in sample))
     n, nn = len(pts), len(pts) ** 2
     if n > AXIOM_POINTS_MAX:
         raise ParameterError(f"malformed axiom check: {n} points, limit {AXIOM_POINTS_MAX}")
     reg = Regime(space.exact, tol)
     distinct, exceeds, may_exceed = reg.distinct, reg.exceeds, reg.may_exceed
+    distinct_points = points_distinct(space.carrier, tol)
     form = scaled_form(space)
     g = form.ints if form else partial(raw_g, space)
     t = [g(x, y, z) for x in pts for y in pts for z in pts]  # t[i*nn + j*n + k]
@@ -623,7 +621,7 @@ def check_axioms(space: GMetricSpace, sample=None, tol: float = DEFAULT_TOL,
     def g2():  # strictly positive off the diagonal
         for i, x in enumerate(pts):
             for j, y in enumerate(pts):
-                if distinct(x, y):
+                if distinct_points(x, y):
                     val = t[i * (nn + n) + j]
                     if not exceeds(val, 0):
                         yield (x, x, y), (val,)
@@ -634,7 +632,7 @@ def check_axioms(space: GMetricSpace, sample=None, tol: float = DEFAULT_TOL,
                 lhs, row = t[i * (nn + n) + j], t[i * nn + j * n:i * nn + j * n + n]
                 if may_exceed(lhs, min(row)):
                     for z, rhs in zip(pts, row):
-                        if distinct(z, y) and exceeds(lhs, rhs):
+                        if distinct_points(z, y) and exceeds(lhs, rhs):
                             yield (x, y, z), (lhs, rhs)
 
     def g4():  # permutation invariance; max |v| over vals is |max| or |min|
@@ -664,8 +662,8 @@ def check_axioms(space: GMetricSpace, sample=None, tol: float = DEFAULT_TOL,
     verdicts = {key: _first_failure((w, tuple(map(unscale, v))) for w, v in failures())
                 for key, failures in checks.items()}
     verdicts.setdefault("symmetry", Verdict(SKIPPED, note="space does not claim symmetry"))
-    return AxiomReport(verdicts=verdicts, sample_size=n ** 3,
-                       quadruple_count=n ** 4, mode=mode)
+    return AxiomReport(verdicts=verdicts, sample_size=n ** 3, quadruple_count=n ** 4,
+                       mode="exhaustive" if sample is None else "sampled")
 
 
 def _first_failure(failures) -> Verdict:
@@ -740,7 +738,7 @@ def diagnose_sequence(space: GMetricSpace, prefix, candidate=None,
     so implications can be asserted index by index.  Without a candidate
     all thresholds are reported unmet.
     """
-    if eps <= 0:
+    if not eps > 0:  # nan too
         raise ParameterError("eps must be positive")
     pts = [normalize_point(space.carrier, p) for p in prefix]
     if len(pts) < 2:

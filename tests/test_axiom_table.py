@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from functools import cache, partial
 from itertools import combinations_with_replacement, permutations
+from operator import ne
 
 import pytest
 
@@ -42,11 +43,16 @@ def _reference_symmetry_failures(reg, g, pts):
                 yield (x, y), (a, b)
 
 
-def reference_check_axioms(space, sample=None, tol=DEFAULT_TOL, mode="sampled"):
-    """The scalar loops ``check_axioms`` ran before it tabulated G."""
-    pts = spaces._axiom_points(space, sample, mode)
+def reference_check_axioms(space, sample=None, tol=DEFAULT_TOL):
+    """The scalar loops ``check_axioms`` ran before it tabulated G, with
+    the point rule: indices of a finite carrier differ only when unequal."""
+    if sample is None:
+        pts = list(range(space.carrier.size))
+    else:
+        pts = list(dict.fromkeys(spaces.normalize_point(space.carrier, p) for p in sample))
     reg = Regime(space.exact, tol)
     distinct, exceeds = reg.distinct, reg.exceeds
+    distinct_points = ne if isinstance(space.carrier, FiniteCarrier) else distinct
     g = cache(partial(raw_g, space))
 
     def g1():
@@ -58,7 +64,7 @@ def reference_check_axioms(space, sample=None, tol=DEFAULT_TOL, mode="sampled"):
     def g2():
         for x in pts:
             for y in pts:
-                if distinct(x, y):
+                if distinct_points(x, y):
                     val = g(x, x, y)
                     if not exceeds(val, reg.zero):
                         yield (x, x, y), (val,)
@@ -68,7 +74,7 @@ def reference_check_axioms(space, sample=None, tol=DEFAULT_TOL, mode="sampled"):
             for y in pts:
                 lhs = None
                 for z in pts:
-                    if not distinct(z, y):
+                    if not distinct_points(z, y):
                         continue
                     if lhs is None:
                         lhs = g(x, x, y)
@@ -100,7 +106,8 @@ def reference_check_axioms(space, sample=None, tol=DEFAULT_TOL, mode="sampled"):
     else:
         verdicts["symmetry"] = Verdict(SKIPPED, note="space does not claim symmetry")
     n = len(pts)
-    return AxiomReport(verdicts=verdicts, sample_size=n ** 3, quadruple_count=n ** 4, mode=mode)
+    return AxiomReport(verdicts=verdicts, sample_size=n ** 3, quadruple_count=n ** 4,
+                       mode="exhaustive" if sample is None else "sampled")
 
 
 def reference_check_symmetry(space, sample, tol=DEFAULT_TOL):
@@ -109,9 +116,9 @@ def reference_check_symmetry(space, sample, tol=DEFAULT_TOL):
     return _first_failure(_reference_symmetry_failures(reg, partial(raw_g, space), pts))
 
 
-def _assert_same(space, sample=None, tol=DEFAULT_TOL, mode="sampled"):
-    got = gm.check_axioms(space, sample, tol=tol, mode=mode)
-    want = reference_check_axioms(space, sample, tol=tol, mode=mode)
+def _assert_same(space, sample=None, tol=DEFAULT_TOL):
+    got = gm.check_axioms(space, sample, tol=tol)
+    want = reference_check_axioms(space, sample, tol=tol)
     assert got == want
     for key, verdict in got.verdicts.items():  # Fraction values stay Fractions
         assert [type(v) for v in verdict.values or ()] == \
@@ -152,7 +159,7 @@ class TestTableEqualsScalarLoops:
     def test_every_catalog_space(self, name):
         space = catalog.get_space(name)
         if isinstance(space.carrier, FiniteCarrier):
-            _assert_same(space, mode="exhaustive")
+            _assert_same(space)
             _assert_same(space, [p for p in (4, 0, 0, 2, 6) if p < space.carrier.size], tol=0.0)
         else:
             for tol in (DEFAULT_TOL, 0.0, 1e-3):
@@ -170,8 +177,7 @@ class TestTableEqualsScalarLoops:
     @pytest.mark.parametrize("construction", ["max", "perimeter"])
     def test_seeded_tables(self, construction):
         for seed in range(12):
-            report = _assert_same(build_gmetric(_seeded_metric(seed), construction),
-                                  mode="exhaustive", tol=0.0)
+            report = _assert_same(build_gmetric(_seeded_metric(seed), construction), tol=0.0)
             assert report.all_pass(), seed
 
     def test_perturbed_tables_fail_as_the_loops_do(self):
@@ -185,7 +191,7 @@ class TestTableEqualsScalarLoops:
             new = values[i, j, k] * rnd.choice([0, Fraction(1, 3), 2, 5])
             keys = set(permutations((i, j, k))) if seed % 2 else {(i, j, k)}
             values.update(dict.fromkeys(keys, new))  # a whole class keeps G4
-            report = _assert_same(_table_space(values, m), mode="exhaustive")
+            report = _assert_same(_table_space(values, m))
             failed.update(report.failures())
         assert {"G3", "G5", "symmetry"} <= failed
 
@@ -203,7 +209,7 @@ class TestTableEqualsScalarLoops:
             new = v + rnd.choice([0.5, 1.5, 2.5, 3.5]) * tol * (1 + v)
             values.update(dict.fromkeys(permutations((i, j, k)), new))
             floats = GMetricSpace(carrier=FiniteCarrier(m), g=lambda *p: values[p])
-            report = _assert_same(floats, mode="exhaustive", tol=tol)
+            report = _assert_same(floats, tol=tol)
             failed.update(report.failures())
         assert {"G3", "G5"} <= failed
 
@@ -217,19 +223,18 @@ class TestTableEqualsScalarLoops:
                       for key in combinations_with_replacement(range(m), 3)}
             values = {(i, j, k): values.get((i, j, k), rnd.randrange(0, 4))
                       for i in range(m) for j in range(m) for k in range(m)}
-            report = _assert_same(_table_space(values, m, symmetric=bool(seed % 3)),
-                                  mode="exhaustive")
+            report = _assert_same(_table_space(values, m, symmetric=bool(seed % 3)))
             failed.update(report.failures())
         assert failed == set(spaces.AXIOM_KEYS)
 
     @pytest.mark.parametrize("construction", ["max", "perimeter"])
     def test_thousand_digit_denominators(self, construction):
         space = build_gmetric(_long_metric(5, 7), construction)
-        assert _assert_same(space, mode="exhaustive").all_pass()
+        assert _assert_same(space).all_pass()
         values = _tabulate(space)
         values[0, 1, 2] = values[0, 1, 2] * 3  # fails G4, G5
         values[3, 4, 4] = values[3, 4, 4] / 2  # fails symmetry
-        report = _assert_same(_table_space(values, 5), mode="exhaustive")
+        report = _assert_same(_table_space(values, 5))
         assert {"G4", "G5", "symmetry"} <= set(report.failures())
 
     @pytest.mark.parametrize("exact, bad", [
@@ -242,12 +247,12 @@ class TestTableEqualsScalarLoops:
         def g(i, j, k):
             return bad if (i, j, k) == (2, 0, 1) else Fraction(i != j)
         if exact:
-            space, sample, mode = GMetricSpace(FiniteCarrier(4), g, "exact"), None, "exhaustive"
+            space, sample = GMetricSpace(FiniteCarrier(4), g, "exact"), None
         else:
-            space, sample, mode = GMetricSpace(RealCarrier(), g), [0.0, 1.0, 2.0, 3.0], "sampled"
+            space, sample = GMetricSpace(RealCarrier(), g), [0.0, 1.0, 2.0, 3.0]
         for check in (reference_check_axioms, gm.check_axioms):
             with pytest.raises(gm.DomainError):
-                check(space, sample, mode=mode)
+                check(space, sample)
 
     def test_g_that_raises_domain_error(self):
         def g(i, j, k):
@@ -256,9 +261,9 @@ class TestTableEqualsScalarLoops:
             return Fraction(len({i, j, k}) - 1)
         space = GMetricSpace(carrier=FiniteCarrier(4), g=g, arithmetic="exact")
         with pytest.raises(gm.DomainError):
-            reference_check_axioms(space, mode="exhaustive")
+            reference_check_axioms(space)
         with pytest.raises(gm.DomainError):
-            gm.check_axioms(space, mode="exhaustive")
+            gm.check_axioms(space)
 
 
 class TestSymmetryLoop:
@@ -285,7 +290,7 @@ class TestSizeLimit:
         space = GMetricSpace(carrier=FiniteCarrier(spaces.AXIOM_POINTS_MAX + 1),
                              g=lambda i, j, k: calls.append(1) or 0, arithmetic="exact")
         with pytest.raises(gm.ParameterError, match="limit"):
-            gm.check_axioms(space, mode="exhaustive")
+            gm.check_axioms(space)
         with pytest.raises(gm.ParameterError, match="limit"):
             gm.check_axioms(catalog.space_absmax(),
                             [float(p) for p in range(spaces.AXIOM_POINTS_MAX + 1)])

@@ -1,6 +1,7 @@
 """The numpy batch path of sampled certificates against the scalar path,
 and the block sampler against one draw per point."""
 import dataclasses
+import operator
 import tracemalloc
 from fractions import Fraction
 from itertools import islice
@@ -275,10 +276,12 @@ def _draw_point(rng, carrier, lo, hi):
 
 
 def _scalar_stream(space, seed, lo, hi, tol):
-    """The sampler as one draw per point, redrawing a triple with x ~ y."""
+    """The sampler as one draw per point, redrawing a triple with x ~ y: on
+    a finite carrier, in either regime, with x == y."""
     lo, hi = sampling._clip_range(space, lo, hi)
     rng = np.random.default_rng(seed)
-    distinct = Regime(space.exact, tol).distinct
+    finite = isinstance(space.carrier, gm.FiniteCarrier)
+    distinct = operator.ne if finite else Regime(space.exact, tol).distinct
     while True:
         x, y, z = (_draw_point(rng, space.carrier, lo, hi) for _ in range(3))
         if distinct(x, y):

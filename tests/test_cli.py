@@ -32,7 +32,7 @@ class TestCatalog:
         for name in ("absmax", "perimeter-r", "finite-uniform-3", "finite-uniform-4"):
             sp = catalog.get_space(name)
             if isinstance(sp.carrier, gm.FiniteCarrier):
-                report = gm.check_axioms(sp, mode="exhaustive")
+                report = gm.check_axioms(sp)
             else:
                 report = gm.check_axioms(sp, catalog.standard_sample(sp))
             assert report.all_pass(), name
@@ -227,6 +227,17 @@ class TestMalformedValues:
         code, _ = run(tmp_path, command, config)
         assert code == 2
         assert "malformed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", [5, True, ["a"], {}, "a\u0000b"],
+                             ids=["int", "bool", "list", "object", "nul"])
+    def test_malformed_out_exit_two(self, tmp_path, monkeypatch, capsys, out):
+        # main runs without --out, which would take precedence over the key
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"space": "finite-uniform-3", "out": out}))
+        assert main(["axioms", "--config", str(cfg)]) == 2
+        assert "malformed out" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
                         reason="this interpreter prints ints of any length")

@@ -188,6 +188,10 @@ class TestAprioriBound:
             with pytest.raises(gm.ParameterError):
                 gm.apriori_bound(q, 1.0, 3)
 
+    def test_nan_initial_gap_rejected(self):
+        with pytest.raises(gm.ParameterError, match="initial gap must be nonnegative"):
+            gm.apriori_bound(0.5, float("nan"), 3)
+
 
 class TestIterationsNeeded:
     def test_matches_bound_example(self):
@@ -201,6 +205,18 @@ class TestIterationsNeeded:
         assert n == 175
         assert gm.apriori_bound(0.9, 10.0, n) <= 1e-6
         assert gm.apriori_bound(0.9, 10.0, n - 1) > 1e-6
+
+    def test_nan_eps_rejected(self):
+        with pytest.raises(gm.ParameterError, match="eps must be positive"):
+            gm.iterations_needed(0.5, 1.0, float("nan"))
+
+    def test_nan_initial_gap_rejected(self):
+        with pytest.raises(gm.ParameterError, match="initial gap must be positive and finite"):
+            gm.iterations_needed(0.5, float("nan"), 1e-6)
+
+    def test_infinite_initial_gap_rejected(self):
+        with pytest.raises(gm.ParameterError, match="initial gap must be positive and finite"):
+            gm.iterations_needed(0.5, float("inf"), 1e-6)
 
 
 class TestClusterPoint:

@@ -273,9 +273,8 @@ def test_axioms_read_the_integer_table_alone(space):
         return fraction(*t)
     counting = dataclasses.replace(space, g=ScaledG(counted, space.g.ints, space.g.scale))
     for sample in (None, [3, 0, 4, 0, 1]):
-        mode = "sampled" if sample else "exhaustive"
-        fast = gm.check_axioms(counting, sample, tol=0.0, mode=mode)
-        slow = gm.check_axioms(_fraction_only(space), sample, tol=0.0, mode=mode)
+        fast = gm.check_axioms(counting, sample, tol=0.0)
+        slow = gm.check_axioms(_fraction_only(space), sample, tol=0.0)
         assert fast == slow
         assert (reports.render_report(reports.axiom_report_dict(fast))
                 == reports.render_report(reports.axiom_report_dict(slow)))

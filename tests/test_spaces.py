@@ -1,11 +1,13 @@
 """Core space behavior: evaluation, axiom checking, convergence diagnostics."""
+import dataclasses
 from fractions import Fraction
+from itertools import islice, permutations
 
 import pytest
 
 import gmetric as gm
-from gmetric import catalog
-from gmetric.spaces import FAIL, PASS, SKIPPED, FiniteCarrier, normalize_point
+from gmetric import catalog, sampling
+from gmetric.spaces import FAIL, FAILS, PASS, SKIPPED, FiniteCarrier, normalize_point
 
 
 @pytest.fixture
@@ -74,7 +76,7 @@ class TestCheckAxioms:
     def test_absolute_max_on_three_points_exhaustive(self):
         d = [[Fraction(abs(i - j)) for j in range(3)] for i in range(3)]
         sp = gm.build_gmetric(gm.FiniteMetric.from_rows(d), "max")
-        report = gm.check_axioms(sp, mode="exhaustive")
+        report = gm.check_axioms(sp)
         assert report.all_pass()
         assert report.mode == "exhaustive"
         assert report.sample_size == 27
@@ -83,7 +85,7 @@ class TestCheckAxioms:
     def test_drop_z_fails_positivity(self):
         sp = finite_space_from(lambda i, j, k: Fraction(abs(i - j)), 2,
                                symmetric=False)
-        report = gm.check_axioms(sp, mode="exhaustive")
+        report = gm.check_axioms(sp)
         v = report.verdicts["G2"]
         assert v.status == FAIL
         assert v.witness == (0, 0, 1)
@@ -95,7 +97,7 @@ class TestCheckAxioms:
              [Fraction(2), Fraction(0), Fraction(4)],
              [Fraction(3), Fraction(4), Fraction(0)]]
         sp = gm.build_gmetric(gm.FiniteMetric.from_rows(d), "perimeter")
-        assert gm.check_axioms(sp, mode="exhaustive").all_pass()
+        assert gm.check_axioms(sp).all_pass()
 
     def test_sampled_mode_on_reals(self, absmax):
         report = gm.check_axioms(absmax, sample=[0.0, 0.5, 1.0, 2.0, 10.0])
@@ -104,7 +106,7 @@ class TestCheckAxioms:
 
     def test_exhaustive_requires_finite(self, absmax):
         with pytest.raises(gm.ParameterError):
-            gm.check_axioms(absmax, mode="exhaustive")
+            gm.check_axioms(absmax)
 
     def test_empty_sample_rejected(self, absmax):
         with pytest.raises(gm.ParameterError):
@@ -124,12 +126,80 @@ class TestCheckAxioms:
             return Fraction(0) if i == j == k else Fraction(1)
 
         sp = finite_space_from(g, 2)
-        report = gm.check_axioms(sp, mode="exhaustive")
+        report = gm.check_axioms(sp)
         assert not report.all_pass()
         failed = report.failures()
         assert failed   # some axiom carries the witness
         for v in failed.values():
             assert v.witness is not None
+
+    def test_a_sample_on_a_finite_space_is_used(self):
+        def g(i, j, k):  # G2 fails on (3, 3, 4) only
+            return Fraction(0) if len({i, j, k}) == 1 or (i, j, k) == (3, 3, 4) else Fraction(1)
+        space = finite_space_from(g, 5, symmetric=False)
+        report = gm.check_axioms(space, [4, 1, 4])
+        assert (report.mode, report.sample_size) == ("sampled", 8)
+        assert report.verdicts["G2"].status == PASS
+        assert gm.check_axioms(space, [3, 4]).verdicts["G2"].witness == (3, 3, 4)
+
+
+def float_uniform(m):
+    """``finite-uniform-<m>`` with float arithmetic: G is float, the points
+    are still indices."""
+    return dataclasses.replace(catalog.space_finite_uniform(m), arithmetic="float")
+
+
+class _DrawLimit:
+    """An rng whose ``integers`` fails the test after ``limit`` draws."""
+
+    def __init__(self, rng, limit):
+        self._rng, self._left = rng, limit
+
+    def integers(self, *args):
+        self._left -= 1
+        assert self._left >= 0, "the stream stopped yielding"
+        return self._rng.integers(*args)
+
+
+class TestPointRule:
+    """Two indices of a finite carrier are the same point only when equal,
+    in both regimes; the float slack applies to real points and to values."""
+
+    def test_float_finite_stream_yields_at_a_wide_tol(self, monkeypatch):
+        # at tol 1 no two of 0, 1, 2 clear tol * (1 + max), so a stream that
+        # compared indices with the slack never yielded; the draw limit
+        # fails such a stream instead of hanging
+        make_rng = sampling.make_rng
+        monkeypatch.setattr(sampling, "make_rng", lambda seed: _DrawLimit(make_rng(seed), 10_000))
+        triples = list(islice(sampling.triple_stream(float_uniform(3), tol=1.0), 200))
+        assert all(x != y for x, y, _ in triples)
+        assert {(x, y) for x, y, _ in triples} == set(permutations(range(3), 2))
+
+    def test_condition_on_adjacent_indices_at_a_wide_tol(self):
+        space = float_uniform(3)
+        smap = gm.table_self_map(space, (1, 2, 0))
+        spec = gm.ConditionSpec(id="C-UNIT")
+        # lhs = M1 = M3 = 1: the strict condition fails
+        v = gm.eval_condition(space, smap, spec, 0, 1, 2, tol_base=0.5)
+        assert (v.status, v.lhs, v.rhs, v.triple) == (FAILS, 1.0, 1.0, (0, 1, 2))
+        cert = gm.certify_on_samples(space, smap, spec, [(0, 1, 2)] * 3, 3, tol_base=0.5)
+        assert (cert.checked, cert.fails, cert.worst) == (3, 3, [v] * 3)
+
+    @pytest.mark.parametrize("pair", list(permutations(range(3), 2)))
+    def test_g2_reads_every_pair_of_distinct_indices(self, pair):
+        # G(x, x, y) vanishes on one pair x != y only: G2 must find it
+        i, j = pair
+        space = gm.GMetricSpace(
+            carrier=FiniteCarrier(3),
+            g=lambda x, y, z: 0.0 if (x, y, z) == (i, i, j) or x == y == z else 10.0)
+        v = gm.check_axioms(space, tol=0.5).verdicts["G2"]
+        assert (v.status, v.witness) == (FAIL, (i, i, j))
+
+    def test_int_range_bounds_still_take_the_slack(self):
+        # -1 and 1 are ints, but they bound a real range: at tol 2 no two
+        # points of [-1, 1] are distinct
+        with pytest.raises(gm.ParameterError, match="no two points in it are distinct"):
+            next(sampling.triple_stream(catalog.space_perimeter(), lo=-1, hi=1, tol=2))
 
 
 class TestCheckSymmetry:
@@ -175,6 +245,10 @@ class TestDiagnoseSequence:
     def test_short_prefix_rejected(self, absmax):
         with pytest.raises(gm.ParameterError):
             gm.diagnose_sequence(absmax, [1.0], candidate=0.0, eps=1.0)
+
+    def test_nan_eps_rejected(self, absmax):
+        with pytest.raises(gm.ParameterError, match="eps must be positive"):
+            gm.diagnose_sequence(absmax, [1.0, 0.5], candidate=0.0, eps=float("nan"))
 
     def test_geometric_prefix_nonvacuous_implication(self, absmax):
         # all indicators end below eps, so every threshold trips, together
